@@ -153,19 +153,31 @@ impl BigFloat {
     }
 }
 
+/// `2^k` for `k ∈ [-1022, 1023]`, written straight into the exponent
+/// field. Exact, so bit-equal to `2f64.powi(k)` over that range, without
+/// the `powi` call on the hot path.
+#[inline]
+fn pow2(k: i64) -> f64 {
+    debug_assert!((-1022..=1023).contains(&k));
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// Bits of an `f64`'s fraction field.
+const FRACTION_BITS: u64 = (1 << 52) - 1;
+
 fn normalize(m: f64) -> (f64, i64) {
     debug_assert!(m > 0.0 && m.is_finite());
-    // frexp: m = f × 2^e with f ∈ [0.5, 1); shift into [1, 2).
+    // m = 1.f × 2^e: the exponent field holds e + 1023.
     let bits = m.to_bits();
     let raw_exp = ((bits >> 52) & 0x7FF) as i64;
     if raw_exp == 0 {
-        // Subnormal: renormalize by multiplying up.
-        let scaled = m * 2f64.powi(200);
-        let (nm, ne) = normalize(scaled);
+        // Subnormal: renormalize by multiplying up (exact).
+        let (nm, ne) = normalize(m * pow2(200));
         return (nm, ne - 200);
     }
-    let e = raw_exp - 1023;
-    (m / 2f64.powi(e as i32), e)
+    // Resetting the exponent field to the bias leaves 1.f: the exact
+    // quotient m / 2^e, bit for bit.
+    (f64::from_bits((bits & FRACTION_BITS) | (1023 << 52)), raw_exp - 1023)
 }
 
 impl Add for BigFloat {
@@ -186,7 +198,7 @@ impl Add for BigFloat {
         if shift > 64 {
             return hi; // lo vanishes at this precision
         }
-        BigFloat::new(hi.mantissa + lo.mantissa / 2f64.powi(shift as i32), hi.exp)
+        BigFloat::new(hi.mantissa + lo.mantissa * pow2(-shift), hi.exp)
     }
 }
 
@@ -204,7 +216,7 @@ impl Sub for BigFloat {
         if shift > 64 {
             return self;
         }
-        BigFloat::new(self.mantissa - rhs.mantissa / 2f64.powi(shift as i32), self.exp)
+        BigFloat::new(self.mantissa - rhs.mantissa * pow2(-shift), self.exp)
     }
 }
 
@@ -360,6 +372,130 @@ mod tests {
         let v = BigFloat::new(1.0, 40); // 2^40 ≈ 1.0995e12
         let s = v.to_string();
         assert!(s.ends_with("e12"), "{s}");
+    }
+
+    /// The `powi` forms `normalize`, `Add` and `Sub` used before the
+    /// exponent-field scaling, kept as the bit-equality reference.
+    fn normalize_powi(m: f64) -> (f64, i64) {
+        let bits = m.to_bits();
+        let raw_exp = ((bits >> 52) & 0x7FF) as i64;
+        if raw_exp == 0 {
+            let scaled = m * 2f64.powi(200);
+            let (nm, ne) = normalize_powi(scaled);
+            return (nm, ne - 200);
+        }
+        let e = raw_exp - 1023;
+        (m / 2f64.powi(e as i32), e)
+    }
+
+    fn new_powi(mantissa: f64, exp: i64) -> BigFloat {
+        if mantissa == 0.0 {
+            return BigFloat::zero();
+        }
+        let (m, e) = normalize_powi(mantissa);
+        BigFloat { mantissa: m, exp: exp + e }
+    }
+
+    fn add_powi(a: BigFloat, b: BigFloat) -> BigFloat {
+        if a.is_zero() {
+            return b;
+        }
+        if b.is_zero() {
+            return a;
+        }
+        let (hi, lo) = if a.exp >= b.exp { (a, b) } else { (b, a) };
+        let shift = hi.exp - lo.exp;
+        if shift > 64 {
+            return hi;
+        }
+        new_powi(hi.mantissa + lo.mantissa / 2f64.powi(shift as i32), hi.exp)
+    }
+
+    fn sub_powi(a: BigFloat, b: BigFloat) -> BigFloat {
+        if b.is_zero() {
+            return a;
+        }
+        if a <= b {
+            return BigFloat::zero();
+        }
+        let shift = a.exp - b.exp;
+        if shift > 64 {
+            return a;
+        }
+        new_powi(a.mantissa - b.mantissa / 2f64.powi(shift as i32), a.exp)
+    }
+
+    fn bits(v: BigFloat) -> (u64, i64) {
+        (v.mantissa.to_bits(), v.exp)
+    }
+
+    /// splitmix64: a dependency-free stream of test inputs.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn normalize_is_bit_equal_to_the_powi_form() {
+        let mut inputs = vec![
+            f64::from_bits(1), // smallest subnormal
+            f64::from_bits(FRACTION_BITS), // largest subnormal
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 - f64::EPSILON / 2.0,
+            2.0 - f64::EPSILON,
+            3.0,
+            f64::MAX,
+        ];
+        let mut state = 7u64;
+        for _ in 0..20_000 {
+            let r = next(&mut state);
+            // Half subnormal (exponent field 0), half any positive finite.
+            let v = if r & 1 == 0 {
+                f64::from_bits(r >> 12)
+            } else {
+                f64::from_bits(r >> 1)
+            };
+            if v > 0.0 && v.is_finite() {
+                inputs.push(v);
+            }
+        }
+        for m in inputs {
+            let (a, ea) = normalize(m);
+            let (b, eb) = normalize_powi(m);
+            assert_eq!((a.to_bits(), ea), (b.to_bits(), eb), "normalize({m:e})");
+        }
+    }
+
+    #[test]
+    fn add_and_sub_are_bit_equal_to_the_powi_forms() {
+        let mut state = 11u64;
+        let mantissa = |state: &mut u64| 1.0 + (next(state) >> 12) as f64 / (1u64 << 52) as f64;
+        let shifts = [0i64, 1, 2, 51, 52, 53, 63, 64, 65, 66, 200];
+        for round in 0..4_000 {
+            let shift = if round < shifts.len() * 100 {
+                shifts[round % shifts.len()]
+            } else {
+                (next(&mut state) % 70) as i64
+            };
+            let base = (next(&mut state) % 2001) as i64 - 1000;
+            let hi = BigFloat::new(mantissa(&mut state), base + shift);
+            let lo = if round % 97 == 0 {
+                BigFloat::zero()
+            } else {
+                BigFloat::new(mantissa(&mut state), base)
+            };
+            for (a, b) in [(hi, lo), (lo, hi), (hi, hi), (lo, lo)] {
+                assert_eq!(bits(a + b), bits(add_powi(a, b)), "{a:?} + {b:?}");
+                assert_eq!(bits(a - b), bits(sub_powi(a, b)), "{a:?} - {b:?}");
+            }
+            // Subnormal mantissas through the constructor, too.
+            let sub = f64::from_bits(next(&mut state) >> 13 | 1);
+            assert_eq!(bits(BigFloat::new(sub, base)), bits(new_powi(sub, base)));
+        }
     }
 
     #[test]

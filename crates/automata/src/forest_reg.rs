@@ -24,7 +24,6 @@ pub(crate) struct ForestReg {
     heads: Vec<StateId>,
     tails: Vec<u32>,
     lens: Vec<u32>,
-    by_slice: FxHashMap<Vec<StateId>, u32>,
     /// `fid` of each transition's full child forest, indexed by transition.
     tr_fid: Vec<u32>,
 }
@@ -35,29 +34,29 @@ impl ForestReg {
             heads: Vec::new(),
             tails: Vec::new(),
             lens: Vec::new(),
-            by_slice: FxHashMap::default(),
             tr_fid: Vec::with_capacity(nfta.transitions().len()),
         };
+        let mut by_slice = FxHashMap::default();
         for tr in nfta.transitions() {
-            let fid = reg.intern(&tr.children);
+            let fid = reg.intern(&tr.children, &mut by_slice);
             reg.tr_fid.push(fid);
         }
         reg
     }
 
-    fn intern(&mut self, states: &[StateId]) -> u32 {
+    fn intern(&mut self, states: &[StateId], by_slice: &mut FxHashMap<Vec<StateId>, u32>) -> u32 {
         if states.is_empty() {
             return EMPTY_FOREST;
         }
-        if let Some(&f) = self.by_slice.get(states) {
+        if let Some(&f) = by_slice.get(states) {
             return f;
         }
-        let tail = self.intern(&states[1..]);
+        let tail = self.intern(&states[1..], by_slice);
         let f = self.heads.len() as u32;
         self.heads.push(states[0]);
         self.tails.push(tail);
         self.lens.push(states.len() as u32);
-        self.by_slice.insert(states.to_vec(), f);
+        by_slice.insert(states.to_vec(), f);
         f
     }
 
@@ -79,20 +78,20 @@ impl ForestReg {
         self.lens[f as usize] as usize
     }
 
+    /// Number of states in forest `f`, `0` for [`EMPTY_FOREST`].
+    #[inline]
+    pub fn arity(&self, f: u32) -> usize {
+        if f == EMPTY_FOREST {
+            0
+        } else {
+            self.len(f)
+        }
+    }
+
     /// The id of transition `ti`'s full child forest.
     #[inline]
     pub fn transition_forest(&self, ti: usize) -> u32 {
         self.tr_fid[ti]
-    }
-
-    /// Looks up the id of an arbitrary state list; `None` if it is not a
-    /// registered transition suffix (possible only through public
-    /// entry points taking caller-supplied forests).
-    pub fn resolve(&self, states: &[StateId]) -> Option<u32> {
-        if states.is_empty() {
-            return Some(EMPTY_FOREST);
-        }
-        self.by_slice.get(states).copied()
     }
 }
 
@@ -122,10 +121,6 @@ mod tests {
         assert_eq!(reg.head(f0), StateId(0));
         assert_eq!(reg.head(f1), StateId(1));
         assert_eq!(reg.tail(f1), EMPTY_FOREST);
-        // Value-resolution agrees with interning.
-        assert_eq!(reg.resolve(&[StateId(0), StateId(1)]), Some(f0));
-        assert_eq!(reg.resolve(&[StateId(1)]), Some(f1));
-        assert_eq!(reg.resolve(&[]), Some(EMPTY_FOREST));
-        assert_eq!(reg.resolve(&[StateId(1), StateId(0)]), None);
+        assert_eq!((reg.arity(f0), reg.arity(EMPTY_FOREST)), (2, 0));
     }
 }

@@ -13,27 +13,32 @@
 //! fan out over the `pqe-par` pool with per-sample-index randomness, so a
 //! fixed seed gives bit-identical estimates at any thread count.
 
-use crate::scratch::{pick_index_last, with_scratch, Scratch};
+use crate::scratch::{with_scratch, PickSpan, PickTable, Scratch};
 use crate::union_mc::{adaptive_mean, TAG_NFA_GROUP, TAG_NFA_TOP};
 use crate::{FprasConfig, Nfa, StateId, SymbolId};
 use pqe_arith::{BigFloat, FixUint};
-use pqe_par::ShardedMap;
+use pqe_par::{FxHashMap, ShardedMap};
 use pqe_rand::rngs::StdRng;
 use pqe_rand::{mix_seed, Rng};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Approximates `|L_n(M)|`, the number of distinct length-`n` strings
 /// accepted by `nfa`, running `cfg.repetitions` independent estimates in
-/// parallel and returning their median.
+/// parallel and returning their median. The exact path tables are built
+/// once, before the fan-out, and every repetition borrows them.
 pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
     let _span = pqe_obs::span::span("count.nfa");
+    let paths = {
+        let _tables = pqe_obs::span::span("tables");
+        PathTables::new(nfa, n)
+    };
     let reps = cfg.repetitions.max(1);
     let mut results: Vec<BigFloat> = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
         r.map(|rep| {
             // Per-repetition span (logical index, not chunk): the span
             // tree stays identical at any worker count.
             let _rep = pqe_obs::span::span("rep");
-            NfaCounter::new(nfa, cfg.clone(), cfg.seed.wrapping_add(rep as u64)).count(n)
+            NfaCounter::new(nfa, &paths, cfg.clone(), cfg.seed.wrapping_add(rep as u64)).count()
         })
         .collect()
     });
@@ -41,8 +46,96 @@ pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
     results[results.len() / 2]
 }
 
+/// Exact accepting-path counts `P(q, i)` for strings of length `n`, with
+/// the per-step pick tables of the uniform path sampler: at key `(q, i)`,
+/// the transitions `(a, t)` of `q` weighted by `P(t, i − 1)`.
+///
+/// The keys are the closure of `{(q₀, n) : q₀ initial}` under
+/// `(q, i) → (t, i − 1)` — every key the counter's estimates and draws
+/// reach. The tables are built once per (automaton, `n`), level by level,
+/// and read without a lock by every repetition; a lookup outside them is
+/// a caller bug and panics.
+struct PathTables {
+    size: usize,
+    index: FxHashMap<(StateId, u32), u32>,
+    counts: Vec<FixUint>,
+    spans: Vec<PickSpan>,
+    picks: PickTable<(SymbolId, StateId)>,
+}
+
+impl PathTables {
+    fn new(nfa: &Nfa, n: usize) -> Self {
+        // levels[i]: the states reached with i symbols still to read.
+        let mut levels: Vec<Vec<StateId>> = vec![Vec::new(); n + 1];
+        levels[n] = nfa.initial_states().iter().copied().collect();
+        for i in (1..=n).rev() {
+            let mut below: Vec<StateId> = levels[i]
+                .iter()
+                .flat_map(|&q| nfa.transitions_from(q).iter().map(|&(_, t)| t))
+                .collect();
+            below.sort_unstable();
+            below.dedup();
+            levels[i - 1] = below;
+        }
+        let mut t = PathTables {
+            size: n,
+            index: FxHashMap::default(),
+            counts: Vec::new(),
+            spans: Vec::new(),
+            picks: PickTable::default(),
+        };
+        for (i, level) in levels.iter().enumerate() {
+            for &q in level {
+                let (count, span) = if i == 0 {
+                    let accepting = nfa.accepting_states().contains(&q);
+                    (FixUint::from_u64(accepting as u64), PickSpan::default())
+                } else {
+                    let options: Vec<((SymbolId, StateId), FixUint)> = nfa
+                        .transitions_from(q)
+                        .iter()
+                        .map(|&(a, t2)| ((a, t2), t.count(t2, i - 1).clone()))
+                        .collect();
+                    let mut count = FixUint::zero();
+                    for (_, c) in &options {
+                        count += c;
+                    }
+                    let span = t.picks.push(options.iter().map(|(o, c)| (*o, c.to_bigfloat())));
+                    (count, span)
+                };
+                t.index.insert((q, i as u32), t.counts.len() as u32);
+                t.counts.push(count);
+                t.spans.push(span);
+            }
+        }
+        t
+    }
+
+    fn id(&self, q: StateId, i: usize) -> usize {
+        match self.index.get(&(q, i as u32)) {
+            Some(&id) => id as usize,
+            None => panic!(
+                "PathTables: key ({q:?}, {i}) is outside the tables built for length {}",
+                self.size
+            ),
+        }
+    }
+
+    /// `P(q, i)`: accepting paths of length `i` from `q`.
+    fn count(&self, q: StateId, i: usize) -> &FixUint {
+        &self.counts[self.id(q, i)]
+    }
+
+    /// One step of a uniform path draw from `(q, i)`, `P(q, i) > 0`: a
+    /// transition `(a, t)` with probability `P(t, i − 1) / P(q, i)`.
+    fn step<R: Rng + ?Sized>(&self, q: StateId, i: usize, rng: &mut R) -> (SymbolId, StateId) {
+        self.picks.pick(self.spans[self.id(q, i)], rng)
+    }
+}
+
 struct NfaCounter<'a> {
     nfa: &'a Nfa,
+    /// Exact path tables of `nfa` (shared by every repetition).
+    paths: &'a PathTables,
     cfg: FprasConfig,
     /// This repetition's seed (the root of every union's sample streams).
     seed: u64,
@@ -56,13 +149,10 @@ struct NfaCounter<'a> {
     /// Per-state transitions grouped by symbol with deduplicated targets,
     /// precomputed once — hot in both estimation and sampling.
     groups_cache: Vec<Vec<(SymbolId, Vec<StateId>)>>,
-    /// Exact accepting-path counts per `(state, length)`, powering the SIR
-    /// string sampler (mirrors the NFTA counter's `RunTables`).
-    path_counts: ShardedMap<(StateId, usize), FixUint>,
 }
 
 impl<'a> NfaCounter<'a> {
-    fn new(nfa: &'a Nfa, cfg: FprasConfig, seed: u64) -> Self {
+    fn new(nfa: &'a Nfa, paths: &'a PathTables, cfg: FprasConfig, seed: u64) -> Self {
         let groups_cache = (0..nfa.num_states())
             .map(|qi| {
                 let mut m: BTreeMap<SymbolId, BTreeSet<StateId>> = BTreeMap::new();
@@ -77,41 +167,19 @@ impl<'a> NfaCounter<'a> {
         let threads = cfg.effective_threads();
         NfaCounter {
             nfa,
+            paths,
             cfg,
             seed,
             threads,
             est: ShardedMap::new(),
             group_memo: ShardedMap::new(),
             groups_cache,
-            path_counts: ShardedMap::new(),
         }
-    }
-
-    /// Exact number of accepting paths of length `i` from `q` (memoized).
-    fn path_count(&self, q: StateId, i: usize) -> FixUint {
-        if let Some(v) = self.path_counts.get(&(q, i)) {
-            return v;
-        }
-        let v = if i == 0 {
-            if self.nfa.accepting_states().contains(&q) {
-                FixUint::one()
-            } else {
-                FixUint::zero()
-            }
-        } else {
-            let mut acc = FixUint::zero();
-            for &(_, t) in self.nfa.transitions_from(q) {
-                acc += self.path_count(t, i - 1);
-            }
-            acc
-        };
-        self.path_counts.insert((q, i), v)
     }
 
     /// Samples an accepting path (run) of length `i` from `q`, uniformly
-    /// among paths, appending its string to `s.syms`. `None` iff no path
-    /// exists. Per-step choices go through the scratch stacks
-    /// (`choice_pairs` ∥ `weights`) — no per-step allocation.
+    /// among paths, appending its string to `s.syms`: one table lookup and
+    /// one bisection per step. `None` iff no path exists.
     fn sample_path_into<R: Rng + ?Sized>(
         &self,
         q: StateId,
@@ -119,27 +187,12 @@ impl<'a> NfaCounter<'a> {
         rng: &mut R,
         s: &mut Scratch,
     ) -> Option<()> {
-        if self.path_count(q, i).is_zero() {
+        if self.paths.count(q, i).is_zero() {
             return None;
         }
         let mut cur = q;
-        for step in 0..i {
-            let remaining = i - step - 1;
-            let wbase = s.weights.len();
-            let pbase = s.choice_pairs.len();
-            for &(a, t) in self.nfa.transitions_from(cur) {
-                let c = self.path_count(t, remaining);
-                if !c.is_zero() {
-                    s.choice_pairs.push((a, t));
-                    s.weights.push(c.to_bigfloat());
-                }
-            }
-            debug_assert!(s.choice_pairs.len() > pbase);
-            let total: BigFloat = s.weights[wbase..].iter().copied().sum();
-            let picked = pick_index_last(&s.weights[wbase..], total, rng);
-            let (a, t) = s.choice_pairs[pbase + picked];
-            s.weights.truncate(wbase);
-            s.choice_pairs.truncate(pbase);
+        for remaining in (1..=i).rev() {
+            let (a, t) = self.paths.step(cur, remaining, rng);
             s.syms.push(a);
             cur = t;
         }
@@ -185,7 +238,8 @@ impl<'a> NfaCounter<'a> {
         acc
     }
 
-    fn count(&self, n: usize) -> BigFloat {
+    fn count(&self) -> BigFloat {
+        let n = self.paths.size;
         let parts: Vec<StateId> = self.nfa.initial_states().iter().copied().collect();
         let useed = mix_seed(&[self.seed, TAG_NFA_TOP, n as u64]);
         self.union_estimate(&parts, n, useed)
@@ -235,23 +289,16 @@ impl<'a> NfaCounter<'a> {
     /// part is the boolean subset simulation `accepts_from_state_buf`, run
     /// over reusable scratch frontiers.
     fn union_estimate(&self, parts: &[StateId], len: usize, useed: u64) -> BigFloat {
-        // Struct-of-arrays part table (states ∥ nonzero size estimates).
-        let mut p_states: Vec<StateId> = Vec::with_capacity(parts.len());
-        let mut p_ws: Vec<BigFloat> = Vec::with_capacity(parts.len());
-        for &t in parts {
-            let w = self.state_est(t, len);
-            if !w.is_zero() {
-                p_states.push(t);
-                p_ws.push(w);
-            }
-        }
+        // The parts with nonzero size estimates, as one pick list.
+        let table = PickTable::single(parts.iter().map(|&t| (t, self.state_est(t, len))));
+        let all = table.whole();
+        let p_states = table.choices(all);
+        let total = table.total(all);
         match p_states.len() {
-            0 => BigFloat::zero(),
-            1 => p_ws[0],
+            0 | 1 => total,
             m => {
                 // Adaptive Karp–Luby estimation (the shared parallel loop
                 // in `union_mc`).
-                let total: BigFloat = p_ws.iter().copied().sum();
                 let cap = self.cfg.union_samples(m);
                 let floor = self.cfg.union_sample_floor.min(cap);
                 let (taken, mean) = adaptive_mean(
@@ -261,7 +308,7 @@ impl<'a> NfaCounter<'a> {
                     self.cfg.local_epsilon(),
                     useed,
                     |rng: &mut StdRng| {
-                        let t = p_states[pick_index_last(&p_ws, total, rng)];
+                        let t = table.pick(all, rng);
                         with_scratch(|s| {
                             s.begin_sample();
                             let (start, end) = self.sample_string_into(t, len, rng, s)?;
@@ -309,7 +356,7 @@ impl<'a> NfaCounter<'a> {
         rng: &mut R,
         s: &mut Scratch,
     ) -> Option<(u32, u32)> {
-        if self.path_count(q, i).is_zero() {
+        if self.paths.count(q, i).is_zero() {
             return None;
         }
         let k = self.cfg.sir_candidates.max(1);
@@ -547,6 +594,35 @@ mod tests {
         assert_eq!(count_nfa(&m, 0, &cfg).to_f64(), 1.0);
     }
 
+    /// A 3-state NFA over {a, b} from bit masks: bit `i` of `accept_bits`
+    /// makes state `i` accepting, the bits of `trans_bits` (cycled) pick
+    /// the transitions. State 0 is initial.
+    fn bits_nfa(trans_bits: u32, accept_bits: u8) -> Nfa {
+        const STATES: usize = 3;
+        let mut alpha = Alphabet::new();
+        let syms = [alpha.intern("a"), alpha.intern("b")];
+        let mut m = Nfa::new(alpha);
+        let states: Vec<StateId> = (0..STATES).map(|_| m.add_state()).collect();
+        m.set_initial(states[0]);
+        for (i, &q) in states.iter().enumerate() {
+            if (accept_bits >> i) & 1 == 1 {
+                m.set_accepting(q);
+            }
+        }
+        let mut bit = 0;
+        for &src in &states {
+            for &sym in &syms {
+                for &dst in &states {
+                    if (trans_bits >> (bit % 32)) & 1 == 1 {
+                        m.add_transition(src, sym, dst);
+                    }
+                    bit += 1;
+                }
+            }
+        }
+        m
+    }
+
     /// Property: on arbitrary small NFAs — including ones that hit the
     /// degenerate shapes above by chance — `count_nfa` stays within the
     /// configured relative error of the exact subset-construction count,
@@ -560,31 +636,8 @@ mod tests {
             &tk,
             &(any::<u32>(), any::<u8>()),
             |&(trans_bits, accept_bits)| {
-                const STATES: usize = 3;
-                let mut alpha = Alphabet::new();
-                let syms = [alpha.intern("a"), alpha.intern("b")];
-                let mut m = Nfa::new(alpha);
-                let states: Vec<StateId> = (0..STATES).map(|_| m.add_state()).collect();
-                m.set_initial(states[0]);
-                let mut any_accepting = false;
-                for (i, &q) in states.iter().enumerate() {
-                    if (accept_bits >> i) & 1 == 1 {
-                        m.set_accepting(q);
-                        any_accepting = true;
-                    }
-                }
-                prop_assume!(any_accepting);
-                let mut bit = 0;
-                for &src in &states {
-                    for &sym in &syms {
-                        for &dst in &states {
-                            if (trans_bits >> (bit % 32)) & 1 == 1 {
-                                m.add_transition(src, sym, dst);
-                            }
-                            bit += 1;
-                        }
-                    }
-                }
+                prop_assume!(accept_bits & 0b111 != 0);
+                let m = bits_nfa(trans_bits, accept_bits);
                 let cfg = FprasConfig::with_epsilon(0.2).with_seed(trans_bits as u64);
                 for n in 0..=5usize {
                     let exact = m.count_strings_exact(n);
@@ -602,5 +655,44 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// Property: the path tables' counts are the exact accepting-path
+    /// counts, and a walk of their pick tables — every key a draw reaches
+    /// must be tabled, or the lookup panics — spells an accepted string.
+    #[test]
+    fn path_tables_match_exact_path_counts() {
+        use pqe_rand::SeedableRng;
+        use pqe_testkit::prelude::*;
+        check(
+            "path_tables_match_exact_path_counts",
+            &Config::cases(64),
+            &(any::<u32>(), any::<u8>(), 0usize..8),
+            |&(trans_bits, accept_bits, n)| {
+                let m = bits_nfa(trans_bits, accept_bits);
+                let tables = PathTables::new(&m, n);
+                let q0 = StateId(0);
+                prop_assert_eq!(tables.count(q0, n).to_biguint(), m.count_accepting_paths(n));
+                let counter = NfaCounter::new(&m, &tables, FprasConfig::default(), 1);
+                let mut rng = StdRng::seed_from_u64(trans_bits as u64);
+                with_scratch(|s| {
+                    s.begin_sample();
+                    if counter.sample_path_into(q0, n, &mut rng, s).is_some() {
+                        prop_assert!(m.accepts(&s.syms));
+                    } else {
+                        prop_assert!(tables.count(q0, n).is_zero());
+                    }
+                    Ok(())
+                })
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tables")]
+    fn path_table_lookup_outside_the_closure_panics() {
+        let m = ends_in_one();
+        // Built for length 2 from the initial state: (s, 3) is not a key.
+        PathTables::new(&m, 2).count(StateId(0), 3);
     }
 }

@@ -1,6 +1,7 @@
 //! Top-down non-deterministic finite tree automata (paper §2).
 
 use crate::{Alphabet, StateId, SymbolId};
+use pqe_arith::FixUint;
 use pqe_par::FxHashMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -262,6 +263,49 @@ impl Nfta {
         }
         memo.insert((q.0, node as u32), ok);
         ok
+    }
+
+    /// `M(t)`: the number of accepting runs over the fixed tree `t`
+    /// starting from `q` (exact DP over `(state, node)` pairs).
+    pub fn runs_of_tree(&self, q: StateId, t: &Tree) -> FixUint {
+        let it = IndexedTree::new(t);
+        let mut memo = FxHashMap::default();
+        self.runs_at(q, &it, 0, &mut memo)
+    }
+
+    /// [`Nfta::runs_of_tree`] over a node already in a flat arena, with a
+    /// caller-owned memo. Node ids are unique within an arena generation
+    /// and the DP is pure, so one memo may be shared across all candidates
+    /// of a sample.
+    pub(crate) fn runs_at(
+        &self,
+        q: StateId,
+        it: &IndexedTree,
+        node: usize,
+        memo: &mut FxHashMap<(u32, u32), FixUint>,
+    ) -> FixUint {
+        if let Some(v) = memo.get(&(q.0, node as u32)) {
+            return v.clone();
+        }
+        let children = it.children(node);
+        let label = it.label(node);
+        let mut total = FixUint::zero();
+        for &ti in &self.by_src[q.index()] {
+            let tr = &self.transitions[ti];
+            if tr.symbol != label || tr.children.len() != children.len() {
+                continue;
+            }
+            let mut prod = FixUint::one();
+            for (&cq, &cn) in tr.children.iter().zip(children.iter()) {
+                prod = &prod * &self.runs_at(cq, it, cn as usize, memo);
+                if prod.is_zero() {
+                    break;
+                }
+            }
+            total += prod;
+        }
+        memo.insert((q.0, node as u32), total.clone());
+        total
     }
 }
 

@@ -27,7 +27,7 @@
 //! fixed seed the estimate is bit-identical at any thread count.
 
 use crate::forest_reg::EMPTY_FOREST;
-use crate::scratch::{pick_index_last, with_scratch, Scratch};
+use crate::scratch::{with_scratch, PickTable, Scratch};
 use crate::union_mc::{adaptive_mean, TAG_NFTA_GROUP};
 use crate::{FprasConfig, Nfta, RunTables, StateId, SymbolId, Tree};
 use pqe_arith::BigFloat;
@@ -56,9 +56,15 @@ obs_counter!(cnt_est, "fpras.union_ests");
 /// Approximates `|L_n(T)|`, the number of distinct size-`n` labelled trees
 /// accepted by `nfta`, as the median of `cfg.repetitions` independent
 /// estimates (computed in parallel — each repetition has its own seed, so
-/// the median is independent of scheduling).
+/// the median is independent of scheduling). The exact run tables are
+/// seed-independent: they are built once, before the fan-out, and every
+/// repetition borrows them.
 pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
     let _span = pqe_obs::span::span("count.nfta");
+    let runs = {
+        let _tables = pqe_obs::span::span("tables");
+        RunTables::new(nfta, n)
+    };
     let reps = cfg.repetitions.max(1);
     let mut results: Vec<BigFloat> = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
         r.map(|rep| {
@@ -67,9 +73,10 @@ pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
             let _rep = pqe_obs::span::span("rep");
             let counter = {
                 let _init = pqe_obs::span::span("init");
-                NftaCounter::new(nfta, cfg.clone().with_seed(cfg.seed.wrapping_add(rep as u64)))
+                let seed = cfg.seed.wrapping_add(rep as u64);
+                NftaCounter::new(nfta, &runs, cfg.clone().with_seed(seed))
             };
-            counter.count(n)
+            counter.count()
         })
         .collect()
     });
@@ -77,16 +84,19 @@ pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
     results[results.len() / 2]
 }
 
-/// A single-run CountNFTA estimator with memoized size tables.
+/// A single-run CountNFTA estimator for trees of the size its
+/// [`RunTables`] were built for, with memoized size tables.
 ///
-/// Exposed so the PQE pipeline can reuse one counter across calls (the
-/// estimate tables depend only on the automaton). The counter holds no
+/// Exposed so callers can reuse one counter across draws (the estimate
+/// tables depend only on the automaton and the seed). The counter holds no
 /// generator of its own: every union derives a seed from `cfg.seed` and its
 /// own key, and sampling entry points take the caller's RNG — which makes
 /// every memoized value a pure function of its key and the run seed, and
 /// the whole structure shareable across worker threads.
 pub struct NftaCounter<'a> {
     nfta: &'a Nfta,
+    /// Exact run tables of `nfta` (shared by every repetition).
+    runs: &'a RunTables,
     cfg: FprasConfig,
     /// Resolved worker count (captured once; resolution reads the
     /// environment).
@@ -103,8 +113,11 @@ pub struct NftaCounter<'a> {
     /// under `naive_unions`), deduplicated, precomputed once — hot in both
     /// estimation and sampling.
     groups_cache: Vec<Vec<Vec<usize>>>,
-    /// Exact run-count tables powering the SIR tree sampler.
-    runs: RunTables<'a>,
+    /// Split pick tables of `sample_forest_into`, one slot per forest key
+    /// of `runs` (by its dense id). They hold estimates, so they belong to
+    /// this repetition's seed; each is built on its key's first draw and
+    /// read without a lock afterwards.
+    split_picks: Vec<OnceLock<PickTable<u32>>>,
     /// Per-state flag: `true` iff some state reachable from it (including
     /// itself) has an ambiguous symbol group. Where `false`, every tree has
     /// exactly one run, so a single run-sample is already uniform and the
@@ -113,8 +126,14 @@ pub struct NftaCounter<'a> {
 }
 
 impl<'a> NftaCounter<'a> {
-    /// Creates a counter; its randomness is fully determined by `cfg.seed`.
-    pub fn new(nfta: &'a Nfta, cfg: FprasConfig) -> Self {
+    /// Creates a counter over `runs`, which must have been built from
+    /// `nfta`; its randomness is fully determined by `cfg.seed`.
+    pub fn new(nfta: &'a Nfta, runs: &'a RunTables, cfg: FprasConfig) -> Self {
+        assert_eq!(
+            runs.num_transitions(),
+            nfta.transitions().len(),
+            "RunTables were built from another automaton"
+        );
         let groups_cache: Vec<Vec<Vec<usize>>> = (0..nfta.num_states())
             .map(|qi| {
                 let mut m: BTreeMap<SymbolId, Vec<usize>> = BTreeMap::new();
@@ -137,24 +156,25 @@ impl<'a> NftaCounter<'a> {
         let threads = cfg.effective_threads();
         NftaCounter {
             nfta,
+            runs,
             cfg,
             threads,
             tree_memo: ShardedMap::new(),
             forest_memo: ShardedMap::new(),
             group_memo: ShardedMap::new(),
             groups_cache,
-            runs: RunTables::new(nfta),
+            split_picks: (0..runs.num_forest_keys()).map(|_| OnceLock::new()).collect(),
             ambiguous_below,
         }
     }
 
-    /// Single-run estimate of `|L_n(T)|`.
-    pub fn count(&self, n: usize) -> BigFloat {
-        self.tree_est(self.nfta.initial(), n)
+    /// Single-run estimate of `|L_n(T)|`, `n` the tables' size.
+    pub fn count(&self) -> BigFloat {
+        self.tree_est(self.nfta.initial(), self.runs.size())
     }
 
     /// Estimated `|Trees(q, n)|`.
-    pub fn tree_est(&self, q: StateId, n: usize) -> BigFloat {
+    fn tree_est(&self, q: StateId, n: usize) -> BigFloat {
         if n == 0 {
             return BigFloat::zero();
         }
@@ -194,27 +214,21 @@ impl<'a> NftaCounter<'a> {
     }
 
     fn group_est_uncached(&self, group: &[usize], n: usize, useed: u64) -> BigFloat {
-        // Struct-of-arrays part table: transition ids and their (nonzero)
-        // estimated sizes in parallel vectors, so the per-sample pick scans
-        // a dense `BigFloat` slice.
-        let mut part_tis: Vec<usize> = Vec::with_capacity(group.len());
-        let mut part_ws: Vec<BigFloat> = Vec::with_capacity(group.len());
-        for &ti in group {
-            let w = self.forest_est_f(self.runs.reg().transition_forest(ti), n - 1);
-            if !w.is_zero() {
-                part_tis.push(ti);
-                part_ws.push(w);
-            }
-        }
+        // The group's parts with nonzero estimated size, as one pick list:
+        // each sample draws its part by bisection.
+        let parts = PickTable::single(group.iter().map(|&ti| {
+            (ti, self.forest_est(self.runs.reg().transition_forest(ti), n - 1))
+        }));
+        let all = parts.whole();
+        let part_tis = parts.choices(all);
+        let total = parts.total(all);
         match part_tis.len() {
-            0 => BigFloat::zero(),
-            1 => part_ws[0],
+            0 | 1 => total,
             m => {
                 // Adaptive Karp–Luby estimation: draw until the standard
                 // error of the mean of 1/N falls below the per-union
                 // budget, capped by `union_samples(m)` — the shared
                 // parallel loop in `union_mc`.
-                let total: BigFloat = part_ws.iter().copied().sum();
                 let cap = self.cfg.union_samples(m);
                 let floor = self.cfg.union_sample_floor.min(cap);
                 let (taken, mean) = adaptive_mean(
@@ -225,14 +239,14 @@ impl<'a> NftaCounter<'a> {
                     useed,
                     |rng| {
                         cnt_samples().inc();
-                        let ti = part_tis[pick_index_last(&part_ws, total, rng)];
+                        let ti = parts.pick(all, rng);
                         let tr = &self.nfta.transitions()[ti];
                         let fid = self.runs.reg().transition_forest(ti);
                         with_scratch(|s| {
                             s.begin_sample();
                             let root = s.tree.new_node(tr.symbol, tr.children.len());
                             self.sample_forest_into(fid, n - 1, rng, s, root, 0)?;
-                            Some(1.0 / self.membership_count(&part_tis, s, root) as f64)
+                            Some(1.0 / self.membership_count(part_tis, s, root) as f64)
                         })
                     },
                 );
@@ -270,37 +284,10 @@ impl<'a> NftaCounter<'a> {
             .max(1)
     }
 
-    /// Estimated `|Forest(states, m)|` — exact sum-product over the
-    /// first-tree size, given tree estimates. Arbitrary state lists are
-    /// accepted; registered transition suffixes (every forest the
-    /// estimator itself recurses on) hit the id-keyed memo.
-    pub fn forest_est(&self, states: &[StateId], m: usize) -> BigFloat {
-        if let Some(fid) = self.runs.reg().resolve(states) {
-            return self.forest_est_f(fid, m);
-        }
-        // Unregistered (caller-supplied) forest: one unmemoized split, the
-        // recursion re-enters through suffixes which may themselves be
-        // registered.
-        if m < states.len() {
-            return BigFloat::zero();
-        }
-        if states.len() == 1 {
-            return self.tree_est(states[0], m);
-        }
-        let (first, rest) = states.split_first().unwrap();
-        let mut total = BigFloat::zero();
-        for j in 1..=(m - rest.len()) {
-            let t = self.tree_est(*first, j);
-            if t.is_zero() {
-                continue;
-            }
-            total = total + t * self.forest_est(rest, m - j);
-        }
-        total
-    }
-
-    /// [`NftaCounter::forest_est`] over an interned forest id, memoized.
-    fn forest_est_f(&self, fid: u32, m: usize) -> BigFloat {
+    /// Estimated `|Forest(fid, m)|` — exact sum-product over the
+    /// first-tree size, given tree estimates — memoized on the interned
+    /// forest id.
+    fn forest_est(&self, fid: u32, m: usize) -> BigFloat {
         if fid == EMPTY_FOREST {
             return if m == 0 {
                 BigFloat::one()
@@ -328,7 +315,7 @@ impl<'a> NftaCounter<'a> {
             if t.is_zero() {
                 continue;
             }
-            let f = self.forest_est_f(tail, m - j);
+            let f = self.forest_est(tail, m - j);
             total = total + t * f;
         }
         self.forest_memo.insert((fid, m), total)
@@ -343,12 +330,13 @@ impl<'a> NftaCounter<'a> {
     /// over *distinct* trees; unlike nested rejection sampling, the cost is
     /// `O(candidates · n)` regardless of tree depth (see DESIGN.md §2.5).
     ///
-    /// All randomness comes from the caller's `rng` — the counter holds no
+    /// Draws from `Trees(initial, n)`, `n` the tables' size. All
+    /// randomness comes from the caller's `rng` — the counter holds no
     /// stream of its own. `None` iff no accepting run of size `n` exists.
-    pub fn sample_tree<R: Rng + ?Sized>(&self, q: StateId, n: usize, rng: &mut R) -> Option<Tree> {
+    pub fn sample_tree<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Tree> {
         with_scratch(|s| {
             s.begin_sample();
-            let node = self.sample_tree_into(q, n, rng, s)?;
+            let node = self.sample_tree_into(self.nfta.initial(), self.runs.size(), rng, s)?;
             Some(s.tree.to_tree(node))
         })
     }
@@ -366,9 +354,6 @@ impl<'a> NftaCounter<'a> {
         rng: &mut R,
         s: &mut Scratch,
     ) -> Option<u32> {
-        if self.runs.tree_runs(q, n).is_zero() {
-            return None;
-        }
         let k = if self.ambiguous_below[q.index()] {
             self.cfg.sir_candidates.max(1)
         } else {
@@ -376,6 +361,7 @@ impl<'a> NftaCounter<'a> {
             // one run-sample is exactly uniform.
             1
         };
+        // `None` iff no run exists; nothing is drawn then.
         let first = self.runs.sample_run_into(q, n, rng, s)?;
         cnt_tries().inc();
         if k == 1 {
@@ -384,7 +370,7 @@ impl<'a> NftaCounter<'a> {
         let cbase = s.cand_nodes.len();
         let m0 = {
             let Scratch { tree, runs_memo, .. } = &mut *s;
-            self.runs.runs_at(q, tree, first as usize, runs_memo)
+            self.nfta.runs_at(q, tree, first as usize, runs_memo)
         };
         s.cand_nodes.push(first);
         s.cand_weights.push(1.0 / m0.to_f64().max(1.0));
@@ -397,7 +383,7 @@ impl<'a> NftaCounter<'a> {
             };
             let m = {
                 let Scratch { tree, runs_memo, .. } = &mut *s;
-                self.runs.runs_at(q, tree, t as usize, runs_memo)
+                self.nfta.runs_at(q, tree, t as usize, runs_memo)
             };
             s.cand_nodes.push(t);
             s.cand_weights.push(1.0 / m.to_f64().max(1.0));
@@ -432,7 +418,7 @@ impl<'a> NftaCounter<'a> {
         if fid == EMPTY_FOREST {
             return (m == 0).then_some(());
         }
-        if self.forest_est_f(fid, m).is_zero() {
+        if self.forest_est(fid, m).is_zero() {
             return None;
         }
         let reg = self.runs.reg();
@@ -442,25 +428,31 @@ impl<'a> NftaCounter<'a> {
             s.tree.set_child(parent, slot, c);
             return Some(());
         }
-        let tail = reg.tail(fid);
-        // Nonzero split sizes and weights, in the shared stack buffers
-        // (`keys` ∥ `weights`), truncated back before recursing.
-        let wbase = s.weights.len();
-        let kbase = s.keys.len();
-        for j in 1..=(m - (reg.len(fid) - 1)) {
-            let w = self.tree_est(head, j) * self.forest_est_f(tail, m - j);
-            if !w.is_zero() {
-                s.keys.push(j as u32);
-                s.weights.push(w);
-            }
-        }
-        let total: BigFloat = s.weights[wbase..].iter().copied().sum();
-        let j = s.keys[kbase + pick_index_last(&s.weights[wbase..], total, rng)] as usize;
-        s.weights.truncate(wbase);
-        s.keys.truncate(kbase);
+        let splits = self.split_picks(fid, m);
+        let j = splits.pick(splits.whole(), rng) as usize;
         let c = self.sample_tree_into(head, j, rng, s)?;
         s.tree.set_child(parent, slot, c);
-        self.sample_forest_into(tail, m - j, rng, s, parent, slot + 1)
+        self.sample_forest_into(reg.tail(fid), m - j, rng, s, parent, slot + 1)
+    }
+
+    /// The split pick table of forest key `(fid, m)`: first-tree sizes `j`
+    /// weighted by `est(head, j) · est(tail, m − j)`. Built on the key's
+    /// first draw from the same products, in the same order, as every
+    /// later draw would recompute; the build never holds a lock, so the
+    /// nested estimates it may trigger can fan out freely.
+    fn split_picks(&self, fid: u32, m: usize) -> &PickTable<u32> {
+        let cell = &self.split_picks[self.runs.forest_id(fid, m)];
+        if let Some(t) = cell.get() {
+            return t;
+        }
+        let reg = self.runs.reg();
+        let (head, tail) = (reg.head(fid), reg.tail(fid));
+        let table = PickTable::single((1..=(m - (reg.len(fid) - 1))).map(|j| {
+            (j as u32, self.tree_est(head, j) * self.forest_est(tail, m - j))
+        }));
+        // A concurrent first draw may have stored its (equal) table first.
+        let _ = cell.set(table);
+        cell.get().expect("set above")
     }
 }
 
@@ -606,10 +598,11 @@ mod tests {
     #[test]
     fn sample_tree_produces_accepted_trees() {
         let aut = unary_contains_a();
-        let counter = NftaCounter::new(&aut, FprasConfig::with_epsilon(0.2).with_seed(31));
+        let runs = RunTables::new(&aut, 6);
+        let counter = NftaCounter::new(&aut, &runs, FprasConfig::with_epsilon(0.2).with_seed(31));
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..50 {
-            let t = counter.sample_tree(aut.initial(), 6, &mut rng).expect("nonempty");
+            let t = counter.sample_tree(&mut rng).expect("nonempty");
             assert_eq!(t.size(), 6);
             assert!(aut.accepts(&t), "sampled unaccepted tree {}", t.display(aut.alphabet()));
         }
@@ -642,9 +635,10 @@ mod tests {
     #[test]
     fn counter_reuse_is_consistent() {
         let aut = full_binary();
-        let counter = NftaCounter::new(&aut, FprasConfig::default());
-        let a = counter.count(7);
-        let b = counter.count(7);
+        let runs = RunTables::new(&aut, 7);
+        let counter = NftaCounter::new(&aut, &runs, FprasConfig::default());
+        let a = counter.count();
+        let b = counter.count();
         assert_eq!(a, b); // memoized tables
         assert_eq!(a.to_biguint_round(), BigUint::from(5u32));
     }

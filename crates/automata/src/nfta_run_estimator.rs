@@ -20,41 +20,83 @@
 //! measures it.
 //!
 //! Run counts are carried as [`FixUint`] — `u128` until overflow, then
-//! `BigUint` — and samples are drawn straight into a flat [`IndexedTree`]
+//! `BigUint` — and samples are drawn straight into a flat
+//! [`IndexedTree`](crate::IndexedTree)
 //! arena via the internal `*_into` entry points (see `scratch.rs`); the
 //! `Tree`-returning public API wraps them.
+//!
+//! [`RunTables`] are built once per (automaton, target size), single-
+//! threaded, and are immutable afterwards: every repetition and worker of
+//! both estimators borrows the same tables and reads them without a lock.
 
 use crate::forest_reg::{ForestReg, EMPTY_FOREST};
-use crate::scratch::{pick_index_nonzero, with_scratch, Scratch};
-use crate::{IndexedTree, Nfta, StateId, Tree};
+use crate::scratch::{with_scratch, PickSpan, PickTable, Scratch};
+use crate::{Nfta, StateId, SymbolId, Tree};
 use pqe_arith::{BigFloat, FixUint};
-use pqe_par::{FxHashMap, ShardedMap};
+use pqe_par::FxHashMap;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::{Rng, SeedableRng};
 
-/// Exact run-count tables for an NFTA, reusable across samples.
-///
-/// The tables are filled lazily through `&self` (sharded interior
-/// mutability): every entry is an exact DP value — a pure function of its
-/// key — so concurrent duplicate computation by parallel samplers is
-/// idempotent, and no lock is ever held across the recursion. Forests are
-/// keyed by interned ids (see `forest_reg`), so memo probes never allocate.
-pub struct RunTables<'a> {
-    nfta: &'a Nfta,
-    reg: ForestReg,
-    tree_runs: ShardedMap<(StateId, usize), FixUint>,
-    forest_runs: ShardedMap<(u32, usize), FixUint>,
+/// One key of the exact tables: its run count and the pick list a draw
+/// at that key uses.
+#[derive(Debug)]
+struct Entry {
+    count: FixUint,
+    picks: PickSpan,
 }
 
-impl<'a> RunTables<'a> {
-    /// Builds empty tables over `nfta` (filled lazily).
-    pub fn new(nfta: &'a Nfta) -> Self {
-        RunTables {
-            nfta,
+/// Exact run-count tables for an NFTA and a target size `n`.
+///
+/// The tables hold every key of the DP's *unpruned* closure from
+/// `(initial, n)`: tree keys `R(q, s)` and forest keys `F(q₁…q_k, m)` for
+/// `k ≥ 2` (unary forests are trees; the empty forest and `m < k` are
+/// trivial). That closure contains every key either sampler ever reaches:
+/// the run sampler below, and `NftaCounter`, whose estimate recursion
+/// follows the same splits. Each entry keeps, besides the exact count,
+/// the cumulative pick table of its proportional choice — transitions for
+/// a tree key, first-tree sizes for a forest key — so a draw does one
+/// lookup and one bisection per node.
+///
+/// Looking up a key outside the closure is a bug in the caller and
+/// **panics**; it never reads as a silent zero. Forests are keyed by
+/// interned ids (see `forest_reg`), so lookups never allocate.
+pub struct RunTables {
+    reg: ForestReg,
+    /// Root symbol per transition: draws need no `Nfta`.
+    symbols: Vec<SymbolId>,
+    size: usize,
+    trees: FxHashMap<(StateId, u32), u32>,
+    forests: FxHashMap<(u32, u32), u32>,
+    tree_entries: Vec<Entry>,
+    forest_entries: Vec<Entry>,
+    /// Choices are transition ids (tree keys) or first-tree sizes (forest
+    /// keys).
+    picks: PickTable<u32>,
+}
+
+impl RunTables {
+    /// Builds the tables of `nfta` for trees of size `n` (see the type
+    /// docs), single-threaded.
+    pub fn new(nfta: &Nfta, n: usize) -> Self {
+        let mut t = RunTables {
             reg: ForestReg::new(nfta),
-            tree_runs: ShardedMap::new(),
-            forest_runs: ShardedMap::new(),
+            symbols: nfta.transitions().iter().map(|tr| tr.symbol).collect(),
+            size: n,
+            trees: FxHashMap::default(),
+            forests: FxHashMap::default(),
+            tree_entries: Vec::new(),
+            forest_entries: Vec::new(),
+            picks: PickTable::default(),
+        };
+        if n > 0 {
+            t.build_tree(nfta, nfta.initial(), n);
         }
+        t
+    }
+
+    /// The target size the tables were built for.
+    pub fn size(&self) -> usize {
+        self.size
     }
 
     /// The forest interning table (shared with `NftaCounter`).
@@ -62,22 +104,38 @@ impl<'a> RunTables<'a> {
         &self.reg
     }
 
-    /// `R(q, n)`: accepting runs from `q` over size-`n` trees.
-    pub fn tree_runs(&self, q: StateId, n: usize) -> FixUint {
-        if n == 0 {
-            return FixUint::zero();
-        }
-        if let Some(v) = self.tree_runs.get(&(q, n)) {
-            return v;
-        }
-        let mut total = FixUint::zero();
-        for &ti in self.nfta.transitions_from(q) {
-            total += self.forest_runs(self.reg.transition_forest(ti), n - 1);
-        }
-        self.tree_runs.insert((q, n), total)
+    /// Number of transitions of the automaton the tables were built from.
+    pub(crate) fn num_transitions(&self) -> usize {
+        self.symbols.len()
     }
 
-    fn forest_runs(&self, fid: u32, m: usize) -> FixUint {
+    /// Builds tree key `(q, s)`, `s ≥ 1`, after every key it depends on;
+    /// returns its entry index.
+    fn build_tree(&mut self, nfta: &Nfta, q: StateId, s: usize) -> usize {
+        if let Some(&id) = self.trees.get(&(q, s as u32)) {
+            return id as usize;
+        }
+        let tis = nfta.transitions_from(q);
+        let counts: Vec<FixUint> = tis
+            .iter()
+            .map(|&ti| self.build_forest(nfta, self.reg.transition_forest(ti), s - 1))
+            .collect();
+        let mut count = FixUint::zero();
+        for c in &counts {
+            count += c;
+        }
+        let picks = self
+            .picks
+            .push(tis.iter().zip(&counts).map(|(&ti, c)| (ti as u32, c.to_bigfloat())));
+        let id = self.tree_entries.len();
+        self.tree_entries.push(Entry { count, picks });
+        self.trees.insert((q, s as u32), id as u32);
+        id
+    }
+
+    /// Builds forest key `(fid, m)` (and everything below it); returns its
+    /// count.
+    fn build_forest(&mut self, nfta: &Nfta, fid: u32, m: usize) -> FixUint {
         if fid == EMPTY_FOREST {
             return if m == 0 { FixUint::one() } else { FixUint::zero() };
         }
@@ -86,23 +144,73 @@ impl<'a> RunTables<'a> {
             return FixUint::zero();
         }
         let head = self.reg.head(fid);
-        // Unary forests are trees.
         if len == 1 {
-            return self.tree_runs(head, m);
+            let id = self.build_tree(nfta, head, m);
+            return self.tree_entries[id].count.clone();
         }
-        if let Some(v) = self.forest_runs.get(&(fid, m)) {
-            return v;
+        if let Some(&id) = self.forests.get(&(fid, m as u32)) {
+            return self.forest_entries[id as usize].count.clone();
         }
         let tail = self.reg.tail(fid);
-        let mut total = FixUint::zero();
-        for j in 1..=(m - (len - 1)) {
-            let t = self.tree_runs(head, j);
-            if t.is_zero() {
-                continue;
-            }
-            total += &t * &self.forest_runs(tail, m - j);
+        // Unpruned: the tail is built even where the head count is zero,
+        // because the estimator's split weights read both factors.
+        let products: Vec<FixUint> = (1..=(m - (len - 1)))
+            .map(|j| {
+                let t = self.build_tree(nfta, head, j);
+                let f = self.build_forest(nfta, tail, m - j);
+                &self.tree_entries[t].count * &f
+            })
+            .collect();
+        let mut count = FixUint::zero();
+        for p in &products {
+            count += p;
         }
-        self.forest_runs.insert((fid, m), total)
+        let picks = self
+            .picks
+            .push((1u32..).zip(&products).map(|(j, p)| (j, p.to_bigfloat())));
+        let id = self.forest_entries.len() as u32;
+        self.forest_entries.push(Entry { count: count.clone(), picks });
+        self.forests.insert((fid, m as u32), id);
+        count
+    }
+
+    /// The entry of tree key `(q, n)`; `None` for `n = 0` (no tree has
+    /// size 0). Panics outside the tables.
+    fn tree_entry(&self, q: StateId, n: usize) -> Option<&Entry> {
+        if n == 0 {
+            return None;
+        }
+        match self.trees.get(&(q, n as u32)) {
+            Some(&id) => Some(&self.tree_entries[id as usize]),
+            None => panic!(
+                "RunTables: tree key ({q:?}, {n}) is outside the tables built for size {}",
+                self.size
+            ),
+        }
+    }
+
+    /// The dense id of forest key `(fid, m)`, `2 ≤ len(fid) ≤ m`, in
+    /// `0..num_forest_keys()`. Panics outside the tables.
+    pub(crate) fn forest_id(&self, fid: u32, m: usize) -> usize {
+        match self.forests.get(&(fid, m as u32)) {
+            Some(&id) => id as usize,
+            None => panic!(
+                "RunTables: forest key ({fid}, {m}) is outside the tables built for size {}",
+                self.size
+            ),
+        }
+    }
+
+    /// Number of nontrivial forest keys in the tables.
+    pub(crate) fn num_forest_keys(&self) -> usize {
+        self.forest_entries.len()
+    }
+
+    /// `R(q, n)`: accepting runs from `q` over size-`n` trees. Panics if
+    /// `(q, n)` lies outside the tables (see the type docs).
+    pub fn tree_runs(&self, q: StateId, n: usize) -> FixUint {
+        self.tree_entry(q, n)
+            .map_or_else(FixUint::zero, |e| e.count.clone())
     }
 
     /// Samples a run (and its tree) uniformly among accepting runs from
@@ -129,23 +237,15 @@ impl<'a> RunTables<'a> {
         rng: &mut R,
         s: &mut Scratch,
     ) -> Option<u32> {
-        let total = self.tree_runs(q, n);
-        if total.is_zero() {
+        let e = self.tree_entry(q, n)?;
+        if e.count.is_zero() {
             return None;
         }
-        // Pick a transition ∝ its forest run count.
-        let tis = self.nfta.transitions_from(q);
-        let wbase = s.weights.len();
-        for &ti in tis {
-            let w = self.forest_runs(self.reg.transition_forest(ti), n - 1);
-            s.weights.push(w.to_bigfloat());
-        }
-        let pick = pick_index_nonzero(&s.weights[wbase..], rng);
-        s.weights.truncate(wbase);
-        let ti = tis[pick];
-        let tr = &self.nfta.transitions()[ti];
-        let node = s.tree.new_node(tr.symbol, tr.children.len());
-        self.sample_forest_run_into(self.reg.transition_forest(ti), n - 1, rng, s, node, 0)?;
+        // A transition ∝ its forest run count.
+        let ti = self.picks.pick(e.picks, rng) as usize;
+        let fid = self.reg.transition_forest(ti);
+        let node = s.tree.new_node(self.symbols[ti], self.reg.arity(fid));
+        self.sample_forest_run_into(fid, n - 1, rng, s, node, 0)?;
         Some(node)
     }
 
@@ -168,67 +268,13 @@ impl<'a> RunTables<'a> {
             s.tree.set_child(parent, slot, c);
             return Some(());
         }
-        let tail = self.reg.tail(fid);
-        // Weight per first-tree size j ∈ 1..=(m − (len−1)), zeros kept
-        // (the nonzero-fallback pick skips them), exactly as the historical
-        // `pick_weighted_biguint` scan.
-        let wbase = s.weights.len();
-        for j in 1..=(m - (len - 1)) {
-            let w = &self.tree_runs(head, j) * &self.forest_runs(tail, m - j);
-            s.weights.push(w.to_bigfloat());
-        }
-        if s.weights[wbase..].iter().all(BigFloat::is_zero) {
-            s.weights.truncate(wbase);
-            return None;
-        }
-        let j = 1 + pick_index_nonzero(&s.weights[wbase..], rng);
-        s.weights.truncate(wbase);
+        // Reached only through a nonzero pick, so the key is tabled and
+        // nonzero. First-tree size j ∝ R(head, j) · F(tail, m − j).
+        let e = &self.forest_entries[self.forest_id(fid, m)];
+        let j = self.picks.pick(e.picks, rng) as usize;
         let c = self.sample_run_into(head, j, rng, s)?;
         s.tree.set_child(parent, slot, c);
-        self.sample_forest_run_into(tail, m - j, rng, s, parent, slot + 1)
-    }
-
-    /// `M(t)`: the number of accepting runs of `T` over the fixed tree `t`
-    /// starting from `q` (exact DP over `(state, node)` pairs).
-    pub fn runs_of_tree(&self, q: StateId, t: &Tree) -> FixUint {
-        let it = IndexedTree::new(t);
-        let mut memo: FxHashMap<(u32, u32), FixUint> = FxHashMap::default();
-        self.runs_at(q, &it, 0, &mut memo)
-    }
-
-    /// [`RunTables::runs_of_tree`] over a node already in a flat arena,
-    /// with a caller-owned memo. Node ids are unique within an arena
-    /// generation and the DP is pure, so one memo may be shared across all
-    /// candidates of a sample.
-    pub(crate) fn runs_at(
-        &self,
-        q: StateId,
-        it: &IndexedTree,
-        node: usize,
-        memo: &mut FxHashMap<(u32, u32), FixUint>,
-    ) -> FixUint {
-        if let Some(v) = memo.get(&(q.0, node as u32)) {
-            return v.clone();
-        }
-        let children = it.children(node);
-        let label = it.label(node);
-        let mut total = FixUint::zero();
-        for &ti in self.nfta.transitions_from(q) {
-            let tr = &self.nfta.transitions()[ti];
-            if tr.symbol != label || tr.children.len() != children.len() {
-                continue;
-            }
-            let mut prod = FixUint::one();
-            for (&cq, &cn) in tr.children.iter().zip(children.iter()) {
-                prod = &prod * &self.runs_at(cq, it, cn as usize, memo);
-                if prod.is_zero() {
-                    break;
-                }
-            }
-            total += prod;
-        }
-        memo.insert((q.0, node as u32), total.clone());
-        total
+        self.sample_forest_run_into(self.reg.tail(fid), m - j, rng, s, parent, slot + 1)
     }
 }
 
@@ -240,7 +286,7 @@ impl<'a> RunTables<'a> {
 /// needed) when `R = 0`.
 pub fn count_nfta_run_based(nfta: &Nfta, n: usize, samples: usize, seed: u64) -> BigFloat {
     assert!(samples > 0);
-    let tables = RunTables::new(nfta);
+    let tables = RunTables::new(nfta, n);
     let total_runs = tables.tree_runs(nfta.initial(), n);
     if total_runs.is_zero() {
         return BigFloat::zero();
@@ -267,7 +313,7 @@ pub fn count_nfta_run_based(nfta: &Nfta, n: usize, samples: usize, seed: u64) ->
                         .sample_run_into(nfta.initial(), n, &mut rng, s)
                         .expect("R > 0 implies a run exists");
                     let Scratch { tree, runs_memo, .. } = s;
-                    let m = tables.runs_at(nfta.initial(), tree, t as usize, runs_memo);
+                    let m = nfta.runs_at(nfta.initial(), tree, t as usize, runs_memo);
                     debug_assert!(!m.is_zero());
                     1.0 / m.to_f64()
                 })
@@ -335,13 +381,13 @@ mod tests {
     #[test]
     fn run_sampling_produces_accepted_trees() {
         let aut = unary_contains_a();
-        let tables = RunTables::new(&aut);
+        let tables = RunTables::new(&aut, 6);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..30 {
             let t = tables.sample_run(aut.initial(), 6, &mut rng).unwrap();
             assert_eq!(t.size(), 6);
             assert!(aut.accepts(&t));
-            assert!(!tables.runs_of_tree(aut.initial(), &t).is_zero());
+            assert!(!aut.runs_of_tree(aut.initial(), &t).is_zero());
         }
     }
 
@@ -357,7 +403,6 @@ mod tests {
         // Tree a(a(end)): runs: q->q->f? The run must end at `f` before
         // `end`. Paths: (q,a,q)(q,a,f)(f,end) and (q,a,f)(f,a,f)(f,end): 2.
         let t = Tree::node(a, vec![Tree::node(a, vec![Tree::leaf(e)])]);
-        let tables = RunTables::new(&aut);
-        assert_eq!(tables.runs_of_tree(aut.initial(), &t).to_u64(), Some(2));
+        assert_eq!(aut.runs_of_tree(aut.initial(), &t).to_u64(), Some(2));
     }
 }

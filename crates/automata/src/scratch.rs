@@ -8,10 +8,9 @@
 //! * the sampled tree is built directly in a flat [`IndexedTree`] arena
 //!   (struct-of-arrays — see `nfta.rs`), converted to a real [`Tree`] only
 //!   if it escapes to a public API;
-//! * weight lists for proportional picks live in shared stack-disciplined
-//!   buffers (`weights`/`keys`): a recursion level records the stack base,
-//!   pushes its options, picks, and truncates back — no allocation once
-//!   the high-water mark is reached;
+//! * SIR candidate lists are stack-disciplined: a recursion level records
+//!   the stack base, pushes its candidates, picks, and truncates back — no
+//!   allocation once the high-water mark is reached;
 //! * memo tables (`accept_memo`, `runs_memo`) are cleared, never dropped.
 //!
 //! ## Why a pool, not a single thread-local cell
@@ -29,6 +28,16 @@
 //! (`begin_sample`) or stack-disciplined, and nothing read by the sampler
 //! survives from a previous sample. The workspace equivalence suite pins
 //! this with back-to-back and fresh-pool comparisons.
+//!
+//! ## Proportional picks
+//!
+//! Proportional draws go through [`PickTable`]: per list, the nonzero
+//! options and the running left-fold sums of their weights, built once
+//! and searched by bisection. The sums are the very `acc` values the
+//! linear scans (`pick_index_last`, `pick_index_nonzero`, kept as test
+//! references) compare against, so a bisection returns the scan's index
+//! on every `u` — including the scan's fallback when rounding leaves the
+//! threshold unmet.
 
 use crate::IndexedTree;
 use crate::{StateId, SymbolId};
@@ -44,11 +53,6 @@ use std::cell::RefCell;
 pub(crate) struct Scratch {
     /// Flat arena the candidate/sample trees are built into.
     pub tree: IndexedTree,
-    /// Stack of proportional-pick weights (shared across recursion levels
-    /// via base/truncate discipline).
-    pub weights: Vec<BigFloat>,
-    /// Stack of pick keys parallel to `weights` (forest split sizes).
-    pub keys: Vec<u32>,
     /// SIR candidate roots (tree sampler).
     pub cand_nodes: Vec<u32>,
     /// SIR candidate weights, parallel to `cand_nodes`.
@@ -63,8 +67,6 @@ pub(crate) struct Scratch {
     pub str_spans: Vec<(u32, u32)>,
     /// SIR candidate weights, parallel to `str_spans`.
     pub str_weights: Vec<f64>,
-    /// Per-step `(symbol, target)` choices of the path sampler.
-    pub choice_pairs: Vec<(SymbolId, StateId)>,
     /// Frontier buffers for the run-count subset simulation.
     pub runs_cur: Vec<(StateId, FixUint)>,
     /// Second frontier buffer (swapped with `runs_cur` per step).
@@ -83,14 +85,11 @@ impl Scratch {
         self.tree.clear();
         self.accept_memo.clear();
         self.runs_memo.clear();
-        self.weights.clear();
-        self.keys.clear();
         self.cand_nodes.clear();
         self.cand_weights.clear();
         self.syms.clear();
         self.str_spans.clear();
         self.str_weights.clear();
-        self.choice_pairs.clear();
     }
 }
 
@@ -110,11 +109,92 @@ pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
     out
 }
 
+/// Proportional-pick lists stored back to back (see module docs): each
+/// list keeps its nonzero options and the running sums of their weights.
+/// Exact tables keep thousands of lists in one `PickTable`; a per-union
+/// part list is a table of one.
+#[derive(Debug)]
+pub(crate) struct PickTable<C> {
+    choices: Vec<C>,
+    cum: Vec<BigFloat>,
+}
+
+/// One list of a [`PickTable`]: its `start..end` range.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PickSpan {
+    start: u32,
+    end: u32,
+}
+
+impl<C> Default for PickTable<C> {
+    fn default() -> Self {
+        PickTable { choices: Vec::new(), cum: Vec::new() }
+    }
+}
+
+impl<C: Copy> PickTable<C> {
+    /// A table holding the single list `options` (see [`PickTable::whole`]).
+    pub fn single(options: impl IntoIterator<Item = (C, BigFloat)>) -> Self {
+        let mut t = Self::default();
+        t.push(options);
+        t
+    }
+
+    /// Appends a list. Zero-weight options are dropped: a scan never stops
+    /// on one (adding zero leaves `acc` unchanged), and the nonzero scan's
+    /// fallback — the last nonzero entry — is then the list's last entry.
+    pub fn push(&mut self, options: impl IntoIterator<Item = (C, BigFloat)>) -> PickSpan {
+        let start = self.cum.len() as u32;
+        let mut acc = BigFloat::zero();
+        for (c, w) in options {
+            if !w.is_zero() {
+                acc = acc + w;
+                self.choices.push(c);
+                self.cum.push(acc);
+            }
+        }
+        PickSpan { start, end: self.cum.len() as u32 }
+    }
+
+    /// The span covering the whole table (the list of a [`PickTable::single`]).
+    pub fn whole(&self) -> PickSpan {
+        PickSpan { start: 0, end: self.cum.len() as u32 }
+    }
+
+    /// The options of `span` that carry weight, in push order.
+    pub fn choices(&self, span: PickSpan) -> &[C] {
+        &self.choices[span.start as usize..span.end as usize]
+    }
+
+    /// The list's weight total (the scans' `Σ` fold); zero if it is empty.
+    pub fn total(&self, span: PickSpan) -> BigFloat {
+        if span.start == span.end {
+            BigFloat::zero()
+        } else {
+            self.cum[span.end as usize - 1]
+        }
+    }
+
+    /// Draws one option of `span` proportionally to its weight: the first
+    /// running sum above `total · u`, by bisection, or the last option if
+    /// rounding leaves the threshold unmet. Panics on an empty list.
+    #[inline]
+    pub fn pick<R: Rng + ?Sized>(&self, span: PickSpan, rng: &mut R) -> C {
+        let (start, end) = (span.start as usize, span.end as usize);
+        let cum = &self.cum[start..end];
+        let total = *cum.last().expect("pick from an empty list");
+        let u: f64 = rng.random();
+        let threshold = total * u;
+        let i = cum.partition_point(|acc| *acc <= threshold);
+        self.choices[start + i.min(cum.len() - 1)]
+    }
+}
+
 /// Draws an index from `weights` proportionally, falling back to the
 /// **last** entry if accumulated rounding leaves the threshold unmet —
-/// the exact scan the estimators have always used for pre-filtered
-/// (all-nonzero) weight lists.
-#[inline]
+/// the linear scan the estimators used for pre-filtered (all-nonzero)
+/// weight lists before [`PickTable`]; kept as its reference.
+#[cfg(test)]
 pub(crate) fn pick_index_last<R: Rng + ?Sized>(
     weights: &[BigFloat],
     total: BigFloat,
@@ -134,9 +214,9 @@ pub(crate) fn pick_index_last<R: Rng + ?Sized>(
 }
 
 /// Draws an index from `weights` (which may contain zeros) proportionally,
-/// falling back to the last **nonzero** entry — the exact scan of the
-/// run-sampler's historical `pick_weighted_biguint`.
-#[inline]
+/// falling back to the last **nonzero** entry — the run sampler's linear
+/// scan before [`PickTable`]; kept as its reference.
+#[cfg(test)]
 pub(crate) fn pick_index_nonzero<R: Rng + ?Sized>(
     weights: &[BigFloat],
     rng: &mut R,
@@ -167,21 +247,19 @@ mod tests {
     #[test]
     fn pool_hands_out_distinct_arenas_when_nested() {
         with_scratch(|outer| {
-            outer.weights.push(BigFloat::one());
+            outer.cand_nodes.push(1);
             with_scratch(|inner| {
-                assert!(inner.weights.is_empty(), "nested arena must be its own");
-                inner.weights.push(BigFloat::one());
+                assert!(inner.cand_nodes.is_empty(), "nested arena must be its own");
+                inner.cand_nodes.push(2);
             });
-            assert_eq!(outer.weights.len(), 1);
-            outer.weights.clear();
+            assert_eq!(outer.cand_nodes, [1]);
+            outer.cand_nodes.clear();
         });
     }
 
     #[test]
     fn begin_sample_clears_everything() {
         with_scratch(|s| {
-            s.weights.push(BigFloat::one());
-            s.keys.push(3);
             s.cand_nodes.push(0);
             s.cand_weights.push(1.0);
             s.accept_memo.insert((0, 0), true);
@@ -189,14 +267,15 @@ mod tests {
             s.syms.push(SymbolId(1));
             s.str_spans.push((0, 1));
             s.str_weights.push(1.0);
-            s.choice_pairs.push((SymbolId(1), StateId(0)));
+            s.runs_cur.push((StateId(0), FixUint::one()));
             s.begin_sample();
-            assert!(s.weights.is_empty() && s.keys.is_empty());
             assert!(s.cand_nodes.is_empty() && s.cand_weights.is_empty());
             assert!(s.accept_memo.is_empty() && s.runs_memo.is_empty());
             assert!(s.syms.is_empty() && s.str_spans.is_empty() && s.str_weights.is_empty());
-            assert!(s.choice_pairs.is_empty());
             assert!(s.tree.is_empty());
+            // Frontier buffers are cleared by their own users, not here.
+            assert_eq!(s.runs_cur.len(), 1);
+            s.runs_cur.clear();
         });
     }
 
@@ -215,6 +294,77 @@ mod tests {
                 pick_index_last(&weights, total, &mut a),
                 pick_index_nonzero(&weights, &mut b)
             );
+        }
+    }
+
+    /// An RNG replaying fixed words: `u = (w >> 11) · 2⁻⁵³`, so
+    /// `u64::MAX` gives the largest `u` below 1.
+    struct Words(Vec<u64>);
+
+    impl pqe_rand::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().expect("enough words")
+        }
+    }
+
+    /// A random weight list: zeros, plateaus of equal prefix sums, and
+    /// weights too small to move the sum (exponent gap > 64).
+    fn weight_list(rng: &mut StdRng) -> Vec<BigFloat> {
+        let len = rng.random_range(1..12usize);
+        let base = rng.random_range(-80..80i64);
+        (0..len)
+            .map(|_| match rng.random_range(0..5u32) {
+                0 => BigFloat::zero(),
+                1 => BigFloat::new(1.0, base - rng.random_range(65..200i64)), // vanishes
+                2 => BigFloat::new(1.0, base),                           // ties
+                _ => BigFloat::new(1.0 + rng.random::<f64>(), base + rng.random_range(-8..8i64)),
+            })
+            .collect()
+    }
+
+    /// Words spanning `u`: random, 0, and the top of `[0, 1)`.
+    fn words(rng: &mut StdRng) -> Vec<u64> {
+        let mut w: Vec<u64> = (0..24).map(|_| rng.random()).collect();
+        w.extend([0, 1 << 11, u64::MAX, u64::MAX - (1 << 11), u64::MAX - (7 << 11)]);
+        w
+    }
+
+    #[test]
+    fn pick_tables_draw_what_the_scans_draw() {
+        let mut gen = StdRng::seed_from_u64(0x9c4);
+        for _ in 0..3_000 {
+            let mut weights = weight_list(&mut gen);
+            if weights.iter().all(BigFloat::is_zero) {
+                weights.push(BigFloat::one());
+            }
+            let total: BigFloat = weights.iter().copied().sum();
+            // Zeros kept: the run sampler's nonzero scan.
+            let table = PickTable::single(weights.iter().copied().enumerate());
+            assert_eq!(table.total(table.whole()), total);
+            // Zeros filtered first: the `pick_index_last` callers.
+            let nonzero: Vec<BigFloat> =
+                weights.iter().copied().filter(|w| !w.is_zero()).collect();
+            let filtered = PickTable::single(nonzero.iter().copied().enumerate());
+            for w in words(&mut gen) {
+                let scan = pick_index_nonzero(&weights, &mut Words(vec![w]));
+                assert_eq!(table.pick(table.whole(), &mut Words(vec![w])), scan, "{weights:?} w={w}");
+                let scan = pick_index_last(&nonzero, total, &mut Words(vec![w]));
+                assert_eq!(filtered.pick(filtered.whole(), &mut Words(vec![w])), scan);
+            }
+        }
+    }
+
+    #[test]
+    fn pick_table_lists_are_independent() {
+        let mut t = PickTable::default();
+        let a = t.push([(10u32, BigFloat::one()), (11, BigFloat::zero())]);
+        let b = t.push([(20u32, BigFloat::zero()), (21, BigFloat::from_f64(3.0))]);
+        let empty = t.push([(30u32, BigFloat::zero())]);
+        assert!(t.total(empty).is_zero());
+        assert_eq!(t.total(b).to_f64(), 3.0);
+        for w in [0, u64::MAX] {
+            assert_eq!(t.pick(a, &mut Words(vec![w])), 10);
+            assert_eq!(t.pick(b, &mut Words(vec![w])), 21);
         }
     }
 }

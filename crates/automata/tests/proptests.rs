@@ -4,9 +4,12 @@
 
 use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{
-    count_nfa, count_trees_exact, required_bits, Alphabet, AugSymbol, AugTransition,
-    AugmentedNfta, FprasConfig, MulTransition, MultiplierNfta, Nfa,
+    count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, Alphabet, AugSymbol,
+    AugTransition, AugmentedNfta, FprasConfig, MulTransition, MultiplierNfta, Nfa, Nfta,
+    NftaCounter, RunTables, StateId, Transition,
 };
+use pqe_rand::rngs::StdRng;
+use pqe_rand::SeedableRng;
 use pqe_testkit::prelude::*;
 use pqe_testkit::{BoxedGen, Source};
 
@@ -111,6 +114,83 @@ fn unambiguous_nfas_have_equal_counts() {
         }
         Ok(())
     });
+}
+
+/// A random NFTA over 2 symbols with up to 3 states; transitions
+/// `(src, symbol, children)` with up to 2 children, drawn from the byte
+/// stream (zero children make leaves).
+fn random_nfta() -> BoxedGen<Nfta> {
+    (1usize..=3, vec((0u32..3, 0u32..2, vec(0u32..3, 0..3)), 1..10))
+        .prop_map(|(states, transitions)| {
+            let mut alpha = Alphabet::new();
+            let syms = [alpha.intern("a"), alpha.intern("b")];
+            let mut t = Nfta::new(alpha);
+            let ids: Vec<StateId> = std::iter::once(t.initial())
+                .chain((1..states).map(|_| t.add_state()))
+                .collect();
+            for (src, sym, children) in transitions {
+                t.add_transition(Transition {
+                    src: ids[src as usize % states],
+                    symbol: syms[sym as usize],
+                    children: children.iter().map(|&c| ids[c as usize % states]).collect(),
+                });
+            }
+            t
+        })
+        .boxed()
+}
+
+#[test]
+fn run_tables_match_exact_run_counts() {
+    let gen = (random_nfta(), 0usize..8);
+    check("run_tables_match_exact_run_counts", &cfg(), &gen, |(nfta, n)| {
+        let n = *n;
+        let tables = RunTables::new(nfta, n);
+        let runs = tables.tree_runs(nfta.initial(), n).to_biguint();
+        prop_assert_eq!(&runs, &count_runs(nfta, n));
+        // Every distinct tree has at least one run.
+        prop_assert!(count_trees_exact(nfta, n) <= runs);
+        Ok(())
+    });
+}
+
+#[test]
+fn samplers_stay_inside_their_tables_on_random_nftas() {
+    // Every key a draw or an estimate reaches must be tabled: a miss would
+    // panic here. The drawn trees must be accepted, and the estimate is
+    // zero exactly when no tree exists.
+    let gen = (random_nfta(), 1usize..8);
+    check("samplers_stay_inside_their_tables", &cfg(), &gen, |(nfta, n)| {
+        let n = *n;
+        let tables = RunTables::new(nfta, n);
+        let cfg = FprasConfig::with_epsilon(0.3).with_seed(0xBEE5).with_threads(1);
+        let counter = NftaCounter::new(nfta, &tables, cfg.clone());
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        for _ in 0..4 {
+            if let Some(t) = tables.sample_run(nfta.initial(), n, &mut rng) {
+                prop_assert!(t.size() == n && nfta.accepts(&t));
+            }
+            if let Some(t) = counter.sample_tree(&mut rng) {
+                prop_assert!(t.size() == n && nfta.accepts(&t));
+            }
+        }
+        let exact = count_trees_exact(nfta, n);
+        let approx = count_nfta(nfta, n, &cfg);
+        prop_assert_eq!(approx.is_zero(), exact.is_zero(), "exact {exact}, approx {approx}");
+        Ok(())
+    });
+}
+
+#[test]
+#[should_panic(expected = "outside the tables")]
+fn run_table_lookup_outside_the_closure_panics() {
+    let mut alpha = Alphabet::new();
+    let a = alpha.intern("a");
+    let mut t = Nfta::new(alpha);
+    let q = t.initial();
+    t.add_transition(Transition { src: q, symbol: a, children: vec![] });
+    // Built for size 1: the key (q, 2) was never reached.
+    RunTables::new(&t, 1).tree_runs(q, 2);
 }
 
 #[test]

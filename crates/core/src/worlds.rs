@@ -19,7 +19,7 @@
 //! small.
 
 use crate::reductions::{build_pqe_automaton, build_ur_automaton, ReductionError};
-use pqe_automata::{FprasConfig, Nfta, NftaCounter, SymbolId, Tree};
+use pqe_automata::{FprasConfig, Nfta, NftaCounter, RunTables, SymbolId, Tree};
 use pqe_db::{Database, FactId, ProbDatabase};
 use pqe_query::ConjunctiveQuery;
 use std::collections::HashMap;
@@ -62,14 +62,17 @@ fn back_map(original: &Database, projected: &Database) -> Vec<FactId> {
 pub struct UniformWorldSampler<'a> {
     db: &'a Database,
     nfta: Nfta,
-    target_size: usize,
+    /// Exact run tables of `nfta` at the target size, built once and
+    /// shared by every draw.
+    runs: RunTables,
     by_symbol: HashMap<SymbolId, FactId>,
     free_facts: Vec<FactId>,
     cfg: FprasConfig,
 }
 
 impl<'a> UniformWorldSampler<'a> {
-    /// Builds the sampler (runs the Proposition 1 reduction once).
+    /// Builds the sampler (runs the Proposition 1 reduction and builds the
+    /// exact run tables once).
     pub fn new(
         q: &ConjunctiveQuery,
         db: &'a Database,
@@ -86,10 +89,11 @@ impl<'a> UniformWorldSampler<'a> {
             .collect();
         let covered: std::collections::BTreeSet<FactId> = back.iter().copied().collect();
         let free_facts = db.fact_ids().filter(|f| !covered.contains(f)).collect();
+        let runs = RunTables::new(&nfta, ur.target_size);
         Ok(UniformWorldSampler {
             db,
             nfta,
-            target_size: ur.target_size,
+            runs,
             by_symbol,
             free_facts,
             cfg,
@@ -101,8 +105,8 @@ impl<'a> UniformWorldSampler<'a> {
     pub fn sample<R: pqe_rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<Vec<bool>> {
         // A fresh counter seeded from the caller's RNG keeps the sampler's
         // randomness under the caller's control while reusing estimates is
-        // the counter's job; for repeated sampling use `sampler_batch`.
-        let counter = NftaCounter::new(&self.nfta, self.cfg.clone().with_seed(rng.random()));
+        // the counter's job; for repeated sampling use `sample_batch`.
+        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
         self.sample_with(&counter, rng)
     }
 
@@ -113,7 +117,7 @@ impl<'a> UniformWorldSampler<'a> {
         count: usize,
         rng: &mut R,
     ) -> Vec<Vec<bool>> {
-        let counter = NftaCounter::new(&self.nfta, self.cfg.clone().with_seed(rng.random()));
+        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
         (0..count)
             .filter_map(|_| self.sample_with(&counter, rng))
             .collect()
@@ -124,7 +128,7 @@ impl<'a> UniformWorldSampler<'a> {
         counter: &NftaCounter<'_>,
         rng: &mut R,
     ) -> Option<Vec<bool>> {
-        let tree = counter.sample_tree(self.nfta.initial(), self.target_size, rng)?;
+        let tree = counter.sample_tree(rng)?;
         let mut world = decode_tree(&tree, &self.by_symbol, self.db.len());
         for &f in &self.free_facts {
             world[f.index()] = rng.random_bool(0.5);
@@ -138,14 +142,17 @@ impl<'a> UniformWorldSampler<'a> {
 pub struct WeightedWorldSampler<'a> {
     h: &'a ProbDatabase,
     nfta: Nfta,
-    target_size: usize,
+    /// Exact run tables of `nfta` at the target size (see
+    /// [`UniformWorldSampler`]).
+    runs: RunTables,
     by_symbol: HashMap<SymbolId, FactId>,
     free_facts: Vec<FactId>,
     cfg: FprasConfig,
 }
 
 impl<'a> WeightedWorldSampler<'a> {
-    /// Builds the sampler (runs the Theorem 1 reduction once).
+    /// Builds the sampler (runs the Theorem 1 reduction and builds the
+    /// exact run tables once).
     pub fn new(
         q: &ConjunctiveQuery,
         h: &'a ProbDatabase,
@@ -166,10 +173,11 @@ impl<'a> WeightedWorldSampler<'a> {
             .fact_ids()
             .filter(|f| !covered.contains(f))
             .collect();
+        let runs = RunTables::new(&pqe.nfta, pqe.target_size);
         Ok(WeightedWorldSampler {
             h,
             nfta: pqe.nfta,
-            target_size: pqe.target_size,
+            runs,
             by_symbol,
             free_facts,
             cfg,
@@ -182,10 +190,10 @@ impl<'a> WeightedWorldSampler<'a> {
         count: usize,
         rng: &mut R,
     ) -> Vec<Vec<bool>> {
-        let counter = NftaCounter::new(&self.nfta, self.cfg.clone().with_seed(rng.random()));
+        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
         (0..count)
             .filter_map(|_| {
-                let tree = counter.sample_tree(self.nfta.initial(), self.target_size, rng)?;
+                let tree = counter.sample_tree(rng)?;
                 let mut world = decode_tree(&tree, &self.by_symbol, self.h.len());
                 // Unconstrained facts keep their own independent law.
                 for &f in &self.free_facts {

@@ -25,6 +25,19 @@ PQE_LOG=debug cargo test -q --offline --test determinism
 cargo test -q --offline --test equivalence
 PQE_SLOW_PATH=1 cargo test -q --offline --test determinism
 
+# Oracle smoke: the perf ledger checks every FPRAS answer against an
+# exact oracle, within (1 ± ε). A smoke run of its two counting workloads
+# (the NFTA counter on path queries, the NFA counter on graph RPQs) must
+# report "correct":true on its result line.
+echo "perf_ledger oracle smoke test:"
+for workload in path_fpras graph_rpq; do
+    ledger_line=$(cargo run -q --release --offline --manifest-path perf_ledger/Cargo.toml -- \
+        --workload "$workload" --smoke --trace 0 2>/dev/null | tail -n 1)
+    echo "$ledger_line" | grep -q '"correct":true' || {
+        echo "  FAIL: perf_ledger $workload smoke run: $ledger_line" >&2; exit 1; }
+done
+echo "  ok: path_fpras and graph_rpq answers within their oracles' bounds"
+
 # Bench smoke mode: the fpras thread-scaling bench must run end to end
 # and emit its JSON artifact (the file re-committed as BENCH_fpras.json).
 echo "bench smoke test:"
