@@ -18,13 +18,17 @@
 //! instances a structured error rather than a silently wrong number. The
 //! CLI and `pqe-serve` both dispatch through [`GraphPlan`], and each
 //! compilation bumps the `router.route.graph` counter next to its
-//! relational siblings.
+//! relational siblings. The two policies share one vocabulary: a graph
+//! plan records a [`RouteDecision`] ([`Route::Enum`] or [`Route::Fpras`]),
+//! answers with a [`RoutedAnswer`] and fails with a [`RouterError`]; only
+//! the accepted method set, [`GraphMethod`], is graph-specific.
 
-use crate::router::edit_distance;
+use crate::router::{closest, Route, RouteDecision, RoutedAnswer, RouterError};
+use crate::PqeReport;
 use pqe_arith::{BigFloat, Rational};
 use pqe_automata::{count_nfa, FprasConfig, Nfa};
 use pqe_graph::{CompileError, CompiledRpq, OracleError, ProbGraph, Rpq, MAX_ENUM_EDGES};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // Graph plans sit in the serve plan cache and cross worker threads.
 const _: () = {
@@ -32,7 +36,10 @@ const _: () = {
     assert_send_sync::<GraphPlan>();
 };
 
-/// A requested graph evaluation method, as on the wire and the CLI.
+/// A requested graph evaluation method, as on the wire and the CLI. Its
+/// own type because the graph surface accepts a different method set
+/// than [`crate::Method`]; routes, decisions, answers and errors are the
+/// relational router's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphMethod {
     /// Route by instance size and shape: small ⇒ enumeration, large
@@ -53,12 +60,8 @@ impl GraphMethod {
             "enum" => Ok(GraphMethod::Enum),
             "fpras" => Ok(GraphMethod::Fpras),
             other => {
-                let hint = ["auto", "enum", "fpras"]
-                    .iter()
-                    .map(|c| (edit_distance(other, c), *c))
-                    .filter(|(d, _)| *d <= 2)
-                    .min()
-                    .map(|(_, c)| format!("; did you mean {c:?}?"))
+                let hint = closest(other, &["auto", "enum", "fpras"])
+                    .map(|c| format!("; did you mean {c:?}?"))
                     .unwrap_or_default();
                 Err(format!(
                     "unknown graph method {other:?} (expected auto, enum, or fpras{hint})"
@@ -77,118 +80,48 @@ impl GraphMethod {
     }
 }
 
-/// The engine an RPQ was dispatched to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphRoute {
-    /// Exact world enumeration.
-    Enum,
-    /// The FPRAS over the layered product NFA.
-    Fpras,
-}
-
-impl GraphRoute {
-    /// The name reported in CLI output and serve responses.
-    pub fn name(self) -> &'static str {
-        match self {
-            GraphRoute::Enum => "enum",
-            GraphRoute::Fpras => "fpras",
-        }
-    }
-}
-
-/// Why the RPQ went where it went, surfaced verbatim to clients.
-#[derive(Debug, Clone)]
-pub struct GraphRouteDecision {
-    /// The chosen engine.
-    pub route: GraphRoute,
-    /// `true` when the method pinned the route (not `auto`).
-    pub forced: bool,
-    /// Human-readable justification.
-    pub rationale: String,
-}
-
-/// Graph routing/compilation failure.
-#[derive(Debug)]
-pub enum GraphRouterError {
-    /// The RPQ could not be parsed.
-    Rpq(pqe_graph::RpqParseError),
-    /// The product construction refused the instance (cyclic graph or an
-    /// unknown endpoint vertex).
-    Compile(CompileError),
-    /// Enumeration was forced (or was the only sound engine) on an
-    /// instance beyond the edge bound.
-    EnumTooLarge {
-        /// Edges in the graph.
-        edges: usize,
-        /// The enumeration bound ([`MAX_ENUM_EDGES`]).
-        bound: usize,
-    },
-}
-
-impl std::fmt::Display for GraphRouterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphRouterError::Rpq(e) => write!(f, "{e}"),
-            GraphRouterError::Compile(e) => write!(f, "{e}"),
-            GraphRouterError::EnumTooLarge { edges, bound } => write!(
-                f,
-                "exact enumeration needs 2^{edges} worlds ({edges} edges > bound {bound})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for GraphRouterError {}
-
-impl From<CompileError> for GraphRouterError {
-    fn from(e: CompileError) -> Self {
-        GraphRouterError::Compile(e)
-    }
-}
-
-impl From<pqe_graph::RpqParseError> for GraphRouterError {
-    fn from(e: pqe_graph::RpqParseError) -> Self {
-        GraphRouterError::Rpq(e)
-    }
-}
+/// The answer a graph plan produces: the relational router's answer type
+/// (exact from enumeration, an FPRAS report otherwise). The old name
+/// stays for callers that still use it.
+pub type GraphAnswer = RoutedAnswer;
 
 /// Pure graph routing policy: instance size/shape + requested method ⇒
-/// engine (or a structured refusal). The **only** place the auto rule
-/// lives.
+/// engine ([`Route::Enum`] or [`Route::Fpras`]) or a structured refusal.
+/// The **only** place the auto rule lives.
 pub fn decide_graph(
     num_edges: usize,
     acyclic: bool,
     method: GraphMethod,
-) -> Result<GraphRouteDecision, GraphRouterError> {
+) -> Result<RouteDecision, RouterError> {
     let bound = MAX_ENUM_EDGES;
     match method {
         GraphMethod::Enum => {
             if num_edges > bound {
-                return Err(GraphRouterError::EnumTooLarge { edges: num_edges, bound });
+                return Err(RouterError::EnumTooLarge { edges: num_edges, bound });
             }
-            Ok(GraphRouteDecision {
-                route: GraphRoute::Enum,
+            Ok(RouteDecision {
+                route: Route::Enum,
                 forced: true,
                 rationale: "forced by --method enum".to_owned(),
             })
         }
-        GraphMethod::Fpras => Ok(GraphRouteDecision {
-            route: GraphRoute::Fpras,
+        GraphMethod::Fpras => Ok(RouteDecision {
+            route: Route::Fpras,
             forced: true,
             rationale: "forced by --method fpras".to_owned(),
         }),
         GraphMethod::Auto => {
             if num_edges <= bound {
-                Ok(GraphRouteDecision {
-                    route: GraphRoute::Enum,
+                Ok(RouteDecision {
+                    route: Route::Enum,
                     forced: false,
                     rationale: format!(
                         "auto: {num_edges} edges <= {bound} => exact world enumeration"
                     ),
                 })
             } else if acyclic {
-                Ok(GraphRouteDecision {
-                    route: GraphRoute::Fpras,
+                Ok(RouteDecision {
+                    route: Route::Fpras,
                     forced: false,
                     rationale: format!(
                         "auto: {num_edges} edges > {bound}, acyclic => FPRAS on the RPQ product NFA"
@@ -197,7 +130,7 @@ pub fn decide_graph(
             } else {
                 // Neither engine is sound/feasible: surface the landscape
                 // gap instead of guessing.
-                Err(GraphRouterError::EnumTooLarge { edges: num_edges, bound })
+                Err(RouterError::EnumTooLarge { edges: num_edges, bound })
             }
         }
     }
@@ -208,7 +141,7 @@ pub struct GraphPlan {
     /// Normalized RPQ text (parse → print), the serve cache key.
     pub rpq: String,
     /// The route taken and why.
-    pub decision: GraphRouteDecision,
+    pub decision: RouteDecision,
     /// Edges in the graph instance.
     pub num_edges: usize,
     kind: GraphKind,
@@ -221,45 +154,6 @@ enum GraphKind {
     Fpras(Box<CompiledRpq>),
 }
 
-/// The answer a graph plan produces.
-pub enum GraphAnswer {
-    /// Exact rational probability from world enumeration.
-    Exact(Rational),
-    /// `(1 ± ε)` estimate from the FPRAS.
-    Estimate {
-        /// The estimated probability.
-        probability: BigFloat,
-        /// Wall-clock of the `count_nfa` run.
-        elapsed: Duration,
-    },
-}
-
-impl GraphAnswer {
-    /// The probability as `f64` (reporting only).
-    pub fn to_f64(&self) -> f64 {
-        match self {
-            GraphAnswer::Exact(p) => p.to_f64(),
-            GraphAnswer::Estimate { probability, .. } => probability.to_f64(),
-        }
-    }
-
-    /// The probability as an arbitrary-precision float.
-    pub fn to_bigfloat(&self) -> BigFloat {
-        match self {
-            GraphAnswer::Exact(p) => BigFloat::from_rational(p),
-            GraphAnswer::Estimate { probability, .. } => probability.clone(),
-        }
-    }
-
-    /// The exact rational, when the enumeration route produced one.
-    pub fn exact(&self) -> Option<&Rational> {
-        match self {
-            GraphAnswer::Exact(p) => Some(p),
-            GraphAnswer::Estimate { .. } => None,
-        }
-    }
-}
-
 impl GraphPlan {
     /// Routes and compiles `rpq` against `g`. Increments the
     /// `router.route.graph` counter (once per compilation — cached plans
@@ -270,22 +164,21 @@ impl GraphPlan {
         g: &ProbGraph,
         rpq: &Rpq,
         method: GraphMethod,
-    ) -> Result<GraphPlan, GraphRouterError> {
+    ) -> Result<GraphPlan, RouterError> {
         let decision = decide_graph(g.num_edges(), g.is_acyclic(), method)?;
         pqe_obs::metrics::counter("router.route.graph").inc();
-        let kind = match decision.route {
-            GraphRoute::Enum => {
-                let exact = pqe_graph::enumerate_probability(g, rpq).map_err(|e| match e {
-                    OracleError::TooLarge { edges, bound } => {
-                        GraphRouterError::EnumTooLarge { edges, bound }
-                    }
-                    OracleError::UnknownVertex(v) => {
-                        GraphRouterError::Compile(CompileError::UnknownVertex(v))
-                    }
-                })?;
-                GraphKind::Enum { exact }
-            }
-            GraphRoute::Fpras => GraphKind::Fpras(Box::new(pqe_graph::compile(g, rpq)?)),
+        let kind = if decision.route == Route::Enum {
+            let exact = pqe_graph::enumerate_probability(g, rpq).map_err(|e| match e {
+                OracleError::TooLarge { edges, bound } => {
+                    RouterError::EnumTooLarge { edges, bound }
+                }
+                OracleError::UnknownVertex(v) => {
+                    RouterError::Graph(CompileError::UnknownVertex(v))
+                }
+            })?;
+            GraphKind::Enum { exact }
+        } else {
+            GraphKind::Fpras(Box::new(pqe_graph::compile(g, rpq)?))
         };
         Ok(GraphPlan {
             rpq: rpq.to_string(),
@@ -300,26 +193,34 @@ impl GraphPlan {
         g: &ProbGraph,
         rpq: &str,
         method: GraphMethod,
-    ) -> Result<GraphPlan, GraphRouterError> {
+    ) -> Result<GraphPlan, RouterError> {
         let rpq = pqe_graph::parse(rpq)?;
         GraphPlan::compile(g, &rpq, method)
     }
 
     /// Runs the routed engine. Pure function of `(plan, ε, seed,
     /// threads)`: the FPRAS path is `count_nfa` on the compiled product
-    /// (bit-identical per seed at any thread count), the enumeration path
-    /// returns the precomputed exact rational.
-    pub fn execute(&self, cfg: &FprasConfig) -> GraphAnswer {
+    /// (bit-identical per seed at any thread count), reported as a
+    /// [`PqeReport`] over the product NFA; the enumeration path returns
+    /// the precomputed exact rational.
+    pub fn execute(&self, cfg: &FprasConfig) -> RoutedAnswer {
         match &self.kind {
-            GraphKind::Enum { exact } => GraphAnswer::Exact(exact.clone()),
+            GraphKind::Enum { exact } => RoutedAnswer::Exact(exact.clone()),
             GraphKind::Fpras(c) => {
                 let start = Instant::now();
                 let count = {
                     let _span = pqe_obs::span::span("graph.count");
                     count_nfa(&c.nfa, c.target_len, cfg)
                 };
-                let probability = count / BigFloat::from_biguint(&c.denominator);
-                GraphAnswer::Estimate { probability, elapsed: start.elapsed() }
+                RoutedAnswer::Estimate(PqeReport {
+                    probability: count / BigFloat::from_biguint(&c.denominator),
+                    target_size: c.target_len,
+                    denominator: c.denominator.clone(),
+                    automaton_states: c.nfa.num_states(),
+                    automaton_size: c.nfa.size(),
+                    threads: cfg.effective_threads(),
+                    elapsed: start.elapsed(),
+                })
             }
         }
     }
@@ -371,23 +272,23 @@ mod tests {
     #[test]
     fn auto_routes_small_to_enum_and_large_dags_to_fpras() {
         let d = decide_graph(10, true, GraphMethod::Auto).unwrap();
-        assert_eq!(d.route, GraphRoute::Enum);
+        assert_eq!(d.route, Route::Enum);
         assert!(!d.forced);
         assert!(d.rationale.contains("enumeration"), "{}", d.rationale);
 
         let d = decide_graph(1000, true, GraphMethod::Auto).unwrap();
-        assert_eq!(d.route, GraphRoute::Fpras);
+        assert_eq!(d.route, Route::Fpras);
         assert!(d.rationale.contains("acyclic"), "{}", d.rationale);
 
         // Large cyclic: structured refusal, not a wrong answer.
         assert!(matches!(
             decide_graph(1000, false, GraphMethod::Auto),
-            Err(GraphRouterError::EnumTooLarge { edges: 1000, .. })
+            Err(RouterError::EnumTooLarge { edges: 1000, .. })
         ));
 
         assert!(matches!(
             decide_graph(17, true, GraphMethod::Enum),
-            Err(GraphRouterError::EnumTooLarge { .. })
+            Err(RouterError::EnumTooLarge { .. })
         ));
     }
 
@@ -402,7 +303,7 @@ mod tests {
         assert_eq!(exact.exact().unwrap(), &Rational::from_ratio(7, 16));
 
         let plan = GraphPlan::compile_str(&g, "a -> r.r -> d", GraphMethod::Fpras).unwrap();
-        assert_eq!(plan.decision.route, GraphRoute::Fpras);
+        assert_eq!(plan.decision.route, Route::Fpras);
         assert!(plan.automaton_states() > 0);
         assert!(plan.nfa().is_some());
         let est = plan.execute(&cfg);
@@ -414,12 +315,12 @@ mod tests {
     fn cyclic_graph_is_refused_by_the_fpras_route() {
         let g = load_str("1/2 a -r-> b\n1/2 b -r-> a\n").unwrap();
         match GraphPlan::compile_str(&g, "a -> r* -> b", GraphMethod::Fpras) {
-            Err(GraphRouterError::Compile(CompileError::CyclicGraph { .. })) => {}
+            Err(RouterError::Graph(CompileError::CyclicGraph { .. })) => {}
             other => panic!("expected CyclicGraph, got {:?}", other.err()),
         }
         // ...but small cyclic instances still enumerate exactly.
         let plan = GraphPlan::compile_str(&g, "a -> r* -> b", GraphMethod::Auto).unwrap();
-        assert_eq!(plan.decision.route, GraphRoute::Enum);
+        assert_eq!(plan.decision.route, Route::Enum);
         let p = plan.execute(&FprasConfig::default());
         assert_eq!(p.exact().unwrap(), &Rational::from_ratio(1, 2));
     }

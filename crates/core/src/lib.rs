@@ -57,10 +57,7 @@ pub use estimators::{
     PathUrReport, PqeReport, UrReport,
 };
 pub use plan::{compile_pqe_plan, compile_ur_plan, PqePlan, UrPlan};
-pub use graph_router::{
-    decide_graph, GraphAnswer, GraphMethod, GraphPlan, GraphRoute, GraphRouteDecision,
-    GraphRouterError,
-};
+pub use graph_router::{decide_graph, GraphAnswer, GraphMethod, GraphPlan};
 pub use router::{
     ConditionalPlan, ConditionalReport, Method, Revalidation, Route, RouteDecision, RoutedAnswer,
     RoutedPlan, RouterError,

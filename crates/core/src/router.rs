@@ -89,12 +89,8 @@ impl Method {
             "lifted" => Ok(Method::Lifted),
             "fpras" => Ok(Method::Fpras),
             other => {
-                let hint = ["auto", "lifted", "fpras"]
-                    .iter()
-                    .map(|c| (edit_distance(other, c), *c))
-                    .filter(|(d, _)| *d <= 2)
-                    .min()
-                    .map(|(_, c)| format!("; did you mean {c:?}?"))
+                let hint = closest(other, &["auto", "lifted", "fpras"])
+                    .map(|c| format!("; did you mean {c:?}?"))
                     .unwrap_or_default();
                 Err(format!(
                     "unknown method {other:?} (expected auto, lifted, or fpras{hint})"
@@ -113,8 +109,20 @@ impl Method {
     }
 }
 
-/// Levenshtein distance, shared by every "did you mean" hint.
-pub fn edit_distance(a: &str, b: &str) -> usize {
+/// The candidate closest to `s` by Levenshtein distance, if any lies
+/// within distance 2 (ties go to the lexicographically smallest). Every
+/// "did you mean" hint — CLI options, CLI and wire methods — asks this.
+pub fn closest<'a>(s: &str, candidates: &[&'a str]) -> Option<&'a str> {
+    candidates
+        .iter()
+        .map(|c| (edit_distance(s, c), *c))
+        .filter(|(d, _)| *d <= 2)
+        .min()
+        .map(|(_, c)| c)
+}
+
+/// Levenshtein distance between `a` and `b`.
+fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -129,13 +137,17 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The engine a query was dispatched to.
+/// The engine a query was dispatched to — by [`decide`] for conjunctive
+/// queries, by [`crate::graph_router::decide_graph`] for RPQs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// Exact lifted inference (safe-plan recursion).
     Lifted,
-    /// The paper's combined FPRAS.
+    /// The combined FPRAS: CountNFTA on the query automaton, or CountNFA
+    /// on the RPQ × graph product.
     Fpras,
+    /// Exact world enumeration of a small probabilistic graph.
+    Enum,
 }
 
 impl Route {
@@ -144,12 +156,13 @@ impl Route {
         match self {
             Route::Lifted => "lifted",
             Route::Fpras => "fpras",
+            Route::Enum => "enum",
         }
     }
 }
 
-/// Why a query went where it went — recorded in the compiled plan and
-/// surfaced verbatim to clients.
+/// Why a query (or RPQ) went where it went — recorded in the compiled
+/// plan and surfaced verbatim to clients.
 #[derive(Debug, Clone)]
 pub struct RouteDecision {
     /// The chosen engine.
@@ -199,8 +212,9 @@ pub fn decide(class: &Classification, method: Method) -> RouteDecision {
     }
 }
 
-/// Routing/evaluation failure: either engine's compile error, or
-/// zero-probability evidence in a conditional query.
+/// Routing/evaluation failure: an engine's compile error, zero-probability
+/// evidence in a conditional query, or an RPQ the graph router cannot
+/// answer.
 #[derive(Debug)]
 pub enum RouterError {
     /// The lifted route refused the query (unsafe or self-joins).
@@ -212,6 +226,19 @@ pub enum RouterError {
         /// What made the evidence impossible.
         detail: String,
     },
+    /// The RPQ could not be parsed.
+    Rpq(pqe_graph::RpqParseError),
+    /// The product construction refused the graph instance (cyclic graph
+    /// or an unknown endpoint vertex).
+    Graph(pqe_graph::CompileError),
+    /// Enumeration was forced (or was the only sound engine) on a graph
+    /// beyond the edge bound.
+    EnumTooLarge {
+        /// Edges in the graph.
+        edges: usize,
+        /// The enumeration bound ([`pqe_graph::MAX_ENUM_EDGES`]).
+        bound: usize,
+    },
 }
 
 impl std::fmt::Display for RouterError {
@@ -222,6 +249,12 @@ impl std::fmt::Display for RouterError {
             RouterError::ZeroEvidence { detail } => {
                 write!(f, "P(E) = 0, conditional probability undefined: {detail}")
             }
+            RouterError::Rpq(e) => write!(f, "{e}"),
+            RouterError::Graph(e) => write!(f, "{e}"),
+            RouterError::EnumTooLarge { edges, bound } => write!(
+                f,
+                "exact enumeration needs 2^{edges} worlds ({edges} edges > bound {bound})"
+            ),
         }
     }
 }
@@ -237,6 +270,18 @@ impl From<LiftedError> for RouterError {
 impl From<EstimateError> for RouterError {
     fn from(e: EstimateError) -> Self {
         RouterError::Estimate(e)
+    }
+}
+
+impl From<pqe_graph::RpqParseError> for RouterError {
+    fn from(e: pqe_graph::RpqParseError) -> Self {
+        RouterError::Rpq(e)
+    }
+}
+
+impl From<pqe_graph::CompileError> for RouterError {
+    fn from(e: pqe_graph::CompileError) -> Self {
+        RouterError::Graph(e)
     }
 }
 
@@ -278,10 +323,11 @@ enum RoutedKind {
     Fpras(Box<PqePlan>),
 }
 
-/// The answer a routed plan produces: exact when the lifted engine ran,
-/// an FPRAS report otherwise.
+/// The answer a routed plan produces — a [`RoutedPlan`] or a
+/// [`crate::GraphPlan`]: exact when lifted inference or world enumeration
+/// ran, an FPRAS report otherwise.
 pub enum RoutedAnswer {
-    /// Exact rational probability from lifted inference.
+    /// Exact rational probability from lifted inference or enumeration.
     Exact(Rational),
     /// `(1 ± ε)` estimate from the FPRAS.
     Estimate(PqeReport),
@@ -338,13 +384,13 @@ impl RoutedPlan {
     ) -> Result<RoutedPlan, RouterError> {
         let classification = landscape::classify(q);
         let decision = decide(&classification, method);
-        match decision.route {
-            Route::Lifted => pqe_obs::metrics::counter("router.route.lifted").inc(),
-            Route::Fpras => pqe_obs::metrics::counter("router.route.fpras").inc(),
-        }
-        let kind = match decision.route {
-            Route::Lifted => RoutedKind::Lifted { exact: lifted_pqe(q, h)? },
-            Route::Fpras => RoutedKind::Fpras(Box::new(compile_pqe_plan(q, h)?)),
+        // `decide` picks lifted or FPRAS; enumeration is graph-only.
+        let kind = if decision.route == Route::Lifted {
+            pqe_obs::metrics::counter("router.route.lifted").inc();
+            RoutedKind::Lifted { exact: lifted_pqe(q, h)? }
+        } else {
+            pqe_obs::metrics::counter("router.route.fpras").inc();
+            RoutedKind::Fpras(Box::new(compile_pqe_plan(q, h)?))
         };
         Ok(RoutedPlan {
             classification,
@@ -804,6 +850,18 @@ mod tests {
         let e = Method::parse("nonsense").unwrap_err();
         assert!(e.contains("expected auto, lifted, or fpras"), "{e}");
         assert!(!e.contains("did you mean"), "{e}");
+    }
+
+    #[test]
+    fn closest_suggests_only_near_candidates() {
+        let methods = ["auto", "lifted", "fpras"];
+        assert_eq!(closest("fprs", &methods), Some("fpras"));
+        assert_eq!(closest("lifed", &methods), Some("lifted"));
+        assert_eq!(closest("fpras", &methods), Some("fpras"));
+        assert_eq!(closest("nonsense", &methods), None);
+        // Equal distances break ties toward the smaller candidate.
+        assert_eq!(closest("ab", &["ac", "aa"]), Some("aa"));
+        assert_eq!(closest("x", &[]), None);
     }
 
     #[test]

@@ -36,6 +36,11 @@ use std::sync::Mutex;
 /// The environment variable that overrides auto-detected parallelism.
 pub const THREADS_ENV: &str = "PQE_THREADS";
 
+/// The largest explicit thread count any surface accepts (the CLI's
+/// `--threads`, the serve wire's `"threads"`): far above any real core
+/// count, low enough that a typo cannot ask for billions of workers.
+pub const MAX_THREADS: usize = 4096;
+
 thread_local! {
     /// Set while the current thread is a `map_chunks` worker; nested calls
     /// then run inline instead of spawning a second tier of threads.

@@ -17,8 +17,9 @@
 //!
 //! All fields except `op` (and `query` where shown) are optional; the
 //! defaults equal the CLI's (`ε = 0.1`, `seed = 0x5eed`, `method =
-//! "auto"`, `threads` = server default), so a served estimate is
-//! bit-identical to the same `pqe estimate` invocation. Responses always
+//! "auto"`, `threads` = server default, at most [`MAX_THREADS`] like
+//! `--threads`), so a served estimate is bit-identical to the same
+//! `pqe estimate` invocation. Responses always
 //! carry `"ok"`; failures are structured, never dropped connections:
 //!
 //! ```text
@@ -29,11 +30,27 @@
 //! ```
 
 use crate::json::Json;
+use pqe_core::{GraphMethod, Method};
+use pqe_par::MAX_THREADS;
 
 /// Default ε when a request omits `"epsilon"` (matches the CLI).
 pub const DEFAULT_EPSILON: f64 = 0.1;
 /// Default seed when a request omits `"seed"` (matches the CLI).
 pub const DEFAULT_SEED: u64 = 0x5eed;
+
+/// The execution parameters every heavy op carries, decoded once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Params {
+    /// Target relative error, in `(0, 1)`.
+    pub epsilon: f64,
+    /// RNG seed (estimates are bit-identical per seed).
+    pub seed: u64,
+    /// Worker threads (0 = server default; at most [`MAX_THREADS`];
+    /// never changes the estimate).
+    pub threads: usize,
+    /// Artificial pre-execution delay, for load/overload testing.
+    pub delay_ms: u64,
+}
 
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,32 +59,20 @@ pub enum Request {
     Estimate {
         /// Query text (parsed and normalized server-side).
         query: String,
-        /// Target relative error.
-        epsilon: f64,
-        /// RNG seed (estimates are bit-identical per seed).
-        seed: u64,
-        /// `auto` | `lifted` | `fpras`.
-        method: String,
         /// Optional evidence conjunction: evaluates `P(Q | E)` instead of
         /// `P(Q)` (query syntax, parsed server-side).
         evidence: Option<String>,
-        /// Worker threads (0 = server default; never changes the estimate).
-        threads: usize,
-        /// Artificial pre-execution delay, for load/overload testing.
-        delay_ms: u64,
+        /// `auto` | `lifted` | `fpras`.
+        method: Method,
+        /// ε, seed, threads, delay.
+        params: Params,
     },
     /// `UREstimate` over the served instance (probabilities ignored).
     Reliability {
         /// Query text.
         query: String,
-        /// Target relative error.
-        epsilon: f64,
-        /// RNG seed.
-        seed: u64,
-        /// Worker threads (0 = server default).
-        threads: usize,
-        /// Artificial pre-execution delay, for load/overload testing.
-        delay_ms: u64,
+        /// ε, seed, threads, delay.
+        params: Params,
     },
     /// RPQ reliability over the served probabilistic graph (requires the
     /// server to have been started with one).
@@ -75,16 +80,10 @@ pub enum Request {
         /// RPQ text `source -> regex -> target` (parsed and normalized
         /// server-side).
         rpq: String,
-        /// Target relative error.
-        epsilon: f64,
-        /// RNG seed (estimates are bit-identical per seed).
-        seed: u64,
         /// `auto` | `enum` | `fpras`.
-        method: String,
-        /// Worker threads (0 = server default).
-        threads: usize,
-        /// Artificial pre-execution delay, for load/overload testing.
-        delay_ms: u64,
+        method: GraphMethod,
+        /// ε, seed, threads, delay.
+        params: Params,
     },
     /// Table 1 landscape classification (no database access).
     Classify {
@@ -159,11 +158,45 @@ fn opt_u64(v: &Json, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+fn opt_str<'a>(v: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match v.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(x) => x.as_str().map(Some).ok_or_else(|| format!("field {key:?} must be a string")),
+    }
+}
+
 fn req_str(v: &Json, key: &str) -> Result<String, String> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_owned)
         .ok_or_else(|| format!("missing string field {key:?}"))
+}
+
+/// Decodes the fields every heavy op shares (defaults as the CLI's).
+fn params(v: &Json) -> Result<Params, String> {
+    let epsilon = opt_f64(v, "epsilon", DEFAULT_EPSILON)?;
+    if !(epsilon > 0.0 && epsilon < 1.0) {
+        return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
+    }
+    let threads = opt_u64(v, "threads", 0)?;
+    if threads > MAX_THREADS as u64 {
+        return Err(format!(
+            "field \"threads\" must be at most {MAX_THREADS} (0 = server default), got {threads}"
+        ));
+    }
+    Ok(Params {
+        epsilon,
+        seed: opt_u64(v, "seed", DEFAULT_SEED)?,
+        threads: threads as usize,
+        delay_ms: opt_u64(v, "delay_ms", 0)?,
+    })
+}
+
+/// Decodes `"method"` (default `auto`) with `parse`, whose error carries
+/// the router's "did you mean" hint — a typo like `"fprs"` is diagnosed
+/// instead of silently falling through to some default.
+fn method<M>(v: &Json, parse: fn(&str) -> Result<M, String>) -> Result<M, String> {
+    parse(opt_str(v, "method")?.unwrap_or("auto"))
 }
 
 impl Request {
@@ -173,77 +206,21 @@ impl Request {
         let v = Json::parse(line).map_err(|e| e.to_string())?;
         let op = req_str(&v, "op")?;
         match op.as_str() {
-            "estimate" => {
-                let epsilon = opt_f64(&v, "epsilon", DEFAULT_EPSILON)?;
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
-                }
-                let method = match v.get("method") {
-                    None | Some(Json::Null) => "auto".to_owned(),
-                    Some(m) => m
-                        .as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| "field \"method\" must be a string".to_owned())?,
-                };
-                // The router's parser carries the Levenshtein "did you
-                // mean" hint, so a typo like "fprs" is diagnosed instead
-                // of silently falling through to some default.
-                pqe_core::Method::parse(&method)?;
-                let evidence = match v.get("evidence") {
-                    None | Some(Json::Null) => None,
-                    Some(e) => Some(
-                        e.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| "field \"evidence\" must be a string".to_owned())?,
-                    ),
-                };
-                Ok(Request::Estimate {
-                    query: req_str(&v, "query")?,
-                    epsilon,
-                    seed: opt_u64(&v, "seed", DEFAULT_SEED)?,
-                    method,
-                    evidence,
-                    threads: opt_u64(&v, "threads", 0)? as usize,
-                    delay_ms: opt_u64(&v, "delay_ms", 0)?,
-                })
-            }
-            "reliability" => {
-                let epsilon = opt_f64(&v, "epsilon", DEFAULT_EPSILON)?;
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
-                }
-                Ok(Request::Reliability {
-                    query: req_str(&v, "query")?,
-                    epsilon,
-                    seed: opt_u64(&v, "seed", DEFAULT_SEED)?,
-                    threads: opt_u64(&v, "threads", 0)? as usize,
-                    delay_ms: opt_u64(&v, "delay_ms", 0)?,
-                })
-            }
-            "graph_estimate" => {
-                let epsilon = opt_f64(&v, "epsilon", DEFAULT_EPSILON)?;
-                if !(epsilon > 0.0 && epsilon < 1.0) {
-                    return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
-                }
-                let method = match v.get("method") {
-                    None | Some(Json::Null) => "auto".to_owned(),
-                    Some(m) => m
-                        .as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| "field \"method\" must be a string".to_owned())?,
-                };
-                // Same early-diagnosis policy as "estimate": typos get the
-                // graph router's "did you mean" hint at decode time.
-                pqe_core::GraphMethod::parse(&method)?;
-                Ok(Request::GraphEstimate {
-                    rpq: req_str(&v, "rpq")?,
-                    epsilon,
-                    seed: opt_u64(&v, "seed", DEFAULT_SEED)?,
-                    method,
-                    threads: opt_u64(&v, "threads", 0)? as usize,
-                    delay_ms: opt_u64(&v, "delay_ms", 0)?,
-                })
-            }
+            "estimate" => Ok(Request::Estimate {
+                params: params(&v)?,
+                method: method(&v, Method::parse)?,
+                evidence: opt_str(&v, "evidence")?.map(str::to_owned),
+                query: req_str(&v, "query")?,
+            }),
+            "reliability" => Ok(Request::Reliability {
+                params: params(&v)?,
+                query: req_str(&v, "query")?,
+            }),
+            "graph_estimate" => Ok(Request::GraphEstimate {
+                params: params(&v)?,
+                method: method(&v, GraphMethod::parse)?,
+                rpq: req_str(&v, "rpq")?,
+            }),
             "classify" => Ok(Request::Classify { query: req_str(&v, "query")? }),
             "update" => Ok(Request::Update { delta: req_str(&v, "delta")? }),
             "stats" => Ok(Request::Stats),
@@ -267,12 +244,14 @@ mod tests {
             r,
             Request::Estimate {
                 query: "R(x,y)".into(),
-                epsilon: DEFAULT_EPSILON,
-                seed: DEFAULT_SEED,
-                method: "auto".into(),
                 evidence: None,
-                threads: 0,
-                delay_ms: 0,
+                method: Method::Auto,
+                params: Params {
+                    epsilon: DEFAULT_EPSILON,
+                    seed: DEFAULT_SEED,
+                    threads: 0,
+                    delay_ms: 0,
+                },
             }
         );
     }
@@ -309,11 +288,11 @@ mod tests {
         )
         .unwrap();
         match r {
-            Request::Estimate { epsilon, seed, method, threads, .. } => {
-                assert_eq!(epsilon, 0.25);
-                assert_eq!(seed, 7);
-                assert_eq!(method, "fpras");
-                assert_eq!(threads, 2);
+            Request::Estimate { method, params, .. } => {
+                assert_eq!(params.epsilon, 0.25);
+                assert_eq!(params.seed, 7);
+                assert_eq!(method, Method::Fpras);
+                assert_eq!(params.threads, 2);
             }
             other => panic!("wrong variant {other:?}"),
         }
@@ -339,11 +318,13 @@ mod tests {
             r,
             Request::GraphEstimate {
                 rpq: "a -> r* -> b".into(),
-                epsilon: DEFAULT_EPSILON,
-                seed: DEFAULT_SEED,
-                method: "auto".into(),
-                threads: 0,
-                delay_ms: 0,
+                method: GraphMethod::Auto,
+                params: Params {
+                    epsilon: DEFAULT_EPSILON,
+                    seed: DEFAULT_SEED,
+                    threads: 0,
+                    delay_ms: 0,
+                },
             }
         );
         let e = Request::decode(r#"{"op":"graph_estimate"}"#).unwrap_err();
@@ -354,6 +335,25 @@ mod tests {
         let e = Request::decode(r#"{"op":"graph_estimate","rpq":"a -> r -> b","epsilon":0}"#)
             .unwrap_err();
         assert!(e.contains("epsilon"), "{e}");
+    }
+
+    #[test]
+    fn threads_are_bounded_on_every_heavy_op() {
+        for op in [
+            r#""op":"estimate","query":"Q()""#,
+            r#""op":"reliability","query":"Q()""#,
+            r#""op":"graph_estimate","rpq":"a -> r -> b""#,
+        ] {
+            let at_bound = format!(r#"{{{op},"threads":{MAX_THREADS}}}"#);
+            assert!(Request::decode(&at_bound).is_ok(), "{at_bound}");
+            // Above the bound, as a number or as a numeric string (the
+            // u64 escape hatch): a bad_request naming the bound.
+            for threads in ["4097", r#""18446744073709551615""#] {
+                let line = format!(r#"{{{op},"threads":{threads}}}"#);
+                let e = Request::decode(&line).unwrap_err();
+                assert!(e.contains("at most 4096"), "{line}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! **connection-multiplexing I/O loop** owns every socket (non-blocking
 //! accept + per-connection read/write buffers over `std::net`, zero
 //! dependencies), decodes complete request lines, answers light ops
-//! (`classify`/`stats`/`metrics`/`shutdown`) inline, and feeds heavy ops
-//! (`estimate`/`reliability`) into a bounded MPMC work queue
-//! ([`crate::queue`]). Backpressure is queue-depth-based: a push onto a
-//! full queue fails immediately and the client gets a structured
-//! `overloaded` error — rejection, never unbounded queueing.
+//! (`classify`/`update`/`stats`/`metrics`/`shutdown`) inline, and feeds
+//! heavy ops (`estimate`/`reliability`/`graph_estimate`) into a bounded
+//! MPMC work queue ([`crate::queue`]). Backpressure is queue-depth-based:
+//! a push onto a full queue fails immediately and the client gets a
+//! structured `overloaded` error — rejection, never unbounded queueing.
 //!
 //! A fixed pool of N **worker shards** drains the queue. Each worker owns
 //! a private [`crate::cache::ShardCache`] of compiled plans plus per-plan
@@ -29,15 +29,21 @@
 //! order. Deadlines stay cooperative, checked at phase boundaries
 //! (post-queue, post-delay, post-compile, post-execute).
 //!
-//! The compiled-plan caches are keyed by `op | method | normalized-query`
-//! — normalization is parse → print, so whitespace and atom formatting
-//! differences collapse onto one entry while variable renamings stay
-//! distinct. A hit skips the entire reduction chain (classification,
-//! hypertree decomposition, NFTA construction, multiplier translation)
-//! and goes straight to sampling with the request's own `(ε, seed,
-//! threads)`; because execution is a pure function of plan + config, a
-//! served estimate is **bit-identical** to the same CLI invocation — hit,
-//! miss, or coalesced.
+//! Every heavy op runs one path (`process_job` → `compute`): the
+//! request is parsed into a compile target (a CQ with optional evidence
+//! and a method, a CQ for reliability, or an RPQ with a graph method),
+//! then delay → cache/compile → refresh → execute, with one `(ε, seed)`
+//! memo helper and one writer for the route fields routed and graph
+//! answers share. The compiled-plan caches are keyed by
+//! `op | method | normalized-query` — normalization is parse → print, so
+//! whitespace and atom formatting differences collapse onto one entry
+//! while variable renamings stay distinct. A hit skips the entire
+//! reduction chain (classification, hypertree decomposition, NFTA
+//! construction, multiplier translation) and goes straight to sampling
+//! with the request's own `(ε, seed, threads)`; because execution is a
+//! pure function of plan + config, a served estimate is
+//! **bit-identical** to the same CLI invocation — hit, miss, or
+//! coalesced.
 //!
 //! The served database is **live**: the `update` op applies a
 //! `pqe-delta` batch atomically under a write lock on the
@@ -56,13 +62,13 @@
 use crate::cache::{CacheStats, ShardCache};
 use crate::flight::{Flight, FlightTable};
 use crate::json::Json;
-use crate::protocol::{error_response, ErrorKind, Request};
+use crate::protocol::{error_response, ErrorKind, Params, Request};
 use crate::queue::Queue;
 use pqe_automata::FprasConfig;
-use pqe_core::landscape::{self, Verdict};
+use pqe_core::landscape::{self, Classification, Verdict};
 use pqe_core::{
-    compile_ur_plan, ConditionalPlan, GraphAnswer, GraphMethod, GraphPlan, GraphRoute, Method,
-    Revalidation, Route, RoutedAnswer, RoutedPlan, UrPlan,
+    compile_ur_plan, ConditionalPlan, GraphMethod, GraphPlan, Method, Revalidation, Route,
+    RouteDecision, RoutedAnswer, RoutedPlan, RouterError, UrPlan,
 };
 use pqe_db::ProbDatabase;
 use pqe_delta::{Delta, EpochStamp, Epochs, Freshness, VersionedDb};
@@ -225,7 +231,7 @@ impl Default for ServeConfig {
 /// a full sampling run. Plans are worker-owned: no lock, plain fields.
 pub struct ServedPlan {
     kind: PlanKind,
-    memo: FxHashMap<(u64, u64), String>,
+    memo: Memo,
     /// Database generation the plan (and its memo) was last validated
     /// against; a hit at a newer generation triggers revalidation.
     generation: u64,
@@ -240,13 +246,17 @@ enum PlanKind {
     /// A conditional `estimate` plan: `P(Q | E)` with per-term routing.
     Conditional(ConditionalPlan),
     /// Uniform reliability: the translated Proposition 1 automaton, plus
-    /// the epoch stamp of its query's relations (reliability ignores
-    /// probabilities, so only *structural* epoch bumps invalidate it).
-    Ur { plan: UrPlan, stamp: EpochStamp },
+    /// its query and the epoch stamp of the query's relations
+    /// (reliability ignores probabilities, so only *structural* epoch
+    /// bumps invalidate it).
+    Ur { plan: UrPlan, stamp: EpochStamp, query: ConjunctiveQuery },
     /// A `graph_estimate` plan: the routed RPQ plan over the served
     /// probabilistic graph (exact enumeration or the product-NFA FPRAS).
     Graph(GraphPlan),
 }
+
+/// A plan's result memo: finished digits keyed by `(ε bits, seed)`.
+type Memo = FxHashMap<(u64, u64), String>;
 
 /// Entries kept per plan before the memo is wholesale cleared; estimates
 /// are tiny strings, this only bounds degenerate seed-sweeping clients.
@@ -302,8 +312,10 @@ impl Mailbox {
 
 /// One heavy request in the work queue.
 struct Job {
-    /// Always `Request::Estimate` or `Request::Reliability`.
-    op: Request,
+    /// An `estimate`, `reliability` or `graph_estimate` request.
+    request: Request,
+    /// The op's `serve.request_us.<op>` latency histogram.
+    latency_us: Arc<Histogram>,
     mailbox: Arc<Mailbox>,
     seq: u64,
     /// When the complete request line was decoded (deadline base).
@@ -658,17 +670,16 @@ fn dispatch_line(state: &Arc<ServerState>, conn: &mut Conn, line: &str) {
         heavy @ (Request::Estimate { .. }
         | Request::Reliability { .. }
         | Request::GraphEstimate { .. }) => {
-            match heavy {
-                Request::Estimate { .. } => {
-                    state.stats.estimates.fetch_add(1, Ordering::Relaxed)
-                }
-                Request::GraphEstimate { .. } => {
-                    state.stats.graph_estimates.fetch_add(1, Ordering::Relaxed)
-                }
-                _ => state.stats.reliabilities.fetch_add(1, Ordering::Relaxed),
+            let (stats, metrics) = (&state.stats, &state.metrics);
+            let (count, latency_us) = match heavy {
+                Request::Estimate { .. } => (&stats.estimates, &metrics.estimate_us),
+                Request::Reliability { .. } => (&stats.reliabilities, &metrics.reliability_us),
+                _ => (&stats.graph_estimates, &metrics.graph_us),
             };
+            count.fetch_add(1, Ordering::Relaxed);
             let job = Job {
-                op: heavy,
+                latency_us: Arc::clone(latency_us),
+                request: heavy,
                 mailbox: Arc::clone(&conn.mailbox),
                 seq,
                 received: Instant::now(),
@@ -730,169 +741,32 @@ fn worker_loop(state: Arc<ServerState>, shard: usize) {
     }
 }
 
+/// Runs one heavy request through parse → single-flight → `compute`,
+/// delivering to the caller and every coalesced waiter, then records the
+/// op's latency. A request that coalesces onto another's flight returns
+/// early: the leader owns its delivery and latency attribution.
 fn process_job(
     state: &ServerState,
     sm: &ShardMetrics,
     cache: &mut ShardCache<ServedPlan>,
     job: Job,
 ) {
-    let Job { op, mailbox, seq, received } = job;
+    let Job { request, latency_us, mailbox, seq, received } = job;
     state.metrics.queue_wait_us.record(elapsed_us(received));
     let snap = take_snapshot(state);
-    match op {
-        Request::Estimate { query, epsilon, seed, method, evidence, threads, delay_ms } => {
-            let delivered = serve_heavy(
-                state,
-                &snap,
-                &mailbox,
-                seq,
-                HeavyOp::Estimate { query, epsilon, seed, method, evidence, threads, delay_ms },
-                sm,
-                cache,
-                received,
-            );
-            if delivered {
-                state.metrics.estimate_us.record(elapsed_us(received));
-            }
-        }
-        Request::Reliability { query, epsilon, seed, threads, delay_ms } => {
-            let delivered = serve_heavy(
-                state,
-                &snap,
-                &mailbox,
-                seq,
-                HeavyOp::Reliability { query, epsilon, seed, threads, delay_ms },
-                sm,
-                cache,
-                received,
-            );
-            if delivered {
-                state.metrics.reliability_us.record(elapsed_us(received));
-            }
-        }
-        Request::GraphEstimate { rpq, epsilon, seed, method, threads, delay_ms } => {
-            let delivered = serve_heavy(
-                state,
-                &snap,
-                &mailbox,
-                seq,
-                HeavyOp::GraphEstimate { rpq, epsilon, seed, method, threads, delay_ms },
-                sm,
-                cache,
-                received,
-            );
-            if delivered {
-                state.metrics.graph_us.record(elapsed_us(received));
-            }
-        }
-        other => unreachable!("light op {other:?} reached the work queue"),
-    }
-}
-
-/// A heavy op with its decoded parameters (the queue-side view).
-enum HeavyOp {
-    Estimate {
-        query: String,
-        epsilon: f64,
-        seed: u64,
-        method: String,
-        evidence: Option<String>,
-        threads: usize,
-        delay_ms: u64,
-    },
-    Reliability { query: String, epsilon: f64, seed: u64, threads: usize, delay_ms: u64 },
-    GraphEstimate {
-        rpq: String,
-        epsilon: f64,
-        seed: u64,
-        method: String,
-        threads: usize,
-        delay_ms: u64,
-    },
-}
-
-/// The normalized query text of a heavy op: a conjunctive query for the
-/// relational ops, an RPQ for `graph_estimate`.
-enum ParsedOp {
-    Cq(ConjunctiveQuery),
-    Rpq(Rpq),
-}
-
-/// Runs one heavy op through parse → single-flight → compute, delivering
-/// to the caller and every coalesced waiter. Returns `false` when the
-/// request was coalesced (the leader owns delivery and latency
-/// attribution).
-#[allow(clippy::too_many_arguments)]
-fn serve_heavy(
-    state: &ServerState,
-    snap: &Snapshot,
-    mailbox: &Arc<Mailbox>,
-    seq: u64,
-    op: HeavyOp,
-    sm: &ShardMetrics,
-    cache: &mut ShardCache<ServedPlan>,
-    received: Instant,
-) -> bool {
-    let (query, epsilon, seed, threads, delay_ms) = match &op {
-        HeavyOp::Estimate { query, epsilon, seed, threads, delay_ms, .. }
-        | HeavyOp::Reliability { query, epsilon, seed, threads, delay_ms } => {
-            (query, *epsilon, *seed, *threads, *delay_ms)
-        }
-        HeavyOp::GraphEstimate { rpq, epsilon, seed, threads, delay_ms, .. } => {
-            (rpq, *epsilon, *seed, *threads, *delay_ms)
-        }
-    };
     // Parse/normalize first: errors and deadline shedding need no flight.
-    let parsed = match &op {
-        HeavyOp::GraphEstimate { .. } => match pqe_graph::parse(query) {
-            Ok(r) => ParsedOp::Rpq(r),
-            Err(e) => {
-                let e = (ErrorKind::BadRequest, format!("rpq: {e}"));
-                mailbox.deliver(seq, finish(state, Err(e)));
-                return true;
-            }
-        },
-        _ => match parse_query(query) {
-            Ok(q) => ParsedOp::Cq(q),
-            Err(e) => {
-                mailbox.deliver(seq, finish(state, Err(e)));
-                return true;
-            }
-        },
-    };
-    // Evidence is query syntax too: parse/normalize it up front so a typo
-    // is a `bad_request` before any flight or compilation.
-    let ev = match &op {
-        HeavyOp::Estimate { evidence: Some(e), .. } => match parse(e) {
-            Ok(eq) => Some(eq),
-            Err(err) => {
-                let e = (ErrorKind::BadRequest, format!("evidence: {err}"));
-                mailbox.deliver(seq, finish(state, Err(e)));
-                return true;
-            }
-        },
-        _ => None,
-    };
-    if let Err(e) = check_deadline(state, received, "queue") {
-        mailbox.deliver(seq, finish(state, Err(e)));
-        return true;
-    }
-    let resolved_threads = if threads != 0 { threads } else { state.cfg.threads };
-    // The plan key pins everything compilation depends on: op, method,
-    // normalized query, and (for conditionals) the normalized evidence.
-    let cache_key = match (&op, &parsed, &ev) {
-        (HeavyOp::Estimate { method, .. }, ParsedOp::Cq(q), None) => {
-            format!("estimate|{method}|{q}")
+    let parsed = Target::parse(&request)
+        .and_then(|parsed| check_deadline(state, received, "queue").map(|()| parsed));
+    let (target, params) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            mailbox.deliver(seq, finish(state, Err(e)));
+            latency_us.record(elapsed_us(received));
+            return;
         }
-        (HeavyOp::Estimate { method, .. }, ParsedOp::Cq(q), Some(e)) => {
-            format!("estimate|{method}|{q}|evidence|{e}")
-        }
-        (HeavyOp::Reliability { .. }, ParsedOp::Cq(q), _) => format!("reliability|{q}"),
-        (HeavyOp::GraphEstimate { method, .. }, ParsedOp::Rpq(r), _) => {
-            format!("graph_estimate|{method}|{r}")
-        }
-        _ => unreachable!("op/parse mismatch"),
     };
+    let threads = if params.threads != 0 { params.threads } else { state.cfg.threads };
+    let cache_key = target.cache_key();
     // The single-flight key pins every input the response depends on —
     // the evaluation inputs (plan key, database generation, ε, seed)
     // plus the reported thread count and the delay knob — so coalesced
@@ -900,45 +774,315 @@ fn serve_heavy(
     // have printed. The generation keeps an evaluation against the
     // pre-update database from answering a post-update request.
     let flight_key = format!(
-        "{cache_key}|g{}|{:016x}|{seed}|{resolved_threads}|{delay_ms}",
+        "{cache_key}|g{}|{:016x}|{}|{threads}|{}",
         snap.generation,
-        epsilon.to_bits()
+        params.epsilon.to_bits(),
+        params.seed,
+        params.delay_ms
     );
-    match state.flights.join(&flight_key, (Arc::clone(mailbox), seq)) {
-        Flight::Coalesced => {
-            state.metrics.coalesced.inc();
-            state.stats.coalesced.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-        Flight::Leader => {
-            let result = match (&op, &parsed) {
-                (HeavyOp::Estimate { method, .. }, ParsedOp::Cq(q)) => estimate_compute(
-                    state, snap, sm, cache, q, ev.as_ref(), &cache_key, epsilon, seed, method,
-                    resolved_threads, delay_ms, received,
-                ),
-                (HeavyOp::Reliability { .. }, ParsedOp::Cq(q)) => reliability_compute(
-                    state, snap, sm, cache, q, &cache_key, epsilon, seed,
-                    resolved_threads, delay_ms, received,
-                ),
-                (HeavyOp::GraphEstimate { method, .. }, ParsedOp::Rpq(r)) => {
-                    graph_estimate_compute(
-                        state, snap, sm, cache, r, &cache_key, epsilon, seed, method,
-                        resolved_threads, delay_ms, received,
-                    )
-                }
-                _ => unreachable!("op/parse mismatch"),
-            };
-            let response = finish(state, result);
-            // Completing after computing (never before) guarantees every
-            // request that joined saw either the flight or the memo.
-            let waiters = state.flights.complete(&flight_key);
-            for (wmb, wseq) in &waiters {
-                wmb.deliver(*wseq, response.clone());
+    if let Flight::Coalesced = state.flights.join(&flight_key, (Arc::clone(&mailbox), seq)) {
+        state.metrics.coalesced.inc();
+        state.stats.coalesced.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
+    let ctx = Ctx {
+        state,
+        snap,
+        sm,
+        received,
+        cfg: FprasConfig::with_epsilon(params.epsilon)
+            .with_seed(params.seed)
+            .with_threads(threads),
+    };
+    let response = finish(state, compute(&ctx, cache, &target, &cache_key, params.delay_ms));
+    // Completing after computing (never before) guarantees every request
+    // that joined saw either the flight or the memo.
+    for (wmb, wseq) in &state.flights.complete(&flight_key) {
+        wmb.deliver(*wseq, response.clone());
+    }
+    mailbox.deliver(seq, response);
+    latency_us.record(elapsed_us(received));
+}
+
+/// A heavy request parsed into what it compiles. Parsing normalizes the
+/// query text (parse → print), so whitespace and atom formatting
+/// differences collapse onto one cache key.
+enum Target {
+    /// `estimate`: a CQ, optional evidence (`P(Q | E)`), a method.
+    Estimate { q: ConjunctiveQuery, evidence: Option<ConjunctiveQuery>, method: Method },
+    /// `reliability`: a CQ (probabilities ignored).
+    Reliability(ConjunctiveQuery),
+    /// `graph_estimate`: an RPQ over the served graph, a method.
+    Graph { rpq: Rpq, method: GraphMethod },
+}
+
+impl Target {
+    /// Parses a queued heavy request; a syntax error is a `bad_request`.
+    fn parse(request: &Request) -> Result<(Target, Params), ReqError> {
+        match request {
+            Request::Estimate { query, evidence, method, params } => {
+                let q = parse_cq(query, "query")?;
+                // Evidence is query syntax too: a typo is a `bad_request`
+                // before any flight or compilation.
+                let evidence = evidence.as_deref().map(|e| parse_cq(e, "evidence")).transpose()?;
+                Ok((Target::Estimate { q, evidence, method: *method }, *params))
             }
-            mailbox.deliver(seq, response);
-            true
+            Request::Reliability { query, params } => {
+                Ok((Target::Reliability(parse_cq(query, "query")?), *params))
+            }
+            Request::GraphEstimate { rpq, method, params } => {
+                let rpq = pqe_graph::parse(rpq)
+                    .map_err(|e| (ErrorKind::BadRequest, format!("rpq: {e}")))?;
+                Ok((Target::Graph { rpq, method: *method }, *params))
+            }
+            light => unreachable!("light op {light:?} reached the work queue"),
         }
     }
+
+    /// The wire op name.
+    fn op(&self) -> &'static str {
+        match self {
+            Target::Estimate { .. } => "estimate",
+            Target::Reliability(_) => "reliability",
+            Target::Graph { .. } => "graph_estimate",
+        }
+    }
+
+    /// The response's subject field: the normalized query or RPQ text.
+    fn subject(&self) -> (&'static str, String) {
+        match self {
+            Target::Estimate { q, .. } | Target::Reliability(q) => ("query", q.to_string()),
+            Target::Graph { rpq, .. } => ("rpq", rpq.to_string()),
+        }
+    }
+
+    /// The plan key: everything compilation depends on — op, method,
+    /// normalized query, and (for conditionals) the normalized evidence.
+    fn cache_key(&self) -> String {
+        match self {
+            Target::Estimate { q, evidence: None, method } => {
+                format!("estimate|{}|{q}", method.name())
+            }
+            Target::Estimate { q, evidence: Some(e), method } => {
+                format!("estimate|{}|{q}|evidence|{e}", method.name())
+            }
+            Target::Reliability(q) => format!("reliability|{q}"),
+            Target::Graph { rpq, method } => format!("graph_estimate|{}|{rpq}", method.name()),
+        }
+    }
+
+    /// Compiles the plan against the job's snapshot; an engine refusal is
+    /// an `eval_error`.
+    fn compile(&self, ctx: &Ctx) -> Result<ServedPlan, ReqError> {
+        let Snapshot { h, epochs, generation } = &ctx.snap;
+        let kind = match self {
+            Target::Estimate { q, evidence: Some(e), method } => {
+                ConditionalPlan::compile_at(q, e, h, *method, epochs).map(PlanKind::Conditional)
+            }
+            Target::Estimate { q, evidence: None, method } => {
+                RoutedPlan::compile_at(q, h, *method, epochs).map(PlanKind::Routed)
+            }
+            Target::Reliability(q) => compile_ur_plan(q, h.database())
+                .map(|plan| PlanKind::Ur {
+                    plan,
+                    stamp: stamp_relations(q, epochs),
+                    query: q.clone(),
+                })
+                .map_err(RouterError::from),
+            Target::Graph { rpq, method } => {
+                let g = ctx.state.g.as_ref().ok_or_else(no_graph)?;
+                GraphPlan::compile(g, rpq, *method).map(PlanKind::Graph)
+            }
+        };
+        kind.map(|kind| ServedPlan::new(kind, *generation))
+            .map_err(|e| (ErrorKind::EvalError, e.to_string()))
+    }
+}
+
+fn no_graph() -> ReqError {
+    (ErrorKind::EvalError, "no graph loaded (start the server with --graph FILE)".to_owned())
+}
+
+/// What one leader evaluation runs against: the server, the job's
+/// database snapshot, the shard's counters, the deadline base and the
+/// request's FPRAS config.
+struct Ctx<'a> {
+    state: &'a ServerState,
+    snap: Snapshot,
+    sm: &'a ShardMetrics,
+    received: Instant,
+    cfg: FprasConfig,
+}
+
+type Fields = Vec<(&'static str, Json)>;
+
+/// The one heavy path: delay → cache/compile → refresh → execute, then
+/// the response body.
+fn compute(
+    ctx: &Ctx,
+    cache: &mut ShardCache<ServedPlan>,
+    target: &Target,
+    cache_key: &str,
+    delay_ms: u64,
+) -> Result<Json, ReqError> {
+    apply_delay(delay_ms);
+    check_deadline(ctx.state, ctx.received, "delay")?;
+    // Checked before the cache lookup: a server without a graph counts
+    // no plan miss for a request it cannot compile.
+    if matches!(target, Target::Graph { .. }) && ctx.state.g.is_none() {
+        return Err(no_graph());
+    }
+    let (plan, hit) = cache.get_or_insert_with(cache_key, || target.compile(ctx))?;
+    let cache_tag = refresh_plan(ctx, plan, hit)?;
+    check_deadline(ctx.state, ctx.received, "compile")?;
+
+    let (subject, text) = target.subject();
+    let mut fields: Fields = vec![
+        ("ok", Json::Bool(true)),
+        ("op", Json::str(target.op())),
+        (subject, Json::str(text)),
+        ("cache", Json::str(cache_tag)),
+    ];
+    let ServedPlan { kind, memo, .. } = plan;
+    match kind {
+        PlanKind::Routed(p) => {
+            let answer = || p.execute(&ctx.cfg);
+            let (decision, states) = (&p.decision, p.automaton_states());
+            let landscape = Some(&p.classification);
+            write_routed(&mut fields, ctx, memo, decision, landscape, states, answer)?;
+        }
+        PlanKind::Graph(p) => {
+            let answer = || p.execute(&ctx.cfg);
+            let (decision, states) = (&p.decision, p.automaton_states());
+            write_routed(&mut fields, ctx, memo, decision, None, states, answer)?;
+            fields.push(("edges", Json::from(p.num_edges)));
+        }
+        PlanKind::Conditional(p) => {
+            // No result memo: a conditional report carries per-execution
+            // provenance (P(E), routes, split ε) beyond one number, and the
+            // plan cache already amortizes the expensive compilation.
+            ctx.state.metrics.executions.inc();
+            let report = p.execute(&ctx.cfg).map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
+            check_deadline(ctx.state, ctx.received, "execute")?;
+            fields.push(("evidence", Json::str(p.evidence.clone())));
+            push_decision(&mut fields, p.joint_decision());
+            fields.push((
+                "evidence_route",
+                Json::str(match report.evidence_route {
+                    Some(r) => r.name(),
+                    // Ground evidence: P(E) is the exact product of fact
+                    // probabilities, no routed evaluation at all.
+                    None => "exact-product",
+                }),
+            ));
+            fields.push(("probability", Json::str(format!("{:.6}", report.conditional.to_f64()))));
+            if let Some(exact) = &report.exact {
+                fields.push(("exact", Json::str(exact.to_string())));
+            }
+            fields.push(("p_evidence", Json::str(format!("{:.6}", report.prob_evidence.to_f64()))));
+            if let Some(se) = report.split_epsilon {
+                fields.push(("split_epsilon", Json::from(se)));
+            }
+            fields.push(("landscape", Json::str(p.classification().to_string())));
+            fields.push(("states", Json::from(report.automaton_states)));
+            push_params(&mut fields, &ctx.cfg);
+        }
+        PlanKind::Ur { plan: ur, .. } => {
+            let (reliability, hit) =
+                memoized(ctx, memo, || ur.execute(&ctx.cfg).reliability.to_string())?;
+            fields.push(("memo", memo_tag(hit)));
+            fields.push(("reliability", Json::str(reliability)));
+            fields.push(("facts", Json::from(ctx.snap.h.len())));
+            push_params(&mut fields, &ctx.cfg);
+        }
+    }
+    fields.push(("elapsed_us", Json::from(elapsed_us(ctx.received))));
+    Ok(Json::obj(fields))
+}
+
+/// Writes the fields a [`RoutedPlan`] and a [`GraphPlan`] answer share:
+/// the route decision, then either the exact answer or the memoized FPRAS
+/// digits, the relational plan's Table 1 cell (`landscape`), the
+/// automaton size, and — when sampling ran — its `(ε, seed, threads)`.
+fn write_routed(
+    fields: &mut Fields,
+    ctx: &Ctx,
+    memo: &mut Memo,
+    decision: &RouteDecision,
+    landscape: Option<&Classification>,
+    states: usize,
+    answer: impl FnOnce() -> RoutedAnswer,
+) -> Result<(), ReqError> {
+    push_decision(fields, decision);
+    let sampled = decision.route == Route::Fpras;
+    if sampled {
+        let (digits, hit) = memoized(ctx, memo, || format!("{:.6}", answer().to_f64()))?;
+        fields.push(("probability", Json::str(digits)));
+        fields.push(("memo", memo_tag(hit)));
+    } else {
+        // Exact routes answer from the compiled plan, independent of
+        // (ε, seed): nothing to memoize.
+        let answer = answer();
+        fields.push(("probability", Json::str(format!("{:.6}", answer.to_f64()))));
+        if let Some(exact) = answer.exact() {
+            fields.push(("exact", Json::str(exact.to_string())));
+        }
+    }
+    if let Some(c) = landscape {
+        fields.push(("landscape", Json::str(c.to_string())));
+    }
+    fields.push(("states", Json::from(states)));
+    if sampled {
+        push_params(fields, &ctx.cfg);
+    }
+    Ok(())
+}
+
+fn push_decision(fields: &mut Fields, d: &RouteDecision) {
+    fields.push(("method", Json::str(d.route.name())));
+    fields.push(("route", Json::str(d.route.name())));
+    fields.push(("rationale", Json::str(d.rationale.clone())));
+}
+
+fn push_params(fields: &mut Fields, cfg: &FprasConfig) {
+    fields.push(("epsilon", Json::from(cfg.epsilon)));
+    fields.push(("seed", Json::from(cfg.seed)));
+    fields.push(("threads", Json::from(cfg.effective_threads())));
+}
+
+fn memo_tag(hit: bool) -> Json {
+    Json::str(if hit { "hit" } else { "miss" })
+}
+
+/// Replays the request's `(ε, seed)` digits from the plan's memo, or runs
+/// `execute` (one `serve.executions`) and memoizes its digits. Returns
+/// the digits and whether they were a memo hit; the deadline is checked
+/// after.
+fn memoized(
+    ctx: &Ctx,
+    memo: &mut Memo,
+    execute: impl FnOnce() -> String,
+) -> Result<(String, bool), ReqError> {
+    let key = (ctx.cfg.epsilon.to_bits(), ctx.cfg.seed);
+    let (digits, hit) = match memo.get(&key) {
+        Some(s) => (s.clone(), true),
+        None => {
+            ctx.state.metrics.executions.inc();
+            let s = execute();
+            if memo.len() >= MEMO_CAP {
+                memo.clear();
+            }
+            memo.insert(key, s.clone());
+            (s, false)
+        }
+    };
+    if hit {
+        ctx.sm.memo_hits.fetch_add(1, Ordering::Relaxed);
+        ctx.sm.obs_memo_hits.inc();
+        ctx.state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
+    }
+    check_deadline(ctx.state, ctx.received, "execute")?;
+    Ok((digits, hit))
 }
 
 /// Microseconds since `start`, clamped into `u64`.
@@ -962,8 +1106,10 @@ fn finish(state: &ServerState, r: Result<Json, ReqError>) -> String {
     }
 }
 
-fn parse_query(query: &str) -> Result<ConjunctiveQuery, ReqError> {
-    parse(query).map_err(|e| (ErrorKind::BadRequest, format!("query: {e}")))
+/// Parses the CQ text of request field `field`; a syntax error is a
+/// `bad_request` naming the field.
+fn parse_cq(text: &str, field: &str) -> Result<ConjunctiveQuery, ReqError> {
+    parse(text).map_err(|e| (ErrorKind::BadRequest, format!("{field}: {e}")))
 }
 
 fn check_deadline(state: &ServerState, start: Instant, phase: &str) -> Result<(), ReqError> {
@@ -1037,56 +1183,41 @@ fn apply_update(state: &ServerState, delta: &str) -> Result<Json, ReqError> {
 /// including across a generation change that left its relations untouched
 /// — or `"invalidated"` when it was refreshed and the memo dropped.
 /// Misses pass through as `"miss"` (a fresh compile is already current).
-fn refresh_plan(
-    state: &ServerState,
-    snap: &Snapshot,
-    plan: &mut ServedPlan,
-    hit: bool,
-    q: Option<&ConjunctiveQuery>,
-) -> Result<&'static str, ReqError> {
+fn refresh_plan(ctx: &Ctx, plan: &mut ServedPlan, hit: bool) -> Result<&'static str, ReqError> {
+    let Snapshot { h, epochs, generation } = &ctx.snap;
     if !hit {
         return Ok("miss");
     }
-    if plan.generation == snap.generation {
+    if plan.generation == *generation {
         return Ok("hit");
     }
     let refreshed = match &mut plan.kind {
-        PlanKind::Routed(p) => {
-            match p.revalidate(&snap.h, &snap.epochs) {
-                Ok(Revalidation::Current) => false,
-                Ok(Revalidation::Refreshed { .. }) => true,
-                // Leave the plan stale (generation not advanced): the next
-                // hit retries the refresh.
-                Err(e) => return Err((ErrorKind::EvalError, e.to_string())),
+        PlanKind::Routed(p) => p.revalidate(h, epochs).map(|r| r != Revalidation::Current),
+        PlanKind::Conditional(p) => p.revalidate(h, epochs).map(|r| r != Revalidation::Current),
+        PlanKind::Ur { plan: ur, stamp, query } => match epochs.freshness(stamp) {
+            // Probability-only changes never move a reliability: the UR
+            // automaton depends on the fact set alone.
+            Freshness::Current | Freshness::ProbsChanged => {
+                *stamp = stamp_relations(query, epochs);
+                Ok(false)
             }
-        }
-        PlanKind::Conditional(p) => match p.revalidate(&snap.h, &snap.epochs) {
-            Ok(Revalidation::Current) => false,
-            Ok(Revalidation::Refreshed { .. }) => true,
-            Err(e) => return Err((ErrorKind::EvalError, e.to_string())),
-        },
-        PlanKind::Ur { plan: ur, stamp } => {
-            let q = q.expect("reliability compute passes its query");
-            match snap.epochs.freshness(stamp) {
-                // Probability-only changes never move a reliability: the
-                // UR automaton depends on the fact set alone.
-                Freshness::Current | Freshness::ProbsChanged => {
-                    *stamp = stamp_relations(q, &snap.epochs);
-                    false
-                }
-                Freshness::StructureChanged => {
-                    *ur = compile_ur_plan(q, snap.h.database())
-                        .map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
-                    *stamp = stamp_relations(q, &snap.epochs);
+            Freshness::StructureChanged => compile_ur_plan(query, h.database())
+                .map(|fresh| {
+                    *ur = fresh;
+                    *stamp = stamp_relations(query, epochs);
                     true
-                }
-            }
-        }
+                })
+                .map_err(RouterError::from),
+        },
         // The graph instance is separate from the relational database;
         // deltas never touch it.
-        PlanKind::Graph(_) => false,
-    };
-    plan.generation = snap.generation;
+        PlanKind::Graph(_) => Ok(false),
+    }
+    // On error leave the plan stale (generation not advanced): the next
+    // hit retries the refresh.
+    .map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
+    plan.generation = *generation;
+    let state = ctx.state;
     if refreshed {
         plan.memo.clear();
         state.stats.invalidated_plans.fetch_add(1, Ordering::Relaxed);
@@ -1104,324 +1235,8 @@ fn stamp_relations(q: &ConjunctiveQuery, epochs: &Epochs) -> EpochStamp {
     epochs.stamp(q.atoms().iter().map(|a| a.relation.as_str()))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn estimate_compute(
-    state: &ServerState,
-    snap: &Snapshot,
-    sm: &ShardMetrics,
-    cache: &mut ShardCache<ServedPlan>,
-    q: &ConjunctiveQuery,
-    evidence: Option<&ConjunctiveQuery>,
-    cache_key: &str,
-    epsilon: f64,
-    seed: u64,
-    method: &str,
-    resolved_threads: usize,
-    delay_ms: u64,
-    received: Instant,
-) -> Result<Json, ReqError> {
-    apply_delay(delay_ms);
-    check_deadline(state, received, "delay")?;
-
-    let (plan, hit) = cache
-        .get_or_insert_with(cache_key, || compile_estimate_plan(snap, q, evidence, method))?;
-    let cache_tag = refresh_plan(state, snap, plan, hit, None)?;
-    check_deadline(state, received, "compile")?;
-
-    let cfg = FprasConfig::with_epsilon(epsilon)
-        .with_seed(seed)
-        .with_threads(resolved_threads);
-    let mut fields: Vec<(&'static str, Json)> = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("estimate")),
-        ("query", Json::str(q.to_string())),
-        ("cache", Json::str(cache_tag)),
-    ];
-    let ServedPlan { kind, memo, .. } = plan;
-    match kind {
-        PlanKind::Routed(p) => {
-            fields.push(("method", Json::str(p.decision.route.name())));
-            fields.push(("route", Json::str(p.decision.route.name())));
-            fields.push(("rationale", Json::str(p.decision.rationale.clone())));
-            match p.decision.route {
-                Route::Lifted => {
-                    let RoutedAnswer::Exact(exact) = p.execute(&cfg) else {
-                        unreachable!("lifted route always answers exactly");
-                    };
-                    fields.push(("probability", Json::str(format!("{:.6}", exact.to_f64()))));
-                    fields.push(("exact", Json::str(exact.to_string())));
-                    fields.push(("landscape", Json::str(p.classification.to_string())));
-                    fields.push(("states", Json::from(0usize)));
-                }
-                Route::Fpras => {
-                    let memo_key = (epsilon.to_bits(), seed);
-                    let (probability, memo_hit) = match memo.get(&memo_key) {
-                        Some(s) => (s.clone(), true),
-                        None => {
-                            state.metrics.executions.inc();
-                            let s = format!("{:.6}", p.execute(&cfg).to_f64());
-                            if memo.len() >= MEMO_CAP {
-                                memo.clear();
-                            }
-                            memo.insert(memo_key, s.clone());
-                            (s, false)
-                        }
-                    };
-                    if memo_hit {
-                        sm.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        sm.obs_memo_hits.inc();
-                        state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    check_deadline(state, received, "execute")?;
-                    fields.push(("probability", Json::str(probability)));
-                    fields.push(("memo", Json::str(if memo_hit { "hit" } else { "miss" })));
-                    fields.push(("landscape", Json::str(p.classification.to_string())));
-                    fields.push(("states", Json::from(p.automaton_states())));
-                    fields.push(("epsilon", Json::from(epsilon)));
-                    fields.push(("seed", Json::from(seed)));
-                    fields.push(("threads", Json::from(cfg.effective_threads())));
-                }
-            }
-        }
-        PlanKind::Conditional(p) => {
-            // No result memo: a conditional report carries per-execution
-            // provenance (P(E), routes, split ε) beyond one number, and the
-            // plan cache already amortizes the expensive compilation.
-            state.metrics.executions.inc();
-            let report =
-                p.execute(&cfg).map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
-            check_deadline(state, received, "execute")?;
-            fields.push(("evidence", Json::str(p.evidence.clone())));
-            fields.push(("method", Json::str(report.joint_route.name())));
-            fields.push(("route", Json::str(report.joint_route.name())));
-            fields.push(("rationale", Json::str(p.joint_decision().rationale.clone())));
-            fields.push((
-                "evidence_route",
-                Json::str(match report.evidence_route {
-                    Some(r) => r.name(),
-                    // Ground evidence: P(E) is the exact product of fact
-                    // probabilities, no routed evaluation at all.
-                    None => "exact-product",
-                }),
-            ));
-            fields.push((
-                "probability",
-                Json::str(format!("{:.6}", report.conditional.to_f64())),
-            ));
-            if let Some(exact) = &report.exact {
-                fields.push(("exact", Json::str(exact.to_string())));
-            }
-            fields.push((
-                "p_evidence",
-                Json::str(format!("{:.6}", report.prob_evidence.to_f64())),
-            ));
-            if let Some(se) = report.split_epsilon {
-                fields.push(("split_epsilon", Json::from(se)));
-            }
-            fields.push(("landscape", Json::str(p.classification().to_string())));
-            fields.push(("states", Json::from(report.automaton_states)));
-            fields.push(("epsilon", Json::from(epsilon)));
-            fields.push(("seed", Json::from(seed)));
-            fields.push(("threads", Json::from(cfg.effective_threads())));
-            let _ = memo; // conditionals bypass the result memo (see above)
-        }
-        PlanKind::Ur { .. } | PlanKind::Graph(_) => {
-            unreachable!("estimate key never maps to a UR or graph plan")
-        }
-    }
-    fields.push(("elapsed_us", Json::from(elapsed_us(received))));
-    Ok(Json::obj(fields))
-}
-
-fn compile_estimate_plan(
-    snap: &Snapshot,
-    q: &ConjunctiveQuery,
-    evidence: Option<&ConjunctiveQuery>,
-    method: &str,
-) -> Result<ServedPlan, ReqError> {
-    // `Request::decode` already validated the method, but compile re-parses
-    // it (defense in depth): there is no fallthrough left that could route
-    // an unknown method string as `auto` — a typo is a structured
-    // `bad_request` with the router's "did you mean" hint.
-    let method = Method::parse(method).map_err(|e| (ErrorKind::BadRequest, e))?;
-    match evidence {
-        Some(e) => ConditionalPlan::compile_at(q, e, &snap.h, method, &snap.epochs)
-            .map(|p| ServedPlan::new(PlanKind::Conditional(p), snap.generation))
-            .map_err(|e| (ErrorKind::EvalError, e.to_string())),
-        None => RoutedPlan::compile_at(q, &snap.h, method, &snap.epochs)
-            .map(|p| ServedPlan::new(PlanKind::Routed(p), snap.generation))
-            .map_err(|e| (ErrorKind::EvalError, e.to_string())),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reliability_compute(
-    state: &ServerState,
-    snap: &Snapshot,
-    sm: &ShardMetrics,
-    cache: &mut ShardCache<ServedPlan>,
-    q: &ConjunctiveQuery,
-    cache_key: &str,
-    epsilon: f64,
-    seed: u64,
-    resolved_threads: usize,
-    delay_ms: u64,
-    received: Instant,
-) -> Result<Json, ReqError> {
-    apply_delay(delay_ms);
-    check_deadline(state, received, "delay")?;
-
-    let (plan, hit) = cache.get_or_insert_with(cache_key, || {
-        compile_ur_plan(q, snap.h.database())
-            .map(|p| {
-                let stamp = stamp_relations(q, &snap.epochs);
-                ServedPlan::new(PlanKind::Ur { plan: p, stamp }, snap.generation)
-            })
-            .map_err(|e| (ErrorKind::EvalError, e.to_string()))
-    })?;
-    let cache_tag = refresh_plan(state, snap, plan, hit, Some(q))?;
-    check_deadline(state, received, "compile")?;
-
-    let cfg = FprasConfig::with_epsilon(epsilon)
-        .with_seed(seed)
-        .with_threads(resolved_threads);
-    let ServedPlan { kind, memo, .. } = plan;
-    let PlanKind::Ur { plan: ur, .. } = kind else {
-        unreachable!("reliability key never maps to an estimate plan");
-    };
-    let memo_key = (epsilon.to_bits(), seed);
-    let (reliability, memo_hit) = match memo.get(&memo_key) {
-        Some(s) => (s.clone(), true),
-        None => {
-            state.metrics.executions.inc();
-            let s = ur.execute(&cfg).reliability.to_string();
-            if memo.len() >= MEMO_CAP {
-                memo.clear();
-            }
-            memo.insert(memo_key, s.clone());
-            (s, false)
-        }
-    };
-    if memo_hit {
-        sm.memo_hits.fetch_add(1, Ordering::Relaxed);
-        sm.obs_memo_hits.inc();
-        state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
-    }
-    check_deadline(state, received, "execute")?;
-    Ok(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("reliability")),
-        ("query", Json::str(q.to_string())),
-        ("cache", Json::str(cache_tag)),
-        ("memo", Json::str(if memo_hit { "hit" } else { "miss" })),
-        ("reliability", Json::str(reliability)),
-        ("facts", Json::from(snap.h.len())),
-        ("epsilon", Json::from(epsilon)),
-        ("seed", Json::from(seed)),
-        ("threads", Json::from(cfg.effective_threads())),
-        ("elapsed_us", Json::from(elapsed_us(received))),
-    ]))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn graph_estimate_compute(
-    state: &ServerState,
-    snap: &Snapshot,
-    sm: &ShardMetrics,
-    cache: &mut ShardCache<ServedPlan>,
-    rpq: &Rpq,
-    cache_key: &str,
-    epsilon: f64,
-    seed: u64,
-    method: &str,
-    resolved_threads: usize,
-    delay_ms: u64,
-    received: Instant,
-) -> Result<Json, ReqError> {
-    apply_delay(delay_ms);
-    check_deadline(state, received, "delay")?;
-
-    let Some(g) = &state.g else {
-        return Err((
-            ErrorKind::EvalError,
-            "no graph loaded (start the server with --graph FILE)".to_owned(),
-        ));
-    };
-    // Same defense in depth as `estimate`: decode validated the method, but
-    // compile re-parses so no string can fall through as `auto`.
-    let method = GraphMethod::parse(method).map_err(|e| (ErrorKind::BadRequest, e))?;
-    let (plan, hit) = cache.get_or_insert_with(cache_key, || {
-        GraphPlan::compile(g, rpq, method)
-            .map(|p| ServedPlan::new(PlanKind::Graph(p), snap.generation))
-            .map_err(|e| (ErrorKind::EvalError, e.to_string()))
-    })?;
-    // Relational deltas never touch the graph instance, but refresh still
-    // advances the plan's generation and counts it as kept.
-    let cache_tag = refresh_plan(state, snap, plan, hit, None)?;
-    check_deadline(state, received, "compile")?;
-
-    let cfg = FprasConfig::with_epsilon(epsilon)
-        .with_seed(seed)
-        .with_threads(resolved_threads);
-    let ServedPlan { kind, memo, .. } = plan;
-    let PlanKind::Graph(p) = kind else {
-        unreachable!("graph_estimate key never maps to a relational plan");
-    };
-    let mut fields: Vec<(&'static str, Json)> = vec![
-        ("ok", Json::Bool(true)),
-        ("op", Json::str("graph_estimate")),
-        ("rpq", Json::str(p.rpq.clone())),
-        ("cache", Json::str(cache_tag)),
-        ("method", Json::str(p.decision.route.name())),
-        ("route", Json::str(p.decision.route.name())),
-        ("rationale", Json::str(p.decision.rationale.clone())),
-    ];
-    match p.decision.route {
-        GraphRoute::Enum => {
-            // No result memo: the exact rational was precomputed at compile
-            // time and does not depend on (ε, seed).
-            let GraphAnswer::Exact(exact) = p.execute(&cfg) else {
-                unreachable!("enumeration route always answers exactly");
-            };
-            fields.push(("probability", Json::str(format!("{:.6}", exact.to_f64()))));
-            fields.push(("exact", Json::str(exact.to_string())));
-            fields.push(("states", Json::from(0usize)));
-        }
-        GraphRoute::Fpras => {
-            let memo_key = (epsilon.to_bits(), seed);
-            let (probability, memo_hit) = match memo.get(&memo_key) {
-                Some(s) => (s.clone(), true),
-                None => {
-                    state.metrics.executions.inc();
-                    let s = format!("{:.6}", p.execute(&cfg).to_f64());
-                    if memo.len() >= MEMO_CAP {
-                        memo.clear();
-                    }
-                    memo.insert(memo_key, s.clone());
-                    (s, false)
-                }
-            };
-            if memo_hit {
-                sm.memo_hits.fetch_add(1, Ordering::Relaxed);
-                sm.obs_memo_hits.inc();
-                state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            check_deadline(state, received, "execute")?;
-            fields.push(("probability", Json::str(probability)));
-            fields.push(("memo", Json::str(if memo_hit { "hit" } else { "miss" })));
-            fields.push(("states", Json::from(p.automaton_states())));
-            fields.push(("epsilon", Json::from(epsilon)));
-            fields.push(("seed", Json::from(seed)));
-            fields.push(("threads", Json::from(cfg.effective_threads())));
-        }
-    }
-    fields.push(("edges", Json::from(p.num_edges)));
-    fields.push(("elapsed_us", Json::from(elapsed_us(received))));
-    Ok(Json::obj(fields))
-}
-
 fn classify_response(query: &str) -> Result<Json, ReqError> {
-    let q = parse_query(query)?;
+    let q = parse_cq(query, "query")?;
     let c = landscape::classify(&q);
     let advice = match c.verdict {
         Verdict::ExactAndFpras => "safe: exact lifted inference applies (and so does the FPRAS)",

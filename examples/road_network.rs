@@ -14,7 +14,7 @@
 //! ```
 
 use pqe::automata::FprasConfig;
-use pqe::core::{GraphAnswer, GraphMethod, GraphPlan};
+use pqe::core::{GraphMethod, GraphPlan, RoutedAnswer};
 use pqe::graph::generators::road_grid;
 use pqe::graph::{enumerate_probability, parse};
 use pqe_rand::rngs::StdRng;
@@ -40,14 +40,15 @@ fn main() {
     // this 12-edge instance to enumeration).
     let plan = GraphPlan::compile(&g, &rpq, GraphMethod::Fpras).expect("grid is a DAG");
     let cfg = FprasConfig::with_epsilon(0.1).with_seed(99);
-    let GraphAnswer::Estimate { probability, elapsed } = plan.execute(&cfg) else {
+    let RoutedAnswer::Estimate(report) = plan.execute(&cfg) else {
         unreachable!("forced fpras route");
     };
+    let probability = report.probability;
     println!(
         "FPRAS    : route open with probability ≈ {:.6}  ({} product-NFA states, {:?})",
         probability.to_f64(),
-        plan.automaton_states(),
-        elapsed
+        report.automaton_states,
+        report.elapsed
     );
 
     if g.num_edges() <= 16 {

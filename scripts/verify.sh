@@ -25,18 +25,22 @@ PQE_LOG=debug cargo test -q --offline --test determinism
 cargo test -q --offline --test equivalence
 PQE_SLOW_PATH=1 cargo test -q --offline --test determinism
 
-# Oracle smoke: the perf ledger checks every FPRAS answer against an
-# exact oracle, within (1 ± ε). A smoke run of its two counting workloads
-# (the NFTA counter on path queries, the NFA counter on graph RPQs) must
-# report "correct":true on its result line.
+# Oracle smoke: the perf ledger checks every answer against an oracle
+# computed before timing starts. The counting workloads (the NFTA counter
+# on path queries, the NFA counter on graph RPQs) must land within
+# (1 ± ε) of exact values; safe_lifted must match exact lifted inference;
+# serve_read must print the digits of an in-process RoutedPlan; and
+# serve_update must match a fresh server started on `pqe apply-delta`
+# output. A smoke run of each (a second or two apiece) must report
+# "correct":true on its result line.
 echo "perf_ledger oracle smoke test:"
-for workload in path_fpras graph_rpq; do
+for workload in path_fpras safe_lifted graph_rpq serve_read serve_update; do
     ledger_line=$(cargo run -q --release --offline --manifest-path perf_ledger/Cargo.toml -- \
         --workload "$workload" --smoke --trace 0 2>/dev/null | tail -n 1)
     echo "$ledger_line" | grep -q '"correct":true' || {
         echo "  FAIL: perf_ledger $workload smoke run: $ledger_line" >&2; exit 1; }
 done
-echo "  ok: path_fpras and graph_rpq answers within their oracles' bounds"
+echo "  ok: all five ledger workloads agree with their oracles"
 
 # Bench smoke mode: the fpras thread-scaling bench must run end to end
 # and emit its JSON artifact (the file re-committed as BENCH_fpras.json).

@@ -16,9 +16,10 @@
 use pqe::automata::FprasConfig;
 use pqe::core::baselines::{brute_force_pqe, karp_luby_pqe, naive_monte_carlo_pqe, Lineage};
 use pqe::core::worlds::WeightedWorldSampler;
+use pqe::core::router::closest;
 use pqe::core::{
-    landscape, ur_estimate, ConditionalPlan, GraphAnswer, GraphMethod, GraphPlan, Method,
-    RoutedAnswer, RoutedPlan,
+    landscape, ur_estimate, ConditionalPlan, GraphMethod, GraphPlan, Method, RoutedAnswer,
+    RoutedPlan,
 };
 use pqe::db::{io as dbio, ProbDatabase};
 use pqe::delta::{Delta, VersionedDb};
@@ -208,7 +209,7 @@ impl Args {
     /// Negative, non-numeric and implausibly large values are rejected
     /// with a message that spells out the 0 sentinel.
     fn threads(&self) -> Result<usize, String> {
-        const MAX_THREADS: usize = 4096;
+        use pqe_par::MAX_THREADS;
         match self.opt("threads") {
             None => Ok(0),
             Some(s) => {
@@ -243,34 +244,14 @@ impl Args {
     fn check_known(&self, allowed: &[&str]) -> Result<(), String> {
         for k in self.options.keys() {
             if !allowed.contains(&k.as_str()) {
-                let hint = allowed
-                    .iter()
-                    .map(|a| (edit_distance(k, a), a))
-                    .filter(|(d, _)| *d <= 2)
-                    .min()
-                    .map(|(_, a)| format!(" (did you mean --{a}?)"))
+                let hint = closest(k, allowed)
+                    .map(|a| format!(" (did you mean --{a}?)"))
                     .unwrap_or_else(|| " (see `pqe help`)".to_owned());
                 return Err(format!("unknown option --{k}{hint}"));
             }
         }
         Ok(())
     }
-}
-
-/// Levenshtein distance, for "did you mean" hints on unknown options.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut row = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
-        }
-        prev = row;
-    }
-    prev[b.len()]
 }
 
 fn load_db(args: &Args) -> Result<ProbDatabase, String> {
@@ -326,12 +307,8 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
     let class = landscape::classify(&q);
 
     if !ESTIMATE_METHODS.contains(&method) {
-        let hint = ESTIMATE_METHODS
-            .iter()
-            .map(|m| (edit_distance(method, m), *m))
-            .filter(|(d, _)| *d <= 2)
-            .min()
-            .map(|(_, m)| format!("; did you mean {m:?}?"))
+        let hint = closest(method, ESTIMATE_METHODS)
+            .map(|m| format!("; did you mean {m:?}?"))
             .unwrap_or_default();
         return Err(format!(
             "unknown --method {method:?} (methods: {}{hint})",
@@ -481,18 +458,18 @@ fn cmd_graph_estimate(args: &Args) -> Result<(), String> {
         }
     }
     match plan.execute(&cfg) {
-        GraphAnswer::Exact(p) => println!(
+        RoutedAnswer::Exact(p) => println!(
             "Pr({}) = {} ≈ {:.6}   [world enumeration, exact]",
             plan.rpq,
             p,
             p.to_f64()
         ),
-        GraphAnswer::Estimate { probability, elapsed } => println!(
+        RoutedAnswer::Estimate(r) => println!(
             "Pr({}) ≈ {:.6}   [FPRAS, ε = {eps}, {} states, {:.1?}]",
             plan.rpq,
-            probability.to_f64(),
-            plan.automaton_states(),
-            elapsed
+            r.probability.to_f64(),
+            r.automaton_states,
+            r.elapsed
         ),
     }
     let d = &plan.decision;

@@ -6,7 +6,7 @@
 
 use pqe::arith::{BigFloat, Rational};
 use pqe::automata::FprasConfig;
-use pqe::core::{GraphAnswer, GraphMethod, GraphPlan};
+use pqe::core::{GraphMethod, GraphPlan, RoutedAnswer};
 use pqe::graph::{enumerate_probability, parse, ProbGraph};
 use pqe_testkit::prelude::*;
 
@@ -106,8 +106,8 @@ fn graph_estimates_are_bit_identical_across_thread_counts() {
             let run = |threads: usize| {
                 let cfg = FprasConfig::with_epsilon(0.3).with_seed(*seed).with_threads(threads);
                 match plan.execute(&cfg) {
-                    GraphAnswer::Estimate { probability, .. } => probability,
-                    GraphAnswer::Exact(_) => unreachable!("forced fpras route"),
+                    RoutedAnswer::Estimate(report) => report.probability,
+                    RoutedAnswer::Exact(_) => unreachable!("forced fpras route"),
                 }
             };
             let baseline = run(1);
@@ -138,7 +138,7 @@ fn auto_route_answers_match_between_enum_and_forced_fpras_on_certain_graphs() {
 
     let auto = GraphPlan::compile(&g, &rpq, GraphMethod::Auto).unwrap();
     let cfg = FprasConfig::with_epsilon(0.1).with_seed(3);
-    let GraphAnswer::Exact(exact) = auto.execute(&cfg) else {
+    let RoutedAnswer::Exact(exact) = auto.execute(&cfg) else {
         panic!("2-edge graph must auto-route to enumeration");
     };
     assert_eq!(exact.to_string(), "1");

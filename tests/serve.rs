@@ -510,3 +510,323 @@ fn server_reports_db_load_errors_with_context() {
     assert!(stderr.contains("0.x5 R1(b,c)"), "stderr: {stderr}");
     let _ = std::fs::remove_file(&db);
 }
+
+/// The diamond DAG: two edge-disjoint r-paths a→d of probability 1/4
+/// each, so Pr(a →rr→ d) = 1 − (3/4)² = 7/16. Four edges: `auto` routes
+/// it to exact enumeration, `fpras` forces the product-NFA FPRAS.
+const DIAMOND_GRAPH: &str = "1/2 a -r-> b\n1/2 a -r-> c\n1/2 b -r-> d\n1/2 c -r-> d\n";
+
+fn write_graph(content: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "pqe-serve-test-{}-{:?}.graph",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, content).unwrap();
+    path
+}
+
+/// One pinned response: the request line, the response's ordered key
+/// list, and the expected `cache`/`memo`/`route`/`error` string values
+/// (`None` = the key must be absent).
+struct Pin {
+    req: &'static str,
+    keys: &'static [&'static str],
+    cache: Option<&'static str>,
+    memo: Option<&'static str>,
+    route: Option<&'static str>,
+    error: Option<&'static str>,
+}
+
+const LIFTED_KEYS: &[&str] = &[
+    "ok", "op", "query", "cache", "method", "route", "rationale", "probability", "exact",
+    "landscape", "states", "elapsed_us",
+];
+const FPRAS_KEYS: &[&str] = &[
+    "ok", "op", "query", "cache", "method", "route", "rationale", "probability", "memo",
+    "landscape", "states", "epsilon", "seed", "threads", "elapsed_us",
+];
+const GROUND_EVIDENCE_KEYS: &[&str] = &[
+    "ok", "op", "query", "cache", "evidence", "method", "route", "rationale", "evidence_route",
+    "probability", "p_evidence", "split_epsilon", "landscape", "states", "epsilon", "seed",
+    "threads", "elapsed_us",
+];
+const RATIO_EVIDENCE_KEYS: &[&str] = &[
+    "ok", "op", "query", "cache", "evidence", "method", "route", "rationale", "evidence_route",
+    "probability", "exact", "p_evidence", "landscape", "states", "epsilon", "seed", "threads",
+    "elapsed_us",
+];
+const RELIABILITY_KEYS: &[&str] = &[
+    "ok", "op", "query", "cache", "memo", "reliability", "facts", "epsilon", "seed", "threads",
+    "elapsed_us",
+];
+const GRAPH_ENUM_KEYS: &[&str] = &[
+    "ok", "op", "rpq", "cache", "method", "route", "rationale", "probability", "exact", "states",
+    "edges", "elapsed_us",
+];
+const GRAPH_FPRAS_KEYS: &[&str] = &[
+    "ok", "op", "rpq", "cache", "method", "route", "rationale", "probability", "memo", "states",
+    "epsilon", "seed", "threads", "edges", "elapsed_us",
+];
+const UPDATE_KEYS: &[&str] = &[
+    "ok", "op", "ops", "inserted", "deleted", "reprobed", "touched", "structural",
+    "probability_only", "generation", "facts",
+];
+const ERROR_KEYS: &[&str] = &["ok", "error", "message"];
+
+fn check_pin(c: &mut TcpStream, pin: &Pin) {
+    use pqe::serve::Json;
+    let resp = roundtrip(c, pin.req);
+    let v = Json::parse(resp.trim()).unwrap_or_else(|e| panic!("{e}: {resp}"));
+    let Json::Obj(members) = &v else { panic!("not an object: {resp}") };
+    let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, pin.keys, "key list of {}\nresponse: {resp}", pin.req);
+    for (field, want) in [
+        ("cache", pin.cache),
+        ("memo", pin.memo),
+        ("route", pin.route),
+        ("error", pin.error),
+    ] {
+        assert_eq!(
+            v.get(field).and_then(Json::as_str),
+            want,
+            "{field} of {}\nresponse: {resp}",
+            pin.req
+        );
+    }
+}
+
+/// Pins the heavy-op wire format: for every op, route, cache/memo state
+/// and error kind, the ordered key list of the response and its
+/// `cache`/`memo`/`route`/`error` values.
+#[test]
+fn heavy_op_wire_format_is_pinned() {
+    let db = write_db(PATH3_DB);
+    let graph = write_graph(DIAMOND_GRAPH);
+    let graph_arg = graph.to_str().unwrap();
+    let pins = [
+        // estimate, lifted route (safe 2-path).
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z)","epsilon":0.25,"seed":7}"#,
+            keys: LIFTED_KEYS,
+            cache: Some("miss"),
+            memo: None,
+            route: Some("lifted"),
+            error: None,
+        },
+        // estimate, FPRAS route (unsafe 3-path): a miss, then a memo hit.
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.25,"seed":7}"#,
+            keys: FPRAS_KEYS,
+            cache: Some("miss"),
+            memo: Some("miss"),
+            route: Some("fpras"),
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.25,"seed":7}"#,
+            keys: FPRAS_KEYS,
+            cache: Some("hit"),
+            memo: Some("hit"),
+            route: Some("fpras"),
+            error: None,
+        },
+        // Conditional with ground evidence: the FPRAS joint at full ε.
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","evidence":"R1('a','b')","epsilon":0.25,"seed":7}"#,
+            keys: GROUND_EVIDENCE_KEYS,
+            cache: Some("miss"),
+            memo: None,
+            route: Some("fpras"),
+            error: None,
+        },
+        // Conditional with ratio evidence: both terms safe, so exact.
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z)","evidence":"R3(u,v)","epsilon":0.25,"seed":7}"#,
+            keys: RATIO_EVIDENCE_KEYS,
+            cache: Some("miss"),
+            memo: None,
+            route: Some("lifted"),
+            error: None,
+        },
+        // reliability: a miss, then a memo hit.
+        Pin {
+            req: r#"{"op":"reliability","query":"R1(x,y), R2(y,z)","epsilon":0.25,"seed":7}"#,
+            keys: RELIABILITY_KEYS,
+            cache: Some("miss"),
+            memo: Some("miss"),
+            route: None,
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"reliability","query":"R1(x,y), R2(y,z)","epsilon":0.25,"seed":7}"#,
+            keys: RELIABILITY_KEYS,
+            cache: Some("hit"),
+            memo: Some("hit"),
+            route: None,
+            error: None,
+        },
+        // graph_estimate: enumeration, then FPRAS (miss, then memo hit).
+        Pin {
+            req: r#"{"op":"graph_estimate","rpq":"a -> r r -> d","seed":7}"#,
+            keys: GRAPH_ENUM_KEYS,
+            cache: Some("miss"),
+            memo: None,
+            route: Some("enum"),
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"graph_estimate","rpq":"a -> r r -> d","method":"fpras","epsilon":0.25,"seed":7}"#,
+            keys: GRAPH_FPRAS_KEYS,
+            cache: Some("miss"),
+            memo: Some("miss"),
+            route: Some("fpras"),
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"graph_estimate","rpq":"a -> r r -> d","method":"fpras","epsilon":0.25,"seed":7}"#,
+            keys: GRAPH_FPRAS_KEYS,
+            cache: Some("hit"),
+            memo: Some("hit"),
+            route: Some("fpras"),
+            error: None,
+        },
+        // A probability-only update to R3: the R1/R2 plan survives, the
+        // 3-path plan is refreshed.
+        Pin {
+            req: r#"{"op":"update","delta":"~ 1/4 R3(c,e)"}"#,
+            keys: UPDATE_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z)","epsilon":0.25,"seed":7}"#,
+            keys: LIFTED_KEYS,
+            cache: Some("hit"),
+            memo: None,
+            route: Some("lifted"),
+            error: None,
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.25,"seed":7}"#,
+            keys: FPRAS_KEYS,
+            cache: Some("invalidated"),
+            memo: Some("miss"),
+            route: Some("fpras"),
+            error: None,
+        },
+        // Every heavy-path error kind.
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,"}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("bad_request"),
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y)","evidence":"R2(("}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("bad_request"),
+        },
+        Pin {
+            req: r#"{"op":"graph_estimate","rpq":"a -> ((r -> d"}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("bad_request"),
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y), R1(y,z)","method":"fpras"}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("eval_error"),
+        },
+        Pin {
+            req: r#"{"op":"estimate","query":"R1(x,y)","evidence":"R1('zz','zz')"}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("eval_error"),
+        },
+    ];
+    let server = ServerProc::start(&db, &["--workers", "1", "--graph", graph_arg]);
+    let mut c = server.connect();
+    for pin in &pins {
+        check_pin(&mut c, pin);
+    }
+    server.shutdown();
+
+    // No graph loaded: graph_estimate is a structured eval_error.
+    let server = ServerProc::start(&db, &["--workers", "1"]);
+    let mut c = server.connect();
+    check_pin(
+        &mut c,
+        &Pin {
+            req: r#"{"op":"graph_estimate","rpq":"a -> r r -> d"}"#,
+            keys: ERROR_KEYS,
+            cache: None,
+            memo: None,
+            route: None,
+            error: Some("eval_error"),
+        },
+    );
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+    let _ = std::fs::remove_file(&graph);
+}
+
+/// Each heavy op's latency lands in its own `serve.request_us.<op>`
+/// histogram: N estimates, M reliabilities and K graph estimates sent one
+/// at a time (so nothing coalesces) show up as counts N, M and K.
+#[test]
+fn per_op_latency_histograms_count_each_heavy_op() {
+    use pqe::serve::Json;
+    let db = write_db(PATH3_DB);
+    let graph = write_graph(DIAMOND_GRAPH);
+    let server =
+        ServerProc::start(&db, &["--workers", "2", "--graph", graph.to_str().unwrap()]);
+    let mut c = server.connect();
+    let (n, m, k) = (3u64, 2u64, 4u64);
+    for seed in 0..n {
+        let req = format!(
+            r#"{{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.3,"seed":{seed}}}"#
+        );
+        assert!(roundtrip(&mut c, &req).contains("\"ok\":true"));
+    }
+    for seed in 0..m {
+        let req = format!(
+            r#"{{"op":"reliability","query":"R1(x,y), R2(y,z)","epsilon":0.3,"seed":{seed}}}"#
+        );
+        assert!(roundtrip(&mut c, &req).contains("\"ok\":true"));
+    }
+    for seed in 0..k {
+        let req = format!(
+            r#"{{"op":"graph_estimate","rpq":"a -> r r -> d","method":"fpras","epsilon":0.3,"seed":{seed}}}"#
+        );
+        assert!(roundtrip(&mut c, &req).contains("\"ok\":true"));
+    }
+    let resp = roundtrip(&mut c, r#"{"op":"metrics"}"#);
+    let v = Json::parse(resp.trim()).unwrap();
+    let count = |op: &str| {
+        v.get("histograms")
+            .and_then(|h| h.get(&format!("serve.request_us.{op}")))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(count("estimate"), Some(n), "metrics: {resp}");
+    assert_eq!(count("reliability"), Some(m), "metrics: {resp}");
+    assert_eq!(count("graph_estimate"), Some(k), "metrics: {resp}");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+    let _ = std::fs::remove_file(&graph);
+}
