@@ -13,7 +13,9 @@
 //!   via [`span::current_context`] / [`span::enter_context`].
 //! * [`metrics`] — named counters, gauges and log-linear histograms
 //!   (p50/p95/p99) behind sharded atomics: hot sample loops pay one
-//!   relaxed atomic add, never a lock.
+//!   relaxed atomic add, never a lock. A [`metrics::Registry`] is a
+//!   value (each `pqe-serve` server owns one); the free functions
+//!   address the process-wide default registry.
 //! * [`log`] — optional event logging to stderr, gated by the `PQE_LOG`
 //!   environment variable (`off`/`error`/`warn`/`info`/`debug`/`trace`).
 //!

@@ -1,10 +1,13 @@
 //! Named counters, gauges and log-linear histograms behind sharded
 //! atomics.
 //!
-//! Handles are `Arc`s resolved once by name from a global registry
-//! ([`counter`] / [`gauge`] / [`histogram`]); the hot path then costs one
-//! relaxed atomic RMW — no lock, and for counters no shared cache line
-//! either (per-thread shard striping).
+//! Handles are `Arc`s resolved once by name from a [`Registry`]; the hot
+//! path then costs one relaxed atomic RMW — no lock, and for counters no
+//! shared cache line either (per-thread shard striping). A registry is a
+//! plain value, so an owner (one `pqe-serve` server, say) keeps its own
+//! books; the free functions [`counter`] / [`gauge`] / [`histogram`] /
+//! [`snapshot`] address the process-wide default registry, which the
+//! estimators, the router and the CLI's `--profile` report use.
 //!
 //! Histograms use log-linear buckets (8 sub-buckets per octave, ≤ 9.4 %
 //! relative width), the standard HdrHistogram-style layout: cheap O(1)
@@ -55,12 +58,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
-
-    fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A last-write-wins signed gauge.
@@ -78,10 +75,6 @@ impl Gauge {
 
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.set(0);
     }
 }
 
@@ -167,6 +160,8 @@ impl Histogram {
         let count = self.count();
         let counts: Vec<u64> =
             self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        let min = if count == 0 { 0 } else { self.min.load(Ordering::Relaxed) };
+        let max = self.max.load(Ordering::Relaxed);
         let pct = |p: f64| -> u64 {
             if count == 0 {
                 return 0;
@@ -174,34 +169,27 @@ impl Histogram {
             // Rank of the p-th percentile observation (1-based ceil).
             let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
             let mut seen = 0u64;
-            for (b, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    return bucket_mid(b);
-                }
-            }
-            bucket_mid(NBUCKETS - 1)
+            let b = counts
+                .iter()
+                .position(|&c| {
+                    seen += c;
+                    seen >= rank
+                })
+                .unwrap_or(NBUCKETS - 1);
+            // A midpoint may lie outside the observed range (1000 alone
+            // reads 992), so clamp into [min, max]; not `clamp`, which
+            // panics when a snapshot racing the first `record` has min > max.
+            bucket_mid(b).max(min).min(max)
         };
-        let min = self.min.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
             sum: self.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { min },
-            max: self.max.load(Ordering::Relaxed),
+            min,
+            max,
             p50: pct(50.0),
             p95: pct(95.0),
             p99: pct(99.0),
         }
-    }
-
-    fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -212,7 +200,8 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     pub min: u64,
     pub max: u64,
-    /// Percentiles are bucket midpoints: ≤ 9.4 % relative error.
+    /// Percentiles are bucket midpoints clamped into `[min, max]`:
+    /// ≤ 9.4 % relative error.
     pub p50: u64,
     pub p95: u64,
     pub p99: u64,
@@ -229,39 +218,56 @@ impl HistogramSnapshot {
     }
 }
 
+/// A set of named metrics. Each name resolves to one shared handle per
+/// registry; two registries never see each other's metrics.
 #[derive(Default)]
-struct Registry {
+pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(Registry::default)
-}
-
-/// The counter named `name`, created on first use. Resolve once and keep
-/// the `Arc` on hot paths.
-pub fn counter(name: &str) -> Arc<Counter> {
-    let mut m = registry().counters.lock().expect("metrics poisoned");
+/// The handle named `name` in `map`, created on first use.
+fn resolve<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut m = map.lock().expect("metrics poisoned");
     Arc::clone(m.entry(name.to_owned()).or_default())
 }
 
-/// The gauge named `name`, created on first use.
-pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut m = registry().gauges.lock().expect("metrics poisoned");
-    Arc::clone(m.entry(name.to_owned()).or_default())
+/// Name-sorted `(name, get(handle))` pairs of `map`.
+fn read<T, V>(map: &Mutex<BTreeMap<String, Arc<T>>>, get: impl Fn(&T) -> V) -> Vec<(String, V)> {
+    let m = map.lock().expect("metrics poisoned");
+    m.iter().map(|(k, v)| (k.clone(), get(v))).collect()
 }
 
-/// The histogram named `name`, created on first use.
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut m = registry().histograms.lock().expect("metrics poisoned");
-    Arc::clone(m.entry(name.to_owned()).or_default())
+impl Registry {
+    /// The counter named `name`, created on first use. Resolve once and
+    /// keep the `Arc` on hot paths.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        resolve(&self.counters, name)
+    }
+
+    /// The gauge named `name`, created on first use.
+    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+        resolve(&self.gauges, name)
+    }
+
+    /// The histogram named `name`, created on first use.
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        resolve(&self.histograms, name)
+    }
+
+    /// Snapshots every metric of this registry (names sorted —
+    /// deterministic order).
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: read(&self.counters, Counter::get),
+            gauges: read(&self.gauges, Gauge::get),
+            histograms: read(&self.histograms, Histogram::snapshot),
+        }
+    }
 }
 
-/// Name-sorted snapshot of every registered metric.
+/// Name-sorted snapshot of every metric in a registry.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
@@ -269,46 +275,31 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-/// Snapshots all registered metrics (names sorted — deterministic order).
-pub fn snapshot() -> MetricsSnapshot {
-    let r = registry();
-    MetricsSnapshot {
-        counters: r
-            .counters
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect(),
-        gauges: r
-            .gauges
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect(),
-        histograms: r
-            .histograms
-            .lock()
-            .expect("metrics poisoned")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect(),
-    }
+static DEFAULT: OnceLock<Registry> = OnceLock::new();
+
+/// The process-wide default registry.
+fn default_registry() -> &'static Registry {
+    DEFAULT.get_or_init(Registry::default)
 }
 
-/// Zeroes every registered metric (registrations and handles stay valid).
-pub fn reset() {
-    let r = registry();
-    for c in r.counters.lock().expect("metrics poisoned").values() {
-        c.reset();
-    }
-    for g in r.gauges.lock().expect("metrics poisoned").values() {
-        g.reset();
-    }
-    for h in r.histograms.lock().expect("metrics poisoned").values() {
-        h.reset();
-    }
+/// The process-wide counter named `name` (see [`Registry::counter`]).
+pub fn counter(name: &str) -> Arc<Counter> {
+    default_registry().counter(name)
+}
+
+/// The process-wide gauge named `name`, created on first use.
+pub fn gauge(name: &str) -> Arc<Gauge> {
+    default_registry().gauge(name)
+}
+
+/// The process-wide histogram named `name`, created on first use.
+pub fn histogram(name: &str) -> Arc<Histogram> {
+    default_registry().histogram(name)
+}
+
+/// Snapshots the process-wide registry (names sorted).
+pub fn snapshot() -> MetricsSnapshot {
+    default_registry().snapshot()
 }
 
 #[cfg(test)]
@@ -351,8 +342,6 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 4000);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

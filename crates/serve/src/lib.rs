@@ -41,7 +41,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use cache::{CacheStats, ShardCache};
+pub use cache::{CacheCounters, ShardCache};
 pub use flight::{Flight, FlightTable};
 pub use json::Json;
 pub use loadgen::{run_load, LoadConfig, LoadReport};

@@ -59,7 +59,7 @@
 //! single-flight key carries the generation, so responses computed
 //! against different database versions never coalesce.
 
-use crate::cache::{CacheStats, ShardCache};
+use crate::cache::{hit_rate, CacheCounters, ShardCache};
 use crate::flight::{Flight, FlightTable};
 use crate::json::Json;
 use crate::protocol::{error_response, ErrorKind, Params, Request};
@@ -74,13 +74,13 @@ use pqe_db::ProbDatabase;
 use pqe_delta::{Delta, EpochStamp, Epochs, Freshness, VersionedDb};
 use pqe_graph::{ProbGraph, Rpq};
 use pqe_obs::log::{event, Level};
-use pqe_obs::metrics::{Counter, Gauge, Histogram};
+use pqe_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use pqe_par::FxHashMap;
 use pqe_query::{parse, ConjunctiveQuery};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -93,8 +93,9 @@ const POLL_IDLE: Duration = Duration::from_micros(500);
 /// unbounded partial line is impossible; real requests are < 1 KiB).
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Handles into the `pqe-obs` metrics registry, resolved once at bind
-/// time; the per-request cost is a few relaxed atomic adds.
+/// Every serve quantity, as a handle into the server's own registry
+/// resolved once at bind time; the per-request cost is a few relaxed
+/// atomic adds. `stats` and `metrics` both read these handles.
 struct ServeMetrics {
     /// Time a heavy request spent queued before a worker picked it up.
     queue_wait_us: Arc<Histogram>,
@@ -102,9 +103,21 @@ struct ServeMetrics {
     estimate_us: Arc<Histogram>,
     reliability_us: Arc<Histogram>,
     graph_us: Arc<Histogram>,
-    /// Queue admission outcomes (the backpressure counters).
+    /// Decoded request lines, then the count of each op.
+    requests: Arc<Counter>,
+    estimates: Arc<Counter>,
+    reliabilities: Arc<Counter>,
+    graph_estimates: Arc<Counter>,
+    classifies: Arc<Counter>,
+    updates: Arc<Counter>,
+    /// Queue admission outcomes (the backpressure counters); a rejection
+    /// is the `overloaded` error.
     enqueued: Arc<Counter>,
     queue_rejected: Arc<Counter>,
+    /// The other error responses, by kind.
+    timeouts: Arc<Counter>,
+    bad_requests: Arc<Counter>,
+    eval_errors: Arc<Counter>,
     /// Requests answered with another request's in-flight evaluation.
     coalesced: Arc<Counter>,
     /// Actual sampling executions (memo misses that ran `execute`).
@@ -122,69 +135,74 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn resolve() -> ServeMetrics {
-        use pqe_obs::metrics::{counter, gauge, histogram};
+    fn resolve(r: &Registry) -> ServeMetrics {
         ServeMetrics {
-            queue_wait_us: histogram("serve.queue_wait_us"),
-            estimate_us: histogram("serve.request_us.estimate"),
-            reliability_us: histogram("serve.request_us.reliability"),
-            graph_us: histogram("serve.request_us.graph_estimate"),
-            enqueued: counter("serve.enqueued"),
-            queue_rejected: counter("serve.queue_rejected"),
-            coalesced: counter("serve.singleflight_coalesced"),
-            executions: counter("serve.executions"),
-            queue_depth: gauge("serve.queue_depth"),
-            connections: gauge("serve.connections"),
-            delta_applied: counter("serve.delta.applied"),
-            delta_invalidated: counter("serve.delta.invalidated_plans"),
-            delta_kept: counter("serve.delta.kept_plans"),
+            queue_wait_us: r.histogram("serve.queue_wait_us"),
+            estimate_us: r.histogram("serve.request_us.estimate"),
+            reliability_us: r.histogram("serve.request_us.reliability"),
+            graph_us: r.histogram("serve.request_us.graph_estimate"),
+            requests: r.counter("serve.requests"),
+            estimates: r.counter("serve.requests.estimate"),
+            reliabilities: r.counter("serve.requests.reliability"),
+            graph_estimates: r.counter("serve.requests.graph_estimate"),
+            classifies: r.counter("serve.requests.classify"),
+            updates: r.counter("serve.requests.update"),
+            enqueued: r.counter("serve.enqueued"),
+            queue_rejected: r.counter("serve.queue_rejected"),
+            timeouts: r.counter("serve.errors.timeout"),
+            bad_requests: r.counter("serve.errors.bad_request"),
+            eval_errors: r.counter("serve.errors.eval_error"),
+            coalesced: r.counter("serve.singleflight_coalesced"),
+            executions: r.counter("serve.executions"),
+            queue_depth: r.gauge("serve.queue_depth"),
+            connections: r.gauge("serve.connections"),
+            delta_applied: r.counter("serve.delta.applied"),
+            delta_invalidated: r.counter("serve.delta.invalidated_plans"),
+            delta_kept: r.counter("serve.delta.kept_plans"),
         }
     }
 }
 
-/// Per-shard observability: each worker mirrors its private cache
-/// counters here (it is the only writer of its own set, so the cost is
-/// uncontended relaxed stores) so `stats`/`metrics` can read them.
-///
-/// Two copies exist on purpose: the atomic fields are **per-server**
-/// truth (the `pqe-obs` registry is process-global, so a second server in
-/// the same process — e.g. under `cargo test` — must not see its
-/// neighbour's counts in `stats`), while the `obs_*` handles mirror the
-/// same numbers into the registry for the `metrics` dump and tracing.
+/// One worker shard's handles: its plan cache's counters (the cache
+/// counts into them itself), result-memo hits, and jobs processed
+/// (occupancy attribution).
 struct ShardMetrics {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    memo_hits: AtomicU64,
-    /// Jobs this shard processed (occupancy attribution).
-    jobs: AtomicU64,
-    /// Plans currently resident in this shard's cache.
-    resident: AtomicU64,
-    obs_hits: Arc<Counter>,
-    obs_misses: Arc<Counter>,
-    obs_evictions: Arc<Counter>,
-    obs_memo_hits: Arc<Counter>,
-    obs_jobs: Arc<Counter>,
-    obs_resident: Arc<Gauge>,
+    cache: CacheCounters,
+    memo_hits: Arc<Counter>,
+    jobs: Arc<Counter>,
 }
 
 impl ShardMetrics {
-    fn resolve(shard: usize) -> ShardMetrics {
-        use pqe_obs::metrics::{counter, gauge};
+    fn resolve(r: &Registry, shard: usize) -> ShardMetrics {
+        let prefix = format!("serve.shard{shard}");
         ShardMetrics {
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            jobs: AtomicU64::new(0),
-            resident: AtomicU64::new(0),
-            obs_hits: counter(&format!("serve.shard{shard}.hits")),
-            obs_misses: counter(&format!("serve.shard{shard}.misses")),
-            obs_evictions: counter(&format!("serve.shard{shard}.evictions")),
-            obs_memo_hits: counter(&format!("serve.shard{shard}.memo_hits")),
-            obs_jobs: counter(&format!("serve.shard{shard}.jobs")),
-            obs_resident: gauge(&format!("serve.shard{shard}.resident")),
+            cache: CacheCounters::resolve(r, &prefix),
+            memo_hits: r.counter(&format!("{prefix}.memo_hits")),
+            jobs: r.counter(&format!("{prefix}.jobs")),
         }
+    }
+}
+
+/// Plan-cache counters summed over a set of shards.
+struct CacheTotals {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    resident: u64,
+    memo_hits: u64,
+}
+
+impl CacheTotals {
+    fn of<'a>(shards: impl IntoIterator<Item = &'a ShardMetrics>) -> CacheTotals {
+        let mut t = CacheTotals { hits: 0, misses: 0, evictions: 0, resident: 0, memo_hits: 0 };
+        for s in shards {
+            t.hits += s.cache.hits.get();
+            t.misses += s.cache.misses.get();
+            t.evictions += s.cache.evictions.get();
+            t.resident += s.cache.resident.get().max(0) as u64;
+            t.memo_hits += s.memo_hits.get();
+        }
+        t
     }
 }
 
@@ -268,26 +286,6 @@ impl ServedPlan {
     }
 }
 
-/// Monotonic service counters.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    requests: AtomicU64,
-    estimates: AtomicU64,
-    reliabilities: AtomicU64,
-    graph_estimates: AtomicU64,
-    classifies: AtomicU64,
-    overloaded: AtomicU64,
-    timeouts: AtomicU64,
-    bad_requests: AtomicU64,
-    eval_errors: AtomicU64,
-    memo_hits: AtomicU64,
-    coalesced: AtomicU64,
-    updates: AtomicU64,
-    deltas_applied: AtomicU64,
-    invalidated_plans: AtomicU64,
-    kept_plans: AtomicU64,
-}
-
 /// A per-connection reply slot map: workers deliver responses keyed by
 /// request sequence number; the I/O loop writes them out in order.
 struct Mailbox {
@@ -353,7 +351,9 @@ struct ServerState {
     addr: SocketAddr,
     queue: Queue<Job>,
     flights: FlightTable<Waiter>,
-    stats: ServerStats,
+    /// This server's metrics: `metrics` reports them merged with the
+    /// process-wide registry (estimator and router counters).
+    registry: Registry,
     metrics: ServeMetrics,
     shard_metrics: Vec<ShardMetrics>,
     per_shard_capacity: usize,
@@ -399,6 +399,7 @@ impl Server {
         let workers = cfg.workers.max(1);
         let cfg = ServeConfig { workers, ..cfg };
         let per_shard_capacity = (cfg.cache_capacity / workers).max(1);
+        let registry = Registry::default();
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
@@ -407,9 +408,9 @@ impl Server {
                 addr,
                 queue: Queue::new(cfg.queue_depth),
                 flights: FlightTable::new(),
-                stats: ServerStats::default(),
-                metrics: ServeMetrics::resolve(),
-                shard_metrics: (0..workers).map(ShardMetrics::resolve).collect(),
+                metrics: ServeMetrics::resolve(&registry),
+                shard_metrics: (0..workers).map(|i| ShardMetrics::resolve(&registry, i)).collect(),
+                registry,
                 per_shard_capacity,
                 shutdown: AtomicBool::new(false),
                 started: Instant::now(),
@@ -638,23 +639,22 @@ fn dispatch_line(state: &Arc<ServerState>, conn: &mut Conn, line: &str) {
     }
     let seq = conn.next_seq;
     conn.next_seq += 1;
-    state.stats.requests.fetch_add(1, Ordering::Relaxed);
+    state.metrics.requests.inc();
     let request = match Request::decode(line) {
         Ok(r) => r,
         Err(msg) => {
-            state.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-            conn.mailbox.deliver(seq, error_response(ErrorKind::BadRequest, msg));
+            conn.mailbox.deliver(seq, finish(state, Err((ErrorKind::BadRequest, msg))));
             return;
         }
     };
     match request {
         Request::Classify { query } => {
-            state.stats.classifies.fetch_add(1, Ordering::Relaxed);
+            state.metrics.classifies.inc();
             let r = classify_response(&query);
             conn.mailbox.deliver(seq, finish(state, r));
         }
         Request::Update { delta } => {
-            state.stats.updates.fetch_add(1, Ordering::Relaxed);
+            state.metrics.updates.inc();
             let r = apply_update(state, &delta);
             conn.mailbox.deliver(seq, finish(state, r));
         }
@@ -670,13 +670,13 @@ fn dispatch_line(state: &Arc<ServerState>, conn: &mut Conn, line: &str) {
         heavy @ (Request::Estimate { .. }
         | Request::Reliability { .. }
         | Request::GraphEstimate { .. }) => {
-            let (stats, metrics) = (&state.stats, &state.metrics);
+            let m = &state.metrics;
             let (count, latency_us) = match heavy {
-                Request::Estimate { .. } => (&stats.estimates, &metrics.estimate_us),
-                Request::Reliability { .. } => (&stats.reliabilities, &metrics.reliability_us),
-                _ => (&stats.graph_estimates, &metrics.graph_us),
+                Request::Estimate { .. } => (&m.estimates, &m.estimate_us),
+                Request::Reliability { .. } => (&m.reliabilities, &m.reliability_us),
+                _ => (&m.graph_estimates, &m.graph_us),
             };
-            count.fetch_add(1, Ordering::Relaxed);
+            count.inc();
             let job = Job {
                 latency_us: Arc::clone(latency_us),
                 request: heavy,
@@ -690,53 +690,34 @@ fn dispatch_line(state: &Arc<ServerState>, conn: &mut Conn, line: &str) {
                     state.metrics.queue_depth.set(depth as i64);
                 }
                 Err(job) => {
-                    state.metrics.queue_rejected.inc();
-                    state.stats.overloaded.fetch_add(1, Ordering::Relaxed);
                     event(Level::Debug, "serve", || {
                         format!("queue full at depth {}", state.queue.capacity())
                     });
-                    job.mailbox.deliver(
-                        seq,
-                        error_response(
-                            ErrorKind::Overloaded,
-                            format!(
-                                "work queue full ({} pending, capacity {}); retry later",
-                                state.queue.depth(),
-                                state.queue.capacity()
-                            ),
-                        ),
+                    let msg = format!(
+                        "work queue full ({} pending, capacity {}); retry later",
+                        state.queue.depth(),
+                        state.queue.capacity()
                     );
+                    job.mailbox.deliver(seq, finish(state, Err((ErrorKind::Overloaded, msg))));
                 }
             }
         }
     }
 }
 
-/// One worker shard: drains the queue with a private plan cache, mirrors
-/// its cache counters into `pqe-obs` after every job (it is the only
-/// writer of its shard's metric set).
+/// One worker shard: drains the queue with a private plan cache, which
+/// counts hits, misses, evictions and resident plans straight into the
+/// shard's registry handles.
 fn worker_loop(state: Arc<ServerState>, shard: usize) {
-    let mut cache: ShardCache<ServedPlan> = ShardCache::new(state.per_shard_capacity);
-    let mut mirrored = CacheStats::default();
     let sm = &state.shard_metrics[shard];
+    let mut cache = ShardCache::new(state.per_shard_capacity, sm.cache.clone());
     while let Some(job) = state.queue.pop() {
         state.metrics.queue_depth.set(state.queue.depth() as i64);
-        sm.jobs.fetch_add(1, Ordering::Relaxed);
-        sm.obs_jobs.inc();
+        sm.jobs.inc();
         {
             let _s = pqe_obs::span::span("serve.eval");
             process_job(&state, sm, &mut cache, job);
         }
-        let s = cache.stats();
-        sm.obs_hits.add(s.hits - mirrored.hits);
-        sm.obs_misses.add(s.misses - mirrored.misses);
-        sm.obs_evictions.add(s.evictions - mirrored.evictions);
-        mirrored = s;
-        sm.hits.store(s.hits, Ordering::Relaxed);
-        sm.misses.store(s.misses, Ordering::Relaxed);
-        sm.evictions.store(s.evictions, Ordering::Relaxed);
-        sm.resident.store(cache.len() as u64, Ordering::Relaxed);
-        sm.obs_resident.set(cache.len() as i64);
         state.queue.done();
     }
 }
@@ -782,7 +763,6 @@ fn process_job(
     );
     if let Flight::Coalesced = state.flights.join(&flight_key, (Arc::clone(&mailbox), seq)) {
         state.metrics.coalesced.inc();
-        state.stats.coalesced.fetch_add(1, Ordering::Relaxed);
         return;
     }
     let ctx = Ctx {
@@ -1077,9 +1057,7 @@ fn memoized(
         }
     };
     if hit {
-        ctx.sm.memo_hits.fetch_add(1, Ordering::Relaxed);
-        ctx.sm.obs_memo_hits.inc();
-        ctx.state.stats.memo_hits.fetch_add(1, Ordering::Relaxed);
+        ctx.sm.memo_hits.inc();
     }
     check_deadline(ctx.state, ctx.received, "execute")?;
     Ok((digits, hit))
@@ -1094,13 +1072,14 @@ fn finish(state: &ServerState, r: Result<Json, ReqError>) -> String {
     match r {
         Ok(body) => body.to_string(),
         Err((kind, msg)) => {
+            let m = &state.metrics;
             let counter = match kind {
-                ErrorKind::Overloaded => &state.stats.overloaded,
-                ErrorKind::Timeout => &state.stats.timeouts,
-                ErrorKind::BadRequest => &state.stats.bad_requests,
-                ErrorKind::EvalError => &state.stats.eval_errors,
+                ErrorKind::Overloaded => &m.queue_rejected,
+                ErrorKind::Timeout => &m.timeouts,
+                ErrorKind::BadRequest => &m.bad_requests,
+                ErrorKind::EvalError => &m.eval_errors,
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            counter.inc();
             error_response(kind, msg)
         }
     }
@@ -1149,7 +1128,6 @@ fn apply_update(state: &ServerState, delta: &str) -> Result<Json, ReqError> {
         db.apply(&delta).map_err(|e| (ErrorKind::EvalError, format!("delta: {e}")))?;
     let facts = db.current().len();
     drop(db);
-    state.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
     state.metrics.delta_applied.inc();
     event(Level::Debug, "serve", || {
         format!(
@@ -1220,11 +1198,9 @@ fn refresh_plan(ctx: &Ctx, plan: &mut ServedPlan, hit: bool) -> Result<&'static 
     let state = ctx.state;
     if refreshed {
         plan.memo.clear();
-        state.stats.invalidated_plans.fetch_add(1, Ordering::Relaxed);
         state.metrics.delta_invalidated.inc();
         Ok("invalidated")
     } else {
-        state.stats.kept_plans.fetch_add(1, Ordering::Relaxed);
         state.metrics.delta_kept.inc();
         Ok("hit")
     }
@@ -1258,11 +1234,6 @@ fn classify_response(query: &str) -> Result<Json, ReqError> {
     ]))
 }
 
-/// Sums a per-shard counter across every shard.
-fn shard_sum(state: &ServerState, f: impl Fn(&ShardMetrics) -> u64) -> u64 {
-    state.shard_metrics.iter().map(f).sum()
-}
-
 fn stats_response(state: &ServerState) -> Json {
     let (facts, generation, deltas, epochs) = {
         let db = state.db.read().expect("db lock poisoned");
@@ -1271,37 +1242,32 @@ fn stats_response(state: &ServerState) -> Json {
         );
         (db.current().len(), db.generation(), db.deltas_applied(), epochs)
     };
-    let hits = shard_sum(state, |s| s.hits.load(Ordering::Relaxed));
-    let misses = shard_sum(state, |s| s.misses.load(Ordering::Relaxed));
-    let resident = state.shard_metrics.iter().map(|s| s.resident.load(Ordering::Relaxed)).sum::<u64>();
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
+    let m = &state.metrics;
+    let cache = CacheTotals::of(&state.shard_metrics);
+    // Router route and refresh counters come from the process-wide
+    // registry: cumulative across the process lifetime, not per-server.
+    let global = |name: &str| Json::from(pqe_obs::metrics::counter(name).get());
     Json::obj([
         ("ok", Json::Bool(true)),
         ("op", Json::str("stats")),
         ("version", Json::str(env!("CARGO_PKG_VERSION"))),
         ("uptime_s", Json::from(state.started.elapsed().as_secs())),
         ("uptime_ms", Json::from(state.started.elapsed().as_millis() as u64)),
-        ("requests", Json::from(state.stats.requests.load(Ordering::Relaxed))),
-        ("estimates", Json::from(state.stats.estimates.load(Ordering::Relaxed))),
-        ("reliabilities", Json::from(state.stats.reliabilities.load(Ordering::Relaxed))),
-        ("graph_estimates", Json::from(state.stats.graph_estimates.load(Ordering::Relaxed))),
-        ("classifies", Json::from(state.stats.classifies.load(Ordering::Relaxed))),
-        // Router route counters come from the process-global pqe-obs
-        // registry: cumulative across the process lifetime, not per-server.
-        ("router.route.lifted", Json::from(pqe_obs::metrics::counter("router.route.lifted").get())),
-        ("router.route.fpras", Json::from(pqe_obs::metrics::counter("router.route.fpras").get())),
-        ("router.route.graph", Json::from(pqe_obs::metrics::counter("router.route.graph").get())),
-        ("cache_hits", Json::from(hits)),
-        ("cache_misses", Json::from(misses)),
-        ("cache_evictions", Json::from(shard_sum(state, |s| s.evictions.load(Ordering::Relaxed)))),
-        ("cache_resident", Json::from(resident)),
-        ("cache_hit_rate", Json::from(hit_rate)),
-        ("memo_hits", Json::from(state.stats.memo_hits.load(Ordering::Relaxed))),
-        ("coalesced", Json::from(state.stats.coalesced.load(Ordering::Relaxed))),
+        ("requests", Json::from(m.requests.get())),
+        ("estimates", Json::from(m.estimates.get())),
+        ("reliabilities", Json::from(m.reliabilities.get())),
+        ("graph_estimates", Json::from(m.graph_estimates.get())),
+        ("classifies", Json::from(m.classifies.get())),
+        ("router.route.lifted", global("router.route.lifted")),
+        ("router.route.fpras", global("router.route.fpras")),
+        ("router.route.graph", global("router.route.graph")),
+        ("cache_hits", Json::from(cache.hits)),
+        ("cache_misses", Json::from(cache.misses)),
+        ("cache_evictions", Json::from(cache.evictions)),
+        ("cache_resident", Json::from(cache.resident)),
+        ("cache_hit_rate", Json::from(hit_rate(cache.hits, cache.misses))),
+        ("memo_hits", Json::from(cache.memo_hits)),
+        ("coalesced", Json::from(m.coalesced.get())),
         ("workers", Json::from(state.cfg.workers)),
         ("queue_depth", Json::from(state.queue.depth())),
         ("queue_capacity", Json::from(state.queue.capacity())),
@@ -1309,106 +1275,66 @@ fn stats_response(state: &ServerState) -> Json {
         ("facts", Json::from(facts)),
         ("generation", Json::from(generation)),
         ("epochs", epochs),
-        ("updates", Json::from(state.stats.updates.load(Ordering::Relaxed))),
+        ("updates", Json::from(m.updates.get())),
         ("delta.applied", Json::from(deltas)),
-        (
-            "delta.invalidated_plans",
-            Json::from(state.stats.invalidated_plans.load(Ordering::Relaxed)),
-        ),
-        ("delta.kept_plans", Json::from(state.stats.kept_plans.load(Ordering::Relaxed))),
-        // Refresh counters come from the process-global registry, like
-        // the route counters above.
-        (
-            "router.refresh.incremental",
-            Json::from(pqe_obs::metrics::counter("router.refresh.incremental").get()),
-        ),
-        (
-            "router.refresh.recompiled",
-            Json::from(pqe_obs::metrics::counter("router.refresh.recompiled").get()),
-        ),
-        ("overloaded", Json::from(state.stats.overloaded.load(Ordering::Relaxed))),
-        ("timeouts", Json::from(state.stats.timeouts.load(Ordering::Relaxed))),
-        ("bad_requests", Json::from(state.stats.bad_requests.load(Ordering::Relaxed))),
-        ("eval_errors", Json::from(state.stats.eval_errors.load(Ordering::Relaxed))),
+        ("delta.invalidated_plans", Json::from(m.delta_invalidated.get())),
+        ("delta.kept_plans", Json::from(m.delta_kept.get())),
+        ("router.refresh.incremental", global("router.refresh.incremental")),
+        ("router.refresh.recompiled", global("router.refresh.recompiled")),
+        ("overloaded", Json::from(m.queue_rejected.get())),
+        ("timeouts", Json::from(m.timeouts.get())),
+        ("bad_requests", Json::from(m.bad_requests.get())),
+        ("eval_errors", Json::from(m.eval_errors.get())),
     ])
 }
 
-/// The `metrics` op: the full `pqe-obs` registry snapshot, per-shard
-/// occupancy/hit-rate, queue state, and the aggregate cache counters,
-/// encoded with the serve JSON machinery. Histogram entries carry
-/// count/min/max/mean and the p50/p95/p99 latency percentiles (log-linear
-/// buckets, ≤ 9.4 % relative error).
+/// One section of two registry snapshots merged by name into a JSON
+/// object; on a name in both, `own`'s entry wins.
+fn merged<V>(global: Vec<(String, V)>, own: Vec<(String, V)>, enc: impl Fn(V) -> Json) -> Json {
+    let by_name: BTreeMap<String, V> = global.into_iter().chain(own).collect();
+    Json::Obj(by_name.into_iter().map(|(name, v)| (name, enc(v))).collect())
+}
+
+/// The `metrics` op: the server's registry merged by name with the
+/// process-wide one, per-shard occupancy/hit-rate, queue state, and the
+/// aggregate cache counters, encoded with the serve JSON machinery.
+/// Histogram entries carry count/min/max/mean and the p50/p95/p99 latency
+/// percentiles (log-linear buckets, ≤ 9.4 % relative error).
 fn metrics_response(state: &ServerState) -> Json {
-    let snap = pqe_obs::metrics::snapshot();
-    let counters = Json::Obj(
-        snap.counters.iter().map(|(name, v)| (name.clone(), Json::from(*v))).collect(),
-    );
-    let gauges = Json::Obj(
-        snap.gauges
-            .iter()
-            .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
-            .collect(),
-    );
-    let histograms = Json::Obj(
-        snap.histograms
-            .iter()
-            .map(|(name, h)| {
-                (
-                    name.clone(),
-                    Json::obj([
-                        ("count", Json::from(h.count)),
-                        ("min", Json::from(h.min)),
-                        ("max", Json::from(h.max)),
-                        ("mean", Json::from(h.mean())),
-                        ("p50", Json::from(h.p50)),
-                        ("p95", Json::from(h.p95)),
-                        ("p99", Json::from(h.p99)),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let shards = Json::Arr(
-        state
-            .shard_metrics
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let hits = s.hits.load(Ordering::Relaxed);
-                let misses = s.misses.load(Ordering::Relaxed);
-                let rate = if hits + misses == 0 {
-                    0.0
-                } else {
-                    hits as f64 / (hits + misses) as f64
-                };
-                Json::obj([
-                    ("shard", Json::from(i)),
-                    ("resident", Json::from(s.resident.load(Ordering::Relaxed))),
-                    ("hits", Json::from(hits)),
-                    ("misses", Json::from(misses)),
-                    ("memo_hits", Json::from(s.memo_hits.load(Ordering::Relaxed))),
-                    ("jobs", Json::from(s.jobs.load(Ordering::Relaxed))),
-                    ("hit_rate", Json::from(rate)),
-                ])
-            })
-            .collect(),
-    );
-    let hits = shard_sum(state, |s| s.hits.load(Ordering::Relaxed));
-    let misses = shard_sum(state, |s| s.misses.load(Ordering::Relaxed));
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
+    let (global, own) = (pqe_obs::metrics::snapshot(), state.registry.snapshot());
+    let histogram = |h: HistogramSnapshot| {
+        Json::obj([
+            ("count", Json::from(h.count)),
+            ("min", Json::from(h.min)),
+            ("max", Json::from(h.max)),
+            ("mean", Json::from(h.mean())),
+            ("p50", Json::from(h.p50)),
+            ("p95", Json::from(h.p95)),
+            ("p99", Json::from(h.p99)),
+        ])
     };
+    let shards = state.shard_metrics.iter().enumerate().map(|(i, s)| {
+        let t = CacheTotals::of([s]);
+        Json::obj([
+            ("shard", Json::from(i)),
+            ("resident", Json::from(t.resident)),
+            ("hits", Json::from(t.hits)),
+            ("misses", Json::from(t.misses)),
+            ("memo_hits", Json::from(t.memo_hits)),
+            ("jobs", Json::from(s.jobs.get())),
+            ("hit_rate", Json::from(hit_rate(t.hits, t.misses))),
+        ])
+    });
+    let cache = CacheTotals::of(&state.shard_metrics);
     Json::obj([
         ("ok", Json::Bool(true)),
         ("op", Json::str("metrics")),
         ("version", Json::str(env!("CARGO_PKG_VERSION"))),
         ("uptime_s", Json::from(state.started.elapsed().as_secs())),
-        ("counters", counters),
-        ("gauges", gauges),
-        ("histograms", histograms),
-        ("shards", shards),
+        ("counters", merged(global.counters, own.counters, Json::from)),
+        ("gauges", merged(global.gauges, own.gauges, |v| Json::Num(v as f64))),
+        ("histograms", merged(global.histograms, own.histograms, histogram)),
+        ("shards", Json::Arr(shards.collect())),
         (
             "queue",
             Json::obj([
@@ -1420,20 +1346,11 @@ fn metrics_response(state: &ServerState) -> Json {
         (
             "cache",
             Json::obj([
-                ("hits", Json::from(hits)),
-                ("misses", Json::from(misses)),
-                ("evictions", Json::from(shard_sum(state, |s| s.evictions.load(Ordering::Relaxed)))),
-                (
-                    "resident",
-                    Json::from(
-                        state
-                            .shard_metrics
-                            .iter()
-                            .map(|s| s.resident.load(Ordering::Relaxed))
-                            .sum::<u64>(),
-                    ),
-                ),
-                ("hit_rate", Json::from(hit_rate)),
+                ("hits", Json::from(cache.hits)),
+                ("misses", Json::from(cache.misses)),
+                ("evictions", Json::from(cache.evictions)),
+                ("resident", Json::from(cache.resident)),
+                ("hit_rate", Json::from(hit_rate(cache.hits, cache.misses))),
             ]),
         ),
     ])

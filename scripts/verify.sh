@@ -145,11 +145,16 @@ echo "$resp" | grep -q 'did you mean'
 send '{"op":"stats"}'
 echo "$resp" | grep -q '"estimates":2'
 echo "$resp" | grep -q '"classifies":1'
+# The server's own registry: both queued estimates are in the per-op
+# latency histogram (the bad-method request never reached the queue).
+send '{"op":"metrics"}'
+echo "$resp" | grep -q '"serve.request_us.estimate":{"count":2' || {
+    echo "  FAIL: metrics miscounted estimates: $resp" >&2; exit 1; }
 send '{"op":"shutdown"}'
 echo "$resp" | grep -q '"ok":true'
 exec 3>&- 3<&-
 wait "$SERVE_PID"
-echo "  ok: classify/estimate/stats/shutdown round-tripped, clean exit"
+echo "  ok: classify/estimate/stats/metrics/shutdown round-tripped, clean exit"
 
 # Concurrency smoke: the multiplexed server handles 4 simultaneous
 # connections (distinct seeds — no single-flight sharing), still offline
@@ -214,11 +219,21 @@ IFS= read -r resp <&4
 echo "$resp" | grep -q '"ok":true'
 IFS= read -r resp <&5
 echo "$resp" | grep -q '"ok":true'
+# One rejection, counted once: stats' "overloaded" and metrics' queue
+# "rejected" read the same counter.
+printf '{"op":"stats"}\n' >&6
+IFS= read -r resp <&6
+echo "$resp" | grep -q '"overloaded":1' || {
+    echo "  FAIL: stats did not count the rejection: $resp" >&2; exit 1; }
+printf '{"op":"metrics"}\n' >&6
+IFS= read -r resp <&6
+echo "$resp" | grep -q '"rejected":1' || {
+    echo "  FAIL: metrics did not count the rejection: $resp" >&2; exit 1; }
 printf '{"op":"shutdown"}\n' >&6
 IFS= read -r resp <&6
 exec 4>&- 4<&- 5>&- 5<&- 6>&- 6<&-
 wait "$SERVE_PID"
-echo "  ok: full queue rejected with structured overloaded error"
+echo "  ok: full queue rejected with structured overloaded error, counted once"
 
 # bench-serve smoke: the concurrency axis lands in BENCH_serve.json.
 echo "bench-serve smoke test:"

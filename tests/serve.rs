@@ -830,3 +830,229 @@ fn per_op_latency_histograms_count_each_heavy_op() {
     let _ = std::fs::remove_file(&db);
     let _ = std::fs::remove_file(&graph);
 }
+
+/// The value at `path`, a list of object keys, inside `v`.
+fn member<'a>(v: &'a pqe::serve::Json, path: &[&str]) -> &'a pqe::serve::Json {
+    path.iter().fold(v, |v, k| v.get(k).unwrap_or_else(|| panic!("no {path:?} in {v}")))
+}
+
+/// The ordered key list of a JSON object.
+fn keys(v: &pqe::serve::Json) -> Vec<&str> {
+    let pqe::serve::Json::Obj(members) = v else { panic!("not an object: {v}") };
+    members.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+/// Pins the `stats` and `metrics` wire of one server process over a
+/// session that moves every per-server counter: classify, an estimate
+/// miss, a memo hit, a plan hit, a reliability, a bad request, an
+/// `eval_error`, an update and a post-update `invalidated` request.
+#[test]
+fn stats_and_metrics_wire_is_pinned() {
+    use pqe::serve::Json;
+    let db = write_db(PATH3_DB);
+    let server = ServerProc::start(&db, &["--workers", "1"]);
+    let mut c = server.connect();
+    let est = |seed: u64| {
+        format!(
+            r#"{{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.25,"seed":{seed}}}"#
+        )
+    };
+    let session = [
+        (r#"{"op":"classify","query":"R1(x,y), R2(y,z), R3(z,w)"}"#.to_owned(), "\"ok\":true"),
+        (est(7), "\"cache\":\"miss\""),
+        (est(7), "\"memo\":\"hit\""),
+        (est(8), "\"cache\":\"hit\""),
+        (
+            r#"{"op":"reliability","query":"R1(x,y), R2(y,z)","epsilon":0.25,"seed":7}"#.to_owned(),
+            "\"cache\":\"miss\"",
+        ),
+        ("this is not json".to_owned(), "\"error\":\"bad_request\""),
+        (
+            r#"{"op":"estimate","query":"R1(x,y), R1(y,z)","method":"fpras"}"#.to_owned(),
+            "\"error\":\"eval_error\"",
+        ),
+        (r#"{"op":"update","delta":"~ 1/4 R3(c,e)"}"#.to_owned(), "\"generation\":1"),
+        (est(7), "\"cache\":\"invalidated\""),
+    ];
+    for (req, want) in &session {
+        let resp = roundtrip(&mut c, req);
+        assert!(resp.contains(want), "{req} → {resp}");
+    }
+
+    let resp = roundtrip(&mut c, r#"{"op":"stats"}"#);
+    let stats = Json::parse(resp.trim()).unwrap();
+    assert_eq!(
+        keys(&stats),
+        [
+            "ok", "op", "version", "uptime_s", "uptime_ms", "requests", "estimates",
+            "reliabilities", "graph_estimates", "classifies", "router.route.lifted",
+            "router.route.fpras", "router.route.graph", "cache_hits", "cache_misses",
+            "cache_evictions", "cache_resident", "cache_hit_rate", "memo_hits", "coalesced",
+            "workers", "queue_depth", "queue_capacity", "deadline_ms", "facts", "generation",
+            "epochs", "updates", "delta.applied", "delta.invalidated_plans", "delta.kept_plans",
+            "router.refresh.incremental", "router.refresh.recompiled", "overloaded", "timeouts",
+            "bad_requests", "eval_errors",
+        ],
+        "stats: {resp}"
+    );
+    for (key, want) in [
+        ("requests", 10.0),
+        ("estimates", 5.0),
+        ("reliabilities", 1.0),
+        ("graph_estimates", 0.0),
+        ("classifies", 1.0),
+        ("cache_hits", 3.0),
+        ("cache_misses", 3.0),
+        ("cache_evictions", 0.0),
+        ("cache_resident", 2.0),
+        ("cache_hit_rate", 0.5),
+        ("memo_hits", 1.0),
+        ("coalesced", 0.0),
+        ("workers", 1.0),
+        ("queue_depth", 0.0),
+        ("queue_capacity", 64.0),
+        ("facts", 5.0),
+        ("generation", 1.0),
+        ("updates", 1.0),
+        ("delta.applied", 1.0),
+        ("delta.invalidated_plans", 1.0),
+        ("delta.kept_plans", 0.0),
+        ("overloaded", 0.0),
+        ("timeouts", 0.0),
+        ("bad_requests", 1.0),
+        ("eval_errors", 1.0),
+    ] {
+        assert_eq!(member(&stats, &[key]).as_f64(), Some(want), "{key} in stats: {resp}");
+    }
+    assert_eq!(member(&stats, &["epochs", "R3"]).as_str(), Some("s0p1"), "stats: {resp}");
+
+    let resp = roundtrip(&mut c, r#"{"op":"metrics"}"#);
+    let metrics = Json::parse(resp.trim()).unwrap();
+    assert_eq!(
+        keys(&metrics),
+        [
+            "ok", "op", "version", "uptime_s", "counters", "gauges", "histograms", "shards",
+            "queue", "cache",
+        ],
+        "metrics: {resp}"
+    );
+    // Every name the metrics dump has always carried, with its value for
+    // the serve quantities (None = process-wide, presence only).
+    let counters: &[(&str, Option<f64>)] = &[
+        ("fpras.member_checks", None),
+        ("fpras.sample_tries", None),
+        ("fpras.samples", None),
+        ("fpras.union_ests", None),
+        ("router.refresh.incremental", None),
+        ("router.refresh.recompiled", None),
+        ("router.route.fpras", None),
+        ("router.route.graph", None),
+        ("router.route.lifted", None),
+        ("serve.delta.applied", Some(1.0)),
+        ("serve.delta.invalidated_plans", Some(1.0)),
+        ("serve.delta.kept_plans", Some(0.0)),
+        ("serve.enqueued", Some(6.0)),
+        ("serve.executions", Some(4.0)),
+        ("serve.queue_rejected", Some(0.0)),
+        ("serve.shard0.evictions", Some(0.0)),
+        ("serve.shard0.hits", Some(3.0)),
+        ("serve.shard0.jobs", Some(6.0)),
+        ("serve.shard0.memo_hits", Some(1.0)),
+        ("serve.shard0.misses", Some(3.0)),
+        ("serve.singleflight_coalesced", Some(0.0)),
+    ];
+    // `serve.queue_depth` is sampled at push and at pop by two threads, so
+    // after the last job it reads 0 or 1: presence only.
+    let gauges: &[(&str, Option<f64>)] = &[
+        ("serve.connections", Some(1.0)),
+        ("serve.queue_depth", None),
+        ("serve.shard0.resident", Some(2.0)),
+    ];
+    let histogram_counts: &[(&str, Option<f64>)] = &[
+        ("serve.queue_wait_us", Some(6.0)),
+        ("serve.request_us.estimate", Some(5.0)),
+        ("serve.request_us.graph_estimate", Some(0.0)),
+        ("serve.request_us.reliability", Some(1.0)),
+    ];
+    for (section, pinned, stat) in [
+        ("counters", counters, None),
+        ("gauges", gauges, None),
+        ("histograms", histogram_counts, Some("count")),
+    ] {
+        let got = member(&metrics, &[section]);
+        for (name, want) in pinned {
+            let v = member(got, &[name]);
+            let v = stat.map_or(v, |s| member(v, &[s]));
+            if let Some(want) = want {
+                assert_eq!(v.as_f64(), Some(*want), "{section}.{name} in metrics: {resp}");
+            }
+        }
+        for name in keys(got) {
+            assert!(
+                name.starts_with("serve.") || pinned.iter().any(|(n, _)| *n == name),
+                "new {section} name {name} outside serve.*: {resp}"
+            );
+        }
+    }
+    assert_eq!(
+        member(&metrics, &["shards"]).to_string(),
+        r#"[{"shard":0,"resident":2,"hits":3,"misses":3,"memo_hits":1,"jobs":6,"hit_rate":0.5}]"#,
+        "metrics: {resp}"
+    );
+    assert_eq!(
+        member(&metrics, &["queue"]).to_string(),
+        r#"{"depth":0,"capacity":64,"rejected":0}"#,
+        "metrics: {resp}"
+    );
+    assert_eq!(
+        member(&metrics, &["cache"]).to_string(),
+        r#"{"hits":3,"misses":3,"evictions":0,"resident":2,"hit_rate":0.5}"#,
+        "metrics: {resp}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// Two servers in one process keep separate books: traffic sent to one
+/// never shows up in the other's `stats` or `metrics`.
+#[test]
+fn servers_in_one_process_report_only_their_own_metrics() {
+    use pqe::serve::{Json, ServeConfig, Server};
+    let bind = || {
+        let h = pqe::db::io::load_str(PATH3_DB).unwrap();
+        let server = Server::bind(ServeConfig { workers: 1, ..Default::default() }, h).unwrap();
+        let addr = server.local_addr();
+        (addr, std::thread::spawn(move || server.run()))
+    };
+    let (a, run_a) = bind();
+    let (b, run_b) = bind();
+    let est = |seed: u64| {
+        format!(
+            r#"{{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.3,"seed":{seed}}}"#
+        )
+    };
+    let mut ca = TcpStream::connect(a).unwrap();
+    let mut cb = TcpStream::connect(b).unwrap();
+    const N: u64 = 3;
+    for seed in 0..N {
+        assert!(roundtrip(&mut ca, &est(seed)).contains("\"ok\":true"));
+    }
+    assert!(roundtrip(&mut cb, &est(N)).contains("\"ok\":true"));
+
+    let resp = roundtrip(&mut cb, r#"{"op":"metrics"}"#);
+    let metrics = Json::parse(resp.trim()).unwrap();
+    for (path, want) in [
+        (&["histograms", "serve.request_us.estimate", "count"][..], 1.0),
+        (&["counters", "serve.executions"][..], 1.0),
+        (&["counters", "serve.enqueued"][..], 1.0),
+    ] {
+        assert_eq!(member(&metrics, path).as_f64(), Some(want), "{path:?} of B: {resp}");
+    }
+    let resp = roundtrip(&mut cb, r#"{"op":"stats"}"#);
+    assert_eq!(json_num_field(&resp, "estimates"), 1.0, "stats of B: {resp}");
+
+    for (mut c, run) in [(ca, run_a), (cb, run_b)] {
+        assert!(roundtrip(&mut c, r#"{"op":"shutdown"}"#).contains("\"ok\":true"));
+        run.join().unwrap().unwrap();
+    }
+}
