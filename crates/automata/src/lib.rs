@@ -34,6 +34,7 @@
 //! counting and run counting — serve as test oracles.
 
 mod alphabet;
+mod ambiguity;
 mod augmented;
 pub mod config;
 mod dot;
@@ -50,6 +51,7 @@ mod scratch;
 mod union_mc;
 
 pub use alphabet::{Alphabet, SymbolId};
+pub use ambiguity::Ambiguity;
 pub use augmented::{AugSymbol, AugTransition, AugmentedNfta};
 pub use config::FprasConfig;
 pub use dot::{nfa_to_dot, nfta_to_dot};

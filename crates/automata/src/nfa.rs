@@ -153,16 +153,21 @@ impl Nfa {
     /// frontier buffers — the FPRAS membership oracle's hot path. Frontier
     /// sets of the PQE-reduction automata are tiny, so a sorted vector
     /// beats a fresh `BTreeSet` per step.
+    ///
+    /// `run` is empty, or lists the states after each symbol of an
+    /// accepting run of `word` (from any state): once the frontier holds
+    /// the run's state, the run's suffix accepts the rest of `word`.
     pub(crate) fn accepts_from_state_buf(
         &self,
         q: StateId,
         word: &[SymbolId],
+        run: &[StateId],
         cur: &mut Vec<StateId>,
         next: &mut Vec<StateId>,
     ) -> bool {
         cur.clear();
         cur.push(q);
-        for &sym in word {
+        for (i, &sym) in word.iter().enumerate() {
             if cur.is_empty() {
                 return false;
             }
@@ -177,6 +182,9 @@ impl Nfa {
             next.sort_unstable();
             next.dedup();
             std::mem::swap(cur, next);
+            if run.get(i).is_some_and(|r| cur.binary_search(r).is_ok()) {
+                return true;
+            }
         }
         cur.iter().any(|s| self.accepting.contains(s))
     }

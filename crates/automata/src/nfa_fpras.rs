@@ -13,7 +13,8 @@
 //! fan out over the `pqe-par` pool with per-sample-index randomness, so a
 //! fixed seed gives bit-identical estimates at any thread count.
 
-use crate::scratch::{with_scratch, PickSpan, PickTable, Scratch};
+use crate::ambiguity::mark_ancestors;
+use crate::scratch::{resample, with_scratch, PickSpan, PickTable, Scratch};
 use crate::union_mc::{adaptive_mean, TAG_NFA_GROUP, TAG_NFA_TOP};
 use crate::{FprasConfig, Nfa, StateId, SymbolId};
 use pqe_arith::{BigFloat, FixUint};
@@ -55,16 +56,41 @@ pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
 /// reach. The tables are built once per (automaton, `n`), level by level,
 /// and read without a lock by every repetition; a lookup outside them is
 /// a caller bug and panics.
+///
+/// Alongside them sit the automaton's other exact, seed-independent facts:
+/// each state's transitions grouped by symbol, and which states are
+/// *ambiguous below* — the state, or a state reachable from it, has two
+/// transitions on one symbol. From a state that is not, every string has
+/// at most one run.
 struct PathTables {
     size: usize,
     index: FxHashMap<(StateId, u32), u32>,
     counts: Vec<FixUint>,
     spans: Vec<PickSpan>,
     picks: PickTable<(SymbolId, StateId)>,
+    /// Per state: its outgoing transitions grouped by symbol, targets
+    /// deduplicated.
+    groups: Vec<Vec<(SymbolId, Vec<StateId>)>>,
+    ambiguous_below: Vec<bool>,
 }
 
 impl PathTables {
     fn new(nfa: &Nfa, n: usize) -> Self {
+        let groups: Vec<Vec<(SymbolId, Vec<StateId>)>> = (0..nfa.num_states())
+            .map(|qi| {
+                let mut m: BTreeMap<SymbolId, BTreeSet<StateId>> = BTreeMap::new();
+                for &(a, t) in nfa.transitions_from(StateId(qi as u32)) {
+                    m.entry(a).or_default().insert(t);
+                }
+                m.into_iter()
+                    .map(|(a, ts)| (a, ts.into_iter().collect()))
+                    .collect()
+            })
+            .collect();
+        let ambiguous_below = mark_ancestors(
+            groups.iter().map(|gs| gs.iter().any(|(_, ts)| ts.len() > 1)).collect(),
+            nfa.all_transitions().iter().map(|&(src, _, dst)| (src, dst)),
+        );
         // levels[i]: the states reached with i symbols still to read.
         let mut levels: Vec<Vec<StateId>> = vec![Vec::new(); n + 1];
         levels[n] = nfa.initial_states().iter().copied().collect();
@@ -83,6 +109,8 @@ impl PathTables {
             counts: Vec::new(),
             spans: Vec::new(),
             picks: PickTable::default(),
+            groups,
+            ambiguous_below,
         };
         for (i, level) in levels.iter().enumerate() {
             for &q in level {
@@ -146,24 +174,10 @@ struct NfaCounter<'a> {
     /// `(state, symbol, suffix length)`. Without this, sampling re-runs
     /// the union estimator recursively — exponential work.
     group_memo: ShardedMap<(StateId, SymbolId, usize), BigFloat>,
-    /// Per-state transitions grouped by symbol with deduplicated targets,
-    /// precomputed once — hot in both estimation and sampling.
-    groups_cache: Vec<Vec<(SymbolId, Vec<StateId>)>>,
 }
 
 impl<'a> NfaCounter<'a> {
     fn new(nfa: &'a Nfa, paths: &'a PathTables, cfg: FprasConfig, seed: u64) -> Self {
-        let groups_cache = (0..nfa.num_states())
-            .map(|qi| {
-                let mut m: BTreeMap<SymbolId, BTreeSet<StateId>> = BTreeMap::new();
-                for &(a, t) in nfa.transitions_from(StateId(qi as u32)) {
-                    m.entry(a).or_default().insert(t);
-                }
-                m.into_iter()
-                    .map(|(a, ts)| (a, ts.into_iter().collect()))
-                    .collect()
-            })
-            .collect();
         let threads = cfg.effective_threads();
         NfaCounter {
             nfa,
@@ -173,13 +187,13 @@ impl<'a> NfaCounter<'a> {
             threads,
             est: ShardedMap::new(),
             group_memo: ShardedMap::new(),
-            groups_cache,
         }
     }
 
     /// Samples an accepting path (run) of length `i` from `q`, uniformly
-    /// among paths, appending its string to `s.syms`: one table lookup and
-    /// one bisection per step. `None` iff no path exists.
+    /// among paths, appending its string to `s.syms` and the path's state
+    /// after each symbol to `s.path_states`: one table lookup and one
+    /// bisection per step. `None` iff no path exists.
     fn sample_path_into<R: Rng + ?Sized>(
         &self,
         q: StateId,
@@ -194,6 +208,7 @@ impl<'a> NfaCounter<'a> {
         for remaining in (1..=i).rev() {
             let (a, t) = self.paths.step(cur, remaining, rng);
             s.syms.push(a);
+            s.path_states.push(t);
             cur = t;
         }
         Some(())
@@ -202,17 +217,23 @@ impl<'a> NfaCounter<'a> {
     /// `M(x)`: the number of accepting runs of `x` from `q` (exact
     /// count-weighted subset simulation over a sorted-vec frontier; `cur`
     /// and `next` are reusable buffers).
+    ///
+    /// `run` is empty, or lists the states after each symbol of an
+    /// accepting run of `x`. Once the frontier is that run's state `ρᵢ`
+    /// alone, with count `c`, and `ρᵢ` is not ambiguous below, the run's
+    /// suffix is the only way on: `M(x) = c`, and the simulation stops.
     fn runs_of_string(
         &self,
         q: StateId,
         x: &[SymbolId],
+        run: &[StateId],
         cur: &mut Vec<(StateId, FixUint)>,
         next: &mut Vec<(StateId, FixUint)>,
     ) -> FixUint {
         cur.clear();
         next.clear();
         cur.push((q, FixUint::one()));
-        for &sym in x {
+        for (i, &sym) in x.iter().enumerate() {
             next.clear();
             for (s, count) in cur.iter() {
                 for &(a, t) in self.nfa.transitions_from(*s) {
@@ -227,6 +248,11 @@ impl<'a> NfaCounter<'a> {
             std::mem::swap(cur, next);
             if cur.is_empty() {
                 break;
+            }
+            if let ([(p, c)], Some(&rho)) = (cur.as_slice(), run.get(i)) {
+                if *p == rho && !self.paths.ambiguous_below[rho.index()] {
+                    return c.clone();
+                }
             }
         }
         let mut acc = FixUint::zero();
@@ -267,9 +293,9 @@ impl<'a> NfaCounter<'a> {
     }
 
     /// Outgoing transitions of `q` grouped by symbol, targets deduplicated
-    /// (precomputed).
+    /// (precomputed with the path tables).
     fn groups(&self, q: StateId) -> &[(SymbolId, Vec<StateId>)] {
-        &self.groups_cache[q.index()]
+        &self.paths.groups[q.index()]
     }
 
     /// Estimate of `|⋃_t a·L(t, i−1)|` for one symbol group (the `a` prefix
@@ -312,14 +338,17 @@ impl<'a> NfaCounter<'a> {
                         with_scratch(|s| {
                             s.begin_sample();
                             let (start, end) = self.sample_string_into(t, len, rng, s)?;
-                            let Scratch { syms, member_cur, member_next, .. } = &mut *s;
-                            let x = &syms[start as usize..end as usize];
+                            let Scratch { syms, path_states, member_cur, member_next, .. } =
+                                &mut *s;
+                            let span = start as usize..end as usize;
+                            let (x, run) = (&syms[span.clone()], &path_states[span]);
                             let n_holding = p_states
                                 .iter()
                                 .filter(|&&t2| {
                                     self.nfa.accepts_from_state_buf(
                                         t2,
                                         x,
+                                        run,
                                         member_cur,
                                         member_next,
                                     )
@@ -371,25 +400,17 @@ impl<'a> NfaCounter<'a> {
             }
             let end = s.syms.len() as u32;
             let m = {
-                let Scratch { syms, runs_cur, runs_next, .. } = &mut *s;
-                self.runs_of_string(q, &syms[start as usize..end as usize], runs_cur, runs_next)
+                let Scratch { syms, path_states, runs_cur, runs_next, .. } = &mut *s;
+                let span = start as usize..end as usize;
+                self.runs_of_string(q, &syms[span.clone()], &path_states[span], runs_cur, runs_next)
             };
             s.str_spans.push((start, end));
             s.str_weights.push(1.0 / m.to_f64().max(1.0));
         }
-        let total: f64 = s.str_weights[swbase..].iter().sum();
-        let mut threshold: f64 = rng.random::<f64>() * total;
-        let mut picked = None;
-        for (ci, &w) in s.str_weights[swbase..].iter().enumerate() {
-            threshold -= w;
-            if threshold <= 0.0 {
-                picked = Some(s.str_spans[spbase + ci]);
-                break;
-            }
-        }
+        let picked = s.str_spans[spbase + resample(&s.str_weights[swbase..], rng.random())];
         s.str_spans.truncate(spbase);
         s.str_weights.truncate(swbase);
-        Some(picked.expect("weights are positive"))
+        Some(picked)
     }
 }
 
@@ -681,6 +702,54 @@ mod tests {
                         prop_assert!(m.accepts(&s.syms));
                     } else {
                         prop_assert!(tables.count(q0, n).is_zero());
+                    }
+                    Ok(())
+                })
+            },
+        );
+    }
+
+    /// Differential check of the path-witness shortcuts (also run under
+    /// `PQE_SLOW_PATH=1`, for `BigUint` counts): for strings drawn with
+    /// their path states, `runs_of_string` and the membership simulation
+    /// agree with their witness-free runs from every state, not only the
+    /// state the path starts in.
+    #[test]
+    fn witness_shortcuts_match_the_full_simulation_on_random_nfas() {
+        use pqe_rand::SeedableRng;
+        use pqe_testkit::prelude::*;
+        check(
+            "witness_shortcuts_match_the_full_simulation",
+            &Config::cases(64),
+            &(any::<u32>(), any::<u32>(), any::<u8>(), 1usize..8),
+            |&(trans_bits, sparse_bits, accept_bits, n)| {
+                // Half the cases sparse: states that are not ambiguous
+                // below, where the shortcuts fire, are common then.
+                let sparse = if sparse_bits & 1 == 1 { sparse_bits } else { u32::MAX };
+                let m = bits_nfa(trans_bits & sparse, accept_bits);
+                let tables = PathTables::new(&m, n);
+                let counter = NfaCounter::new(&m, &tables, FprasConfig::default(), 1);
+                let mut rng = StdRng::seed_from_u64(trans_bits as u64);
+                with_scratch(|s| {
+                    s.begin_sample();
+                    for _ in 0..3 {
+                        let start = s.syms.len();
+                        if counter.sample_path_into(StateId(0), n, &mut rng, s).is_none() {
+                            break;
+                        }
+                        let Scratch {
+                            syms, path_states, runs_cur, runs_next, member_cur, member_next, ..
+                        } = &mut *s;
+                        let (x, run) = (&syms[start..], &path_states[start..]);
+                        prop_assert_eq!(run.len(), x.len());
+                        for q in (0..m.num_states()).map(|q| StateId(q as u32)) {
+                            let fast = counter.runs_of_string(q, x, run, runs_cur, runs_next);
+                            let full = counter.runs_of_string(q, x, &[], runs_cur, runs_next);
+                            prop_assert_eq!(fast.to_biguint(), full.to_biguint(), "{q} on {x:?}");
+                            let fast = m.accepts_from_state_buf(q, x, run, member_cur, member_next);
+                            let full = m.accepts_from(BTreeSet::from([q]), x);
+                            prop_assert_eq!(fast, full, "{q} on {x:?}");
+                        }
                     }
                     Ok(())
                 })

@@ -1,6 +1,6 @@
 //! Top-down non-deterministic finite tree automata (paper §2).
 
-use crate::{Alphabet, StateId, SymbolId};
+use crate::{Alphabet, Ambiguity, StateId, SymbolId};
 use pqe_arith::FixUint;
 use pqe_par::FxHashMap;
 use std::collections::BTreeSet;
@@ -233,6 +233,12 @@ impl Nfta {
     /// Memoized top-down acceptance over an [`IndexedTree`]. Callers doing
     /// repeated membership checks against the same tree should share the
     /// index and the memo.
+    ///
+    /// A node drawn by [`RunTables::sample_run_into`] is accepted from its
+    /// [`IndexedTree::run_state`] without a search: the run it was drawn
+    /// with is the witness.
+    ///
+    /// [`RunTables::sample_run_into`]: crate::RunTables::sample_run_into
     pub fn accepted_at(
         &self,
         q: StateId,
@@ -240,6 +246,9 @@ impl Nfta {
         node: usize,
         memo: &mut FxHashMap<(u32, u32), bool>,
     ) -> bool {
+        if it.run_state(node) == Some(q) {
+            return true;
+        }
         if let Some(&v) = memo.get(&(q.0, node as u32)) {
             return v;
         }
@@ -270,20 +279,29 @@ impl Nfta {
     pub fn runs_of_tree(&self, q: StateId, t: &Tree) -> FixUint {
         let it = IndexedTree::new(t);
         let mut memo = FxHashMap::default();
-        self.runs_at(q, &it, 0, &mut memo)
+        self.runs_at(q, &it, 0, None, &mut memo)
     }
 
     /// [`Nfta::runs_of_tree`] over a node already in a flat arena, with a
     /// caller-owned memo. Node ids are unique within an arena generation
     /// and the DP is pure, so one memo may be shared across all candidates
     /// of a sample.
-    pub(crate) fn runs_at(
+    ///
+    /// Given the automaton's `ambiguity`, a node whose
+    /// [`IndexedTree::run_state`] is `q` counts 1 without a search when `q`
+    /// is not ambiguous below: every tree then has at most one run from
+    /// `q`, and the witness is one.
+    pub fn runs_at(
         &self,
         q: StateId,
         it: &IndexedTree,
         node: usize,
+        ambiguity: Option<&Ambiguity>,
         memo: &mut FxHashMap<(u32, u32), FixUint>,
     ) -> FixUint {
+        if it.run_state(node) == Some(q) && ambiguity.is_some_and(|a| !a.is_ambiguous_below(q)) {
+            return FixUint::one();
+        }
         if let Some(v) = memo.get(&(q.0, node as u32)) {
             return v.clone();
         }
@@ -297,7 +315,7 @@ impl Nfta {
             }
             let mut prod = FixUint::one();
             for (&cq, &cn) in tr.children.iter().zip(children.iter()) {
-                prod = &prod * &self.runs_at(cq, it, cn as usize, memo);
+                prod = &prod * &self.runs_at(cq, it, cn as usize, ambiguity, memo);
                 if prod.is_zero() {
                     break;
                 }
@@ -319,17 +337,27 @@ impl Nfta {
 /// arena — `clear` + `new_node`/`set_child` build candidate trees in
 /// place, and only a winner is ever converted back into a [`Tree`]
 /// ([`IndexedTree::to_tree`]).
+///
+/// A fourth column holds **run witnesses**: a node drawn by the run
+/// sampler records the state of the accepting run it was drawn with
+/// ([`IndexedTree::run_state`]), so the membership and run-count DPs can
+/// stop at it. Every other node records none.
 #[derive(Default)]
 pub struct IndexedTree {
     labels: Vec<SymbolId>,
     /// Per node: `(start, arity)` span into `child_ids`.
     spans: Vec<(u32, u32)>,
     child_ids: Vec<u32>,
+    /// Per node: its run state, or [`NO_RUN_STATE`].
+    run_states: Vec<StateId>,
 }
 
 /// A sentinel for a child slot reserved by [`IndexedTree::new_node`] but
 /// not yet wired by [`IndexedTree::set_child`].
 const UNSET_CHILD: u32 = u32::MAX;
+
+/// The run state of a node that carries no witness.
+const NO_RUN_STATE: StateId = StateId(u32::MAX);
 
 impl IndexedTree {
     /// An empty arena (fill with [`IndexedTree::push_tree`] or
@@ -350,6 +378,7 @@ impl IndexedTree {
         self.labels.clear();
         self.spans.clear();
         self.child_ids.clear();
+        self.run_states.clear();
     }
 
     /// Number of nodes in the arena.
@@ -375,13 +404,31 @@ impl IndexedTree {
         &self.child_ids[start as usize..(start + arity) as usize]
     }
 
-    /// Allocates a node with `arity` unset child slots; returns its id.
+    /// The state of the accepting run `node` was drawn with, if it was
+    /// drawn by the run sampler: the subtree at `node` is then accepted
+    /// from that state, by a run whose children carry their own states.
+    #[inline]
+    pub fn run_state(&self, node: usize) -> Option<StateId> {
+        Some(self.run_states[node]).filter(|&q| q != NO_RUN_STATE)
+    }
+
+    /// Allocates a node with `arity` unset child slots and no run state;
+    /// returns its id.
     pub fn new_node(&mut self, label: SymbolId, arity: usize) -> u32 {
+        self.new_run_node(label, arity, NO_RUN_STATE)
+    }
+
+    /// [`IndexedTree::new_node`] for a node of a run in `state`. Callers
+    /// promise the run: the node's subtree, once wired, must be accepted
+    /// from `state` by a run that visits its children in their own run
+    /// states.
+    pub(crate) fn new_run_node(&mut self, label: SymbolId, arity: usize, state: StateId) -> u32 {
         let id = self.labels.len() as u32;
         self.labels.push(label);
         self.spans.push((self.child_ids.len() as u32, arity as u32));
         self.child_ids
             .extend(std::iter::repeat(UNSET_CHILD).take(arity));
+        self.run_states.push(state);
         id
     }
 

@@ -27,13 +27,12 @@
 //! fixed seed the estimate is bit-identical at any thread count.
 
 use crate::forest_reg::EMPTY_FOREST;
-use crate::scratch::{with_scratch, PickTable, Scratch};
+use crate::scratch::{resample, with_scratch, PickTable, Scratch};
 use crate::union_mc::{adaptive_mean, TAG_NFTA_GROUP};
-use crate::{FprasConfig, Nfta, RunTables, StateId, SymbolId, Tree};
+use crate::{Ambiguity, FprasConfig, Nfta, RunTables, StateId, Tree};
 use pqe_arith::BigFloat;
 use pqe_par::ShardedMap;
 use pqe_rand::{mix_seed, Rng};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// Sampling diagnostics, published through the `pqe-obs` metrics registry
@@ -56,14 +55,14 @@ obs_counter!(cnt_est, "fpras.union_ests");
 /// Approximates `|L_n(T)|`, the number of distinct size-`n` labelled trees
 /// accepted by `nfta`, as the median of `cfg.repetitions` independent
 /// estimates (computed in parallel — each repetition has its own seed, so
-/// the median is independent of scheduling). The exact run tables are
-/// seed-independent: they are built once, before the fan-out, and every
-/// repetition borrows them.
+/// the median is independent of scheduling). The exact run tables and the
+/// ambiguity analysis are seed-independent: they are built once, before
+/// the fan-out, and every repetition borrows them.
 pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
     let _span = pqe_obs::span::span("count.nfta");
-    let runs = {
+    let (runs, ambiguity) = {
         let _tables = pqe_obs::span::span("tables");
-        RunTables::new(nfta, n)
+        (RunTables::new(nfta, n), Ambiguity::new(nfta, cfg.naive_unions))
     };
     let reps = cfg.repetitions.max(1);
     let mut results: Vec<BigFloat> = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
@@ -74,7 +73,7 @@ pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
             let counter = {
                 let _init = pqe_obs::span::span("init");
                 let seed = cfg.seed.wrapping_add(rep as u64);
-                NftaCounter::new(nfta, &runs, cfg.clone().with_seed(seed))
+                NftaCounter::new(nfta, &runs, &ambiguity, cfg.clone().with_seed(seed))
             };
             counter.count()
         })
@@ -88,11 +87,12 @@ pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
 /// [`RunTables`] were built for, with memoized size tables.
 ///
 /// Exposed so callers can reuse one counter across draws (the estimate
-/// tables depend only on the automaton and the seed). The counter holds no
-/// generator of its own: every union derives a seed from `cfg.seed` and its
-/// own key, and sampling entry points take the caller's RNG — which makes
-/// every memoized value a pure function of its key and the run seed, and
-/// the whole structure shareable across worker threads.
+/// tables depend only on the automaton and the seed), and build the exact
+/// [`RunTables`] and [`Ambiguity`] once for any number of counters. The
+/// counter holds no generator of its own: every union derives a seed from
+/// `cfg.seed` and its own key, and sampling entry points take the caller's
+/// RNG — which makes every memoized value a pure function of its key and
+/// the run seed, and the whole structure shareable across worker threads.
 pub struct NftaCounter<'a> {
     nfta: &'a Nfta,
     /// Exact run tables of `nfta` (shared by every repetition).
@@ -109,50 +109,38 @@ pub struct NftaCounter<'a> {
     /// `(state, group index, size)`. Without this, every sampling step
     /// would re-run the union estimator recursively — exponential work.
     group_memo: ShardedMap<(StateId, usize, usize), BigFloat>,
-    /// Per-state transition groups (by root symbol, or one group per state
-    /// under `naive_unions`), deduplicated, precomputed once — hot in both
-    /// estimation and sampling.
-    groups_cache: Vec<Vec<Vec<usize>>>,
+    /// Per-state transition groups and ambiguity flags of `nfta` (shared
+    /// by every repetition). Where a state is not ambiguous below, every
+    /// tree has exactly one run, so a single run-sample is already uniform
+    /// and the SIR machinery is skipped.
+    ambiguity: &'a Ambiguity,
     /// Split pick tables of `sample_forest_into`, one slot per forest key
     /// of `runs` (by its dense id). They hold estimates, so they belong to
     /// this repetition's seed; each is built on its key's first draw and
     /// read without a lock afterwards.
     split_picks: Vec<OnceLock<PickTable<u32>>>,
-    /// Per-state flag: `true` iff some state reachable from it (including
-    /// itself) has an ambiguous symbol group. Where `false`, every tree has
-    /// exactly one run, so a single run-sample is already uniform and the
-    /// SIR machinery is skipped.
-    ambiguous_below: Vec<bool>,
 }
 
 impl<'a> NftaCounter<'a> {
-    /// Creates a counter over `runs`, which must have been built from
-    /// `nfta`; its randomness is fully determined by `cfg.seed`.
-    pub fn new(nfta: &'a Nfta, runs: &'a RunTables, cfg: FprasConfig) -> Self {
+    /// Creates a counter over `runs` and `ambiguity`, which must have been
+    /// built from `nfta`, the latter under `cfg.naive_unions`; its
+    /// randomness is fully determined by `cfg.seed`.
+    pub fn new(
+        nfta: &'a Nfta,
+        runs: &'a RunTables,
+        ambiguity: &'a Ambiguity,
+        cfg: FprasConfig,
+    ) -> Self {
         assert_eq!(
             runs.num_transitions(),
             nfta.transitions().len(),
             "RunTables were built from another automaton"
         );
-        let groups_cache: Vec<Vec<Vec<usize>>> = (0..nfta.num_states())
-            .map(|qi| {
-                let mut m: BTreeMap<SymbolId, Vec<usize>> = BTreeMap::new();
-                for &ti in nfta.transitions_from(StateId(qi as u32)) {
-                    let tr = &nfta.transitions()[ti];
-                    // Ablation: one group per state instead of per symbol.
-                    let key = if cfg.naive_unions { SymbolId(0) } else { tr.symbol };
-                    let group = m.entry(key).or_default();
-                    if !group.iter().any(|&gj| {
-                        let other = &nfta.transitions()[gj];
-                        other.symbol == tr.symbol && other.children == tr.children
-                    }) {
-                        group.push(ti);
-                    }
-                }
-                m.into_values().collect()
-            })
-            .collect();
-        let ambiguous_below = compute_ambiguous_below(nfta, &groups_cache);
+        assert_eq!(
+            (ambiguity.num_states(), ambiguity.naive_unions()),
+            (nfta.num_states(), cfg.naive_unions),
+            "Ambiguity was built from another automaton or naive_unions setting"
+        );
         let threads = cfg.effective_threads();
         NftaCounter {
             nfta,
@@ -162,9 +150,8 @@ impl<'a> NftaCounter<'a> {
             tree_memo: ShardedMap::new(),
             forest_memo: ShardedMap::new(),
             group_memo: ShardedMap::new(),
-            groups_cache,
+            ambiguity,
             split_picks: (0..runs.num_forest_keys()).map(|_| OnceLock::new()).collect(),
-            ambiguous_below,
         }
     }
 
@@ -183,15 +170,10 @@ impl<'a> NftaCounter<'a> {
         }
         cnt_est().inc();
         let mut total = BigFloat::zero();
-        for (gi, group) in self.groups(q).iter().enumerate() {
+        for (gi, group) in self.ambiguity.groups(q).enumerate() {
             total = total + self.group_est(q, gi, group, n);
         }
         self.tree_memo.insert((q, n), total)
-    }
-
-    /// Transition groups of `q` (see `groups_cache`).
-    fn groups(&self, q: StateId) -> &[Vec<usize>] {
-        &self.groups_cache[q.index()]
     }
 
     /// Estimated size of one group's union
@@ -354,7 +336,7 @@ impl<'a> NftaCounter<'a> {
         rng: &mut R,
         s: &mut Scratch,
     ) -> Option<u32> {
-        let k = if self.ambiguous_below[q.index()] {
+        let k = if self.ambiguity.is_ambiguous_below(q) {
             self.cfg.sir_candidates.max(1)
         } else {
             // Unambiguous below q: runs are in bijection with trees, so
@@ -362,45 +344,34 @@ impl<'a> NftaCounter<'a> {
             1
         };
         // `None` iff no run exists; nothing is drawn then.
-        let first = self.runs.sample_run_into(q, n, rng, s)?;
+        let first = self.runs.sample_run_into(q, n, rng, &mut s.tree)?;
         cnt_tries().inc();
         if k == 1 {
             return Some(first);
         }
         let cbase = s.cand_nodes.len();
-        let m0 = {
-            let Scratch { tree, runs_memo, .. } = &mut *s;
-            self.nfta.runs_at(q, tree, first as usize, runs_memo)
-        };
-        s.cand_nodes.push(first);
-        s.cand_weights.push(1.0 / m0.to_f64().max(1.0));
+        self.push_candidate(q, first, s);
         for _ in 1..k {
             cnt_tries().inc();
-            let Some(t) = self.runs.sample_run_into(q, n, rng, s) else {
+            let Some(t) = self.runs.sample_run_into(q, n, rng, &mut s.tree) else {
                 s.cand_nodes.truncate(cbase);
                 s.cand_weights.truncate(cbase);
                 return None;
             };
-            let m = {
-                let Scratch { tree, runs_memo, .. } = &mut *s;
-                self.nfta.runs_at(q, tree, t as usize, runs_memo)
-            };
-            s.cand_nodes.push(t);
-            s.cand_weights.push(1.0 / m.to_f64().max(1.0));
+            self.push_candidate(q, t, s);
         }
-        let total: f64 = s.cand_weights[cbase..].iter().sum();
-        let mut threshold: f64 = rng.random::<f64>() * total;
-        let mut picked = None;
-        for (i, &w) in s.cand_weights[cbase..].iter().enumerate() {
-            threshold -= w;
-            if threshold <= 0.0 {
-                picked = Some(s.cand_nodes[cbase + i]);
-                break;
-            }
-        }
+        let picked = s.cand_nodes[cbase + resample(&s.cand_weights[cbase..], rng.random())];
         s.cand_nodes.truncate(cbase);
         s.cand_weights.truncate(cbase);
-        Some(picked.expect("weights are positive"))
+        Some(picked)
+    }
+
+    /// Pushes SIR candidate `t`, a run from `q`, with weight `1/M(t)`.
+    fn push_candidate(&self, q: StateId, t: u32, s: &mut Scratch) {
+        let Scratch { tree, runs_memo, cand_nodes, cand_weights, .. } = s;
+        let m = self.nfta.runs_at(q, tree, t as usize, Some(self.ambiguity), runs_memo);
+        cand_nodes.push(t);
+        cand_weights.push(1.0 / m.to_f64().max(1.0));
     }
 
     /// Samples a forest from `Forest(states, m)` into the arena: first-tree
@@ -453,36 +424,6 @@ impl<'a> NftaCounter<'a> {
         // A concurrent first draw may have stored its (equal) table first.
         let _ = cell.set(table);
         cell.get().expect("set above")
-    }
-}
-
-/// Monotone fixpoint: a state is "ambiguous below" if it owns a symbol
-/// group with more than one (deduplicated) transition, or can reach one.
-fn compute_ambiguous_below(nfta: &Nfta, groups_cache: &[Vec<Vec<usize>>]) -> Vec<bool> {
-    let n = nfta.num_states();
-    let mut amb: Vec<bool> = (0..n)
-        .map(|q| groups_cache[q].iter().any(|g| g.len() > 1))
-        .collect();
-    loop {
-        let mut changed = false;
-        for q in 0..n {
-            if amb[q] {
-                continue;
-            }
-            let reaches = nfta.transitions_from(StateId(q as u32)).iter().any(|&ti| {
-                nfta.transitions()[ti]
-                    .children
-                    .iter()
-                    .any(|c| amb[c.index()])
-            });
-            if reaches {
-                amb[q] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            return amb;
-        }
     }
 }
 
@@ -599,7 +540,9 @@ mod tests {
     fn sample_tree_produces_accepted_trees() {
         let aut = unary_contains_a();
         let runs = RunTables::new(&aut, 6);
-        let counter = NftaCounter::new(&aut, &runs, FprasConfig::with_epsilon(0.2).with_seed(31));
+        let ambiguity = Ambiguity::new(&aut, false);
+        let counter =
+            NftaCounter::new(&aut, &runs, &ambiguity, FprasConfig::with_epsilon(0.2).with_seed(31));
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..50 {
             let t = counter.sample_tree(&mut rng).expect("nonempty");
@@ -636,7 +579,8 @@ mod tests {
     fn counter_reuse_is_consistent() {
         let aut = full_binary();
         let runs = RunTables::new(&aut, 7);
-        let counter = NftaCounter::new(&aut, &runs, FprasConfig::default());
+        let ambiguity = Ambiguity::new(&aut, false);
+        let counter = NftaCounter::new(&aut, &runs, &ambiguity, FprasConfig::default());
         let a = counter.count();
         let b = counter.count();
         assert_eq!(a, b); // memoized tables

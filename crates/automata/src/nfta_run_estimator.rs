@@ -20,10 +20,9 @@
 //! measures it.
 //!
 //! Run counts are carried as [`FixUint`] — `u128` until overflow, then
-//! `BigUint` — and samples are drawn straight into a flat
-//! [`IndexedTree`](crate::IndexedTree)
-//! arena via the internal `*_into` entry points (see `scratch.rs`); the
-//! `Tree`-returning public API wraps them.
+//! `BigUint` — and samples are drawn straight into a flat [`IndexedTree`]
+//! arena via the `*_into` entry points (see `scratch.rs`), which stamp
+//! each node with its run state; the `Tree`-returning API wraps them.
 //!
 //! [`RunTables`] are built once per (automaton, target size), single-
 //! threaded, and are immutable afterwards: every repetition and worker of
@@ -31,7 +30,7 @@
 
 use crate::forest_reg::{ForestReg, EMPTY_FOREST};
 use crate::scratch::{with_scratch, PickSpan, PickTable, Scratch};
-use crate::{Nfta, StateId, SymbolId, Tree};
+use crate::{Ambiguity, IndexedTree, Nfta, StateId, SymbolId, Tree};
 use pqe_arith::{BigFloat, FixUint};
 use pqe_par::FxHashMap;
 use pqe_rand::rngs::StdRng;
@@ -223,19 +222,24 @@ impl RunTables {
     ) -> Option<Tree> {
         with_scratch(|s| {
             s.begin_sample();
-            let node = self.sample_run_into(q, n, rng, s)?;
+            let node = self.sample_run_into(q, n, rng, &mut s.tree)?;
             Some(s.tree.to_tree(node))
         })
     }
 
-    /// Flat-arena run sampler: the drawn tree is built in `s.tree` and its
+    /// Flat-arena run sampler: the drawn tree is built in `arena` and its
     /// root id returned. Draw-for-draw identical to [`RunTables::sample_run`].
-    pub(crate) fn sample_run_into<R: Rng + ?Sized>(
+    ///
+    /// Every node it creates records the state of the drawn run as its
+    /// [`IndexedTree::run_state`] — the witness that lets
+    /// [`Nfta::accepted_at`] and [`Nfta::runs_at`] stop at the node. On
+    /// `None` the nodes drawn so far are left unwired in the arena.
+    pub fn sample_run_into<R: Rng + ?Sized>(
         &self,
         q: StateId,
         n: usize,
         rng: &mut R,
-        s: &mut Scratch,
+        arena: &mut IndexedTree,
     ) -> Option<u32> {
         let e = self.tree_entry(q, n)?;
         if e.count.is_zero() {
@@ -244,8 +248,8 @@ impl RunTables {
         // A transition ∝ its forest run count.
         let ti = self.picks.pick(e.picks, rng) as usize;
         let fid = self.reg.transition_forest(ti);
-        let node = s.tree.new_node(self.symbols[ti], self.reg.arity(fid));
-        self.sample_forest_run_into(fid, n - 1, rng, s, node, 0)?;
+        let node = arena.new_run_node(self.symbols[ti], self.reg.arity(fid), q);
+        self.sample_forest_run_into(fid, n - 1, rng, arena, node, 0)?;
         Some(node)
     }
 
@@ -254,7 +258,7 @@ impl RunTables {
         fid: u32,
         m: usize,
         rng: &mut R,
-        s: &mut Scratch,
+        arena: &mut IndexedTree,
         parent: u32,
         slot: usize,
     ) -> Option<()> {
@@ -264,17 +268,17 @@ impl RunTables {
         let head = self.reg.head(fid);
         let len = self.reg.len(fid);
         if len == 1 {
-            let c = self.sample_run_into(head, m, rng, s)?;
-            s.tree.set_child(parent, slot, c);
+            let c = self.sample_run_into(head, m, rng, arena)?;
+            arena.set_child(parent, slot, c);
             return Some(());
         }
         // Reached only through a nonzero pick, so the key is tabled and
         // nonzero. First-tree size j ∝ R(head, j) · F(tail, m − j).
         let e = &self.forest_entries[self.forest_id(fid, m)];
         let j = self.picks.pick(e.picks, rng) as usize;
-        let c = self.sample_run_into(head, j, rng, s)?;
-        s.tree.set_child(parent, slot, c);
-        self.sample_forest_run_into(self.reg.tail(fid), m - j, rng, s, parent, slot + 1)
+        let c = self.sample_run_into(head, j, rng, arena)?;
+        arena.set_child(parent, slot, c);
+        self.sample_forest_run_into(self.reg.tail(fid), m - j, rng, arena, parent, slot + 1)
     }
 }
 
@@ -287,6 +291,7 @@ impl RunTables {
 pub fn count_nfta_run_based(nfta: &Nfta, n: usize, samples: usize, seed: u64) -> BigFloat {
     assert!(samples > 0);
     let tables = RunTables::new(nfta, n);
+    let ambiguity = Ambiguity::new(nfta, false);
     let total_runs = tables.tree_runs(nfta.initial(), n);
     if total_runs.is_zero() {
         return BigFloat::zero();
@@ -309,11 +314,12 @@ pub fn count_nfta_run_based(nfta: &Nfta, n: usize, samples: usize, seed: u64) ->
                 let mut rng = rngs[i].clone();
                 with_scratch(|s| {
                     s.begin_sample();
-                    let t = tables
-                        .sample_run_into(nfta.initial(), n, &mut rng, s)
-                        .expect("R > 0 implies a run exists");
                     let Scratch { tree, runs_memo, .. } = s;
-                    let m = nfta.runs_at(nfta.initial(), tree, t as usize, runs_memo);
+                    let t = tables
+                        .sample_run_into(nfta.initial(), n, &mut rng, tree)
+                        .expect("R > 0 implies a run exists");
+                    let m =
+                        nfta.runs_at(nfta.initial(), tree, t as usize, Some(&ambiguity), runs_memo);
                     debug_assert!(!m.is_zero());
                     1.0 / m.to_f64()
                 })

@@ -63,6 +63,9 @@ pub(crate) struct Scratch {
     pub runs_memo: FxHashMap<(u32, u32), FixUint>,
     /// Flat symbol buffer for string candidates (NFA sampler).
     pub syms: Vec<SymbolId>,
+    /// Parallel to `syms`: the state of the drawn path after each symbol —
+    /// the run witness of each string candidate.
+    pub path_states: Vec<StateId>,
     /// SIR candidate spans `(start, end)` into `syms`.
     pub str_spans: Vec<(u32, u32)>,
     /// SIR candidate weights, parallel to `str_spans`.
@@ -88,6 +91,7 @@ impl Scratch {
         self.cand_nodes.clear();
         self.cand_weights.clear();
         self.syms.clear();
+        self.path_states.clear();
         self.str_spans.clear();
         self.str_weights.clear();
     }
@@ -190,6 +194,23 @@ impl<C: Copy> PickTable<C> {
     }
 }
 
+/// The SIR resampling step of both samplers: the first candidate at which
+/// `u · Σw`, less the running sum of the weights, drops to zero or below
+/// (`u ∈ [0, 1)`, `weights` positive). Rounding can leave it above zero
+/// after the last weight when `u` is close to 1; the last candidate is
+/// drawn then, as [`PickTable::pick`] falls back to its last option.
+pub(crate) fn resample(weights: &[f64], u: f64) -> usize {
+    let total: f64 = weights.iter().sum();
+    let mut threshold = u * total;
+    for (i, &w) in weights.iter().enumerate() {
+        threshold -= w;
+        if threshold <= 0.0 {
+            return i;
+        }
+    }
+    weights.len() - 1
+}
+
 /// Draws an index from `weights` proportionally, falling back to the
 /// **last** entry if accumulated rounding leaves the threshold unmet —
 /// the linear scan the estimators used for pre-filtered (all-nonzero)
@@ -265,13 +286,15 @@ mod tests {
             s.accept_memo.insert((0, 0), true);
             s.runs_memo.insert((0, 0), FixUint::one());
             s.syms.push(SymbolId(1));
+            s.path_states.push(StateId(0));
             s.str_spans.push((0, 1));
             s.str_weights.push(1.0);
             s.runs_cur.push((StateId(0), FixUint::one()));
             s.begin_sample();
             assert!(s.cand_nodes.is_empty() && s.cand_weights.is_empty());
             assert!(s.accept_memo.is_empty() && s.runs_memo.is_empty());
-            assert!(s.syms.is_empty() && s.str_spans.is_empty() && s.str_weights.is_empty());
+            assert!(s.syms.is_empty() && s.path_states.is_empty());
+            assert!(s.str_spans.is_empty() && s.str_weights.is_empty());
             assert!(s.tree.is_empty());
             // Frontier buffers are cleared by their own users, not here.
             assert_eq!(s.runs_cur.len(), 1);
@@ -352,6 +375,39 @@ mod tests {
                 assert_eq!(filtered.pick(filtered.whole(), &mut Words(vec![w])), scan);
             }
         }
+    }
+
+    #[test]
+    fn resample_falls_back_to_the_last_candidate_at_the_top_of_u() {
+        // The largest u < 1. On about one list in eight, subtracting the
+        // weights one by one from u·Σw leaves a positive remainder; the
+        // loop the samplers used then found no candidate and panicked.
+        let u_max = 1.0 - f64::EPSILON / 2.0;
+        let mut gen = StdRng::seed_from_u64(0x5e1);
+        let mut fell_back = 0;
+        for _ in 0..1_000 {
+            let weights: Vec<f64> =
+                (0..12).map(|_| 1.0 / gen.random_range(1..40u32) as f64).collect();
+            let total: f64 = weights.iter().sum();
+            let mut threshold = u_max * total;
+            let scan = weights.iter().position(|&w| {
+                threshold -= w;
+                threshold <= 0.0
+            });
+            let picked = resample(&weights, u_max);
+            match scan {
+                Some(i) => assert_eq!(picked, i),
+                None => {
+                    assert_eq!(picked, weights.len() - 1);
+                    fell_back += 1;
+                }
+            }
+        }
+        assert!(fell_back > 0, "no list exercised the fallback");
+        // Away from the top of u, the draw is the scan's first crossing.
+        assert_eq!(resample(&[1.0, 2.0, 1.0], 0.0), 0);
+        assert_eq!(resample(&[1.0, 2.0, 1.0], 0.5), 1);
+        assert_eq!(resample(&[1.0, 2.0, 1.0], 0.8), 2);
     }
 
     #[test]

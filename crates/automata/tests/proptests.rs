@@ -4,10 +4,11 @@
 
 use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{
-    count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, Alphabet, AugSymbol,
-    AugTransition, AugmentedNfta, FprasConfig, MulTransition, MultiplierNfta, Nfa, Nfta,
-    NftaCounter, RunTables, StateId, Transition,
+    count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, Alphabet, Ambiguity,
+    AugSymbol, AugTransition, AugmentedNfta, FprasConfig, IndexedTree, MulTransition,
+    MultiplierNfta, Nfa, Nfta, NftaCounter, RunTables, StateId, Transition,
 };
+use pqe_par::FxHashMap;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
 use pqe_testkit::prelude::*;
@@ -164,7 +165,8 @@ fn samplers_stay_inside_their_tables_on_random_nftas() {
         let n = *n;
         let tables = RunTables::new(nfta, n);
         let cfg = FprasConfig::with_epsilon(0.3).with_seed(0xBEE5).with_threads(1);
-        let counter = NftaCounter::new(nfta, &tables, cfg.clone());
+        let ambiguity = Ambiguity::new(nfta, false);
+        let counter = NftaCounter::new(nfta, &tables, &ambiguity, cfg.clone());
         let mut rng = StdRng::seed_from_u64(n as u64);
         for _ in 0..4 {
             if let Some(t) = tables.sample_run(nfta.initial(), n, &mut rng) {
@@ -177,6 +179,42 @@ fn samplers_stay_inside_their_tables_on_random_nftas() {
         let exact = count_trees_exact(nfta, n);
         let approx = count_nfta(nfta, n, &cfg);
         prop_assert_eq!(approx.is_zero(), exact.is_zero(), "exact {exact}, approx {approx}");
+        Ok(())
+    });
+}
+
+/// Differential check of the run-witness shortcuts (run this file under
+/// `PQE_SLOW_PATH=1` too, for `BigUint` counts): on trees drawn by the run
+/// sampler, whose nodes carry the states of their runs, `runs_at` and
+/// `accepted_at` agree with the full DPs on the materialised tree — at
+/// every node, for every state, not only the run state — under both union
+/// groupings.
+#[test]
+fn witness_shortcuts_match_the_full_dp_on_random_nftas() {
+    let gen = (random_nfta(), 1usize..8, any::<bool>());
+    check("witness_shortcuts_match_the_full_dp", &cfg(), &gen, |(nfta, n, naive)| {
+        let tables = RunTables::new(nfta, *n);
+        let ambiguity = Ambiguity::new(nfta, *naive);
+        let mut rng = StdRng::seed_from_u64(*n as u64);
+        // Several runs side by side in one arena, as the SIR sampler
+        // leaves its candidates.
+        let mut arena = IndexedTree::empty();
+        for _ in 0..3 {
+            if let Some(root) = tables.sample_run_into(nfta.initial(), *n, &mut rng, &mut arena) {
+                prop_assert_eq!(arena.run_state(root as usize), Some(nfta.initial()));
+            }
+        }
+        let (mut runs_memo, mut accept_memo) = (FxHashMap::default(), FxHashMap::default());
+        for v in 0..arena.len() {
+            let t = arena.to_tree(v as u32);
+            for q in (0..nfta.num_states()).map(|q| StateId(q as u32)) {
+                let runs = nfta.runs_at(q, &arena, v, Some(&ambiguity), &mut runs_memo);
+                let full = nfta.runs_of_tree(q, &t);
+                prop_assert_eq!(runs.to_biguint(), full.to_biguint(), "{q} at {v}");
+                let accepted = nfta.accepted_at(q, &arena, v, &mut accept_memo);
+                prop_assert_eq!(accepted, nfta.accepts_from(q, &t), "{q} at {v}");
+            }
+        }
         Ok(())
     });
 }

@@ -19,7 +19,7 @@
 //! small.
 
 use crate::reductions::{build_pqe_automaton, build_ur_automaton, ReductionError};
-use pqe_automata::{FprasConfig, Nfta, NftaCounter, RunTables, SymbolId, Tree};
+use pqe_automata::{Ambiguity, FprasConfig, Nfta, NftaCounter, RunTables, SymbolId, Tree};
 use pqe_db::{Database, FactId, ProbDatabase};
 use pqe_query::ConjunctiveQuery;
 use std::collections::HashMap;
@@ -65,6 +65,8 @@ pub struct UniformWorldSampler<'a> {
     /// Exact run tables of `nfta` at the target size, built once and
     /// shared by every draw.
     runs: RunTables,
+    /// Ambiguity analysis of `nfta`, built once like `runs`.
+    ambiguity: Ambiguity,
     by_symbol: HashMap<SymbolId, FactId>,
     free_facts: Vec<FactId>,
     cfg: FprasConfig,
@@ -72,7 +74,7 @@ pub struct UniformWorldSampler<'a> {
 
 impl<'a> UniformWorldSampler<'a> {
     /// Builds the sampler (runs the Proposition 1 reduction and builds the
-    /// exact run tables once).
+    /// exact run tables and ambiguity analysis once).
     pub fn new(
         q: &ConjunctiveQuery,
         db: &'a Database,
@@ -90,10 +92,12 @@ impl<'a> UniformWorldSampler<'a> {
         let covered: std::collections::BTreeSet<FactId> = back.iter().copied().collect();
         let free_facts = db.fact_ids().filter(|f| !covered.contains(f)).collect();
         let runs = RunTables::new(&nfta, ur.target_size);
+        let ambiguity = Ambiguity::new(&nfta, cfg.naive_unions);
         Ok(UniformWorldSampler {
             db,
             nfta,
             runs,
+            ambiguity,
             by_symbol,
             free_facts,
             cfg,
@@ -106,7 +110,12 @@ impl<'a> UniformWorldSampler<'a> {
         // A fresh counter seeded from the caller's RNG keeps the sampler's
         // randomness under the caller's control while reusing estimates is
         // the counter's job; for repeated sampling use `sample_batch`.
-        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
+        let counter = NftaCounter::new(
+            &self.nfta,
+            &self.runs,
+            &self.ambiguity,
+            self.cfg.clone().with_seed(rng.random()),
+        );
         self.sample_with(&counter, rng)
     }
 
@@ -117,7 +126,12 @@ impl<'a> UniformWorldSampler<'a> {
         count: usize,
         rng: &mut R,
     ) -> Vec<Vec<bool>> {
-        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
+        let counter = NftaCounter::new(
+            &self.nfta,
+            &self.runs,
+            &self.ambiguity,
+            self.cfg.clone().with_seed(rng.random()),
+        );
         (0..count)
             .filter_map(|_| self.sample_with(&counter, rng))
             .collect()
@@ -142,9 +156,10 @@ impl<'a> UniformWorldSampler<'a> {
 pub struct WeightedWorldSampler<'a> {
     h: &'a ProbDatabase,
     nfta: Nfta,
-    /// Exact run tables of `nfta` at the target size (see
+    /// Exact run tables and ambiguity analysis of `nfta` (see
     /// [`UniformWorldSampler`]).
     runs: RunTables,
+    ambiguity: Ambiguity,
     by_symbol: HashMap<SymbolId, FactId>,
     free_facts: Vec<FactId>,
     cfg: FprasConfig,
@@ -152,7 +167,7 @@ pub struct WeightedWorldSampler<'a> {
 
 impl<'a> WeightedWorldSampler<'a> {
     /// Builds the sampler (runs the Theorem 1 reduction and builds the
-    /// exact run tables once).
+    /// exact run tables and ambiguity analysis once).
     pub fn new(
         q: &ConjunctiveQuery,
         h: &'a ProbDatabase,
@@ -174,10 +189,12 @@ impl<'a> WeightedWorldSampler<'a> {
             .filter(|f| !covered.contains(f))
             .collect();
         let runs = RunTables::new(&pqe.nfta, pqe.target_size);
+        let ambiguity = Ambiguity::new(&pqe.nfta, cfg.naive_unions);
         Ok(WeightedWorldSampler {
             h,
             nfta: pqe.nfta,
             runs,
+            ambiguity,
             by_symbol,
             free_facts,
             cfg,
@@ -190,7 +207,12 @@ impl<'a> WeightedWorldSampler<'a> {
         count: usize,
         rng: &mut R,
     ) -> Vec<Vec<bool>> {
-        let counter = NftaCounter::new(&self.nfta, &self.runs, self.cfg.clone().with_seed(rng.random()));
+        let counter = NftaCounter::new(
+            &self.nfta,
+            &self.runs,
+            &self.ambiguity,
+            self.cfg.clone().with_seed(rng.random()),
+        );
         (0..count)
             .filter_map(|_| {
                 let tree = counter.sample_tree(rng)?;

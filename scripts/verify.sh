@@ -24,6 +24,10 @@ PQE_LOG=debug cargo test -q --offline --test determinism
 # pinned digits in tests/determinism.rs differ and this fails.
 cargo test -q --offline --test equivalence
 PQE_SLOW_PATH=1 cargo test -q --offline --test determinism
+# The run-witness shortcuts (runs_at, accepted_at, runs_of_string, NFA
+# membership) must return what the full DPs return with BigUint counts
+# too: rerun their differential tests with the escape hatch forced.
+PQE_SLOW_PATH=1 cargo test -q --offline -p pqe-automata witness_shortcuts
 
 # Oracle smoke: the perf ledger checks every answer against an oracle
 # computed before timing starts. The counting workloads (the NFTA counter
