@@ -20,7 +20,8 @@
 //! Execution is **sharded**: a single connection-multiplexing I/O loop
 //! feeds a bounded MPMC work [`queue`], drained by a fixed pool of worker
 //! shards that each own a private compiled-plan cache ([`cache`]) — the
-//! hot path takes no cache lock. Concurrent identical requests are
+//! hot path takes no cache lock. With a CPU per worker available, each
+//! worker is pinned to its own. Concurrent identical requests are
 //! deduplicated by a single-[`flight`] table: one evaluation runs, and
 //! its response fans out verbatim to every coalesced request.
 //!
@@ -33,10 +34,12 @@
 //! speedup, and an error-kind breakdown (`pqe bench-serve` persists it as
 //! `BENCH_serve.json`).
 
+mod affinity;
 pub mod cache;
 pub mod flight;
 pub mod json;
 pub mod loadgen;
+mod poll;
 pub mod protocol;
 pub mod queue;
 pub mod server;

@@ -4,7 +4,9 @@
 //! speak the NDJSON protocol of [`crate::protocol`]; a single
 //! **connection-multiplexing I/O loop** owns every socket (non-blocking
 //! accept + per-connection read/write buffers over `std::net`, zero
-//! dependencies), decodes complete request lines, answers light ops
+//! dependencies; between passes it sleeps in `poll(2)` until a socket is
+//! ready or a worker delivers a response, see [`crate::poll`]), decodes
+//! complete request lines, answers light ops
 //! (`classify`/`update`/`stats`/`metrics`/`shutdown`) inline, and feeds
 //! heavy ops (`estimate`/`reliability`/`graph_estimate`) into a bounded
 //! MPMC work queue ([`crate::queue`]). Backpressure is queue-depth-based:
@@ -59,9 +61,11 @@
 //! single-flight key carries the generation, so responses computed
 //! against different database versions never coalesce.
 
+use crate::affinity::Placement;
 use crate::cache::{hit_rate, CacheCounters, ShardCache};
 use crate::flight::{Flight, FlightTable};
 use crate::json::Json;
+use crate::poll::{PollSet, Waker};
 use crate::protocol::{error_response, ErrorKind, Params, Request};
 use crate::queue::Queue;
 use pqe_automata::FprasConfig;
@@ -84,10 +88,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Sleep between I/O poll passes when no byte moved (std has no portable
-/// readiness API, so the multiplex loop polls; 500 µs keeps idle CPU
-/// negligible while bounding added latency well under a sample loop).
-const POLL_IDLE: Duration = Duration::from_micros(500);
+/// Longest sleep of the I/O loop between passes. Every event it serves
+/// (a connection, a request byte, a writable socket, a worker's delivery)
+/// ends the sleep at once; the bound only caps a wait on none.
+const POLL_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// A request line longer than this kills the connection (resync after an
 /// unbounded partial line is impossible; real requests are < 1 KiB).
@@ -290,16 +294,20 @@ impl ServedPlan {
 /// request sequence number; the I/O loop writes them out in order.
 struct Mailbox {
     slots: Mutex<BTreeMap<u64, String>>,
+    /// The I/O loop's waker, signalled on every delivery.
+    waker: Arc<Waker>,
 }
 
 impl Mailbox {
-    fn new() -> Arc<Mailbox> {
-        Arc::new(Mailbox { slots: Mutex::new(BTreeMap::new()) })
+    fn new(waker: Arc<Waker>) -> Arc<Mailbox> {
+        Arc::new(Mailbox { slots: Mutex::new(BTreeMap::new()), waker })
     }
 
-    /// Parks `response` for the request with sequence number `seq`.
+    /// Parks `response` for the request with sequence number `seq` and
+    /// wakes the I/O loop to write it out.
     fn deliver(&self, seq: u64, response: String) {
         self.slots.lock().expect("mailbox poisoned").insert(seq, response);
+        self.waker.wake();
     }
 
     /// Removes and returns the response for `seq` if it has arrived.
@@ -359,6 +367,8 @@ struct ServerState {
     per_shard_capacity: usize,
     shutdown: AtomicBool,
     started: Instant,
+    /// Ends the I/O loop's readiness wait when a response is delivered.
+    waker: Arc<Waker>,
 }
 
 /// A bound, not-yet-running server. [`Server::run`] blocks until a
@@ -397,7 +407,9 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers = cfg.workers.max(1);
-        let cfg = ServeConfig { workers, ..cfg };
+        // Resolved here, unpinned: a pinned worker sees one CPU.
+        let threads = pqe_par::resolve_threads(cfg.threads);
+        let cfg = ServeConfig { workers, threads, ..cfg };
         let per_shard_capacity = (cfg.cache_capacity / workers).max(1);
         let registry = Registry::default();
         Ok(Server {
@@ -414,6 +426,7 @@ impl Server {
                 per_shard_capacity,
                 shutdown: AtomicBool::new(false),
                 started: Instant::now(),
+                waker: Arc::new(Waker::new()?),
                 cfg,
             }),
         })
@@ -431,32 +444,30 @@ impl Server {
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, state } = self;
         listener.set_nonblocking(true)?;
-        let workers: Vec<_> = (0..state.cfg.workers)
-            .map(|shard| {
+        let workers: Vec<_> = Placement::plan(state.cfg.workers)
+            .into_iter()
+            .enumerate()
+            .map(|(shard, placement)| {
                 let st = Arc::clone(&state);
                 std::thread::Builder::new()
                     .name(format!("pqe-serve-shard{shard}"))
-                    .spawn(move || worker_loop(st, shard))
+                    .spawn(move || worker_loop(st, shard, placement))
             })
             .collect::<std::io::Result<_>>()?;
 
         let mut conns: Vec<Conn> = Vec::new();
-        // Adaptive idle wait: right after progress the loop only yields,
-        // so a response sitting in a mailbox goes out in microseconds,
-        // not a full POLL_IDLE sleep — on a saturated server the loop
-        // effectively never sleeps. Only after HOT_SPINS quiet
-        // iterations does it back off to POLL_IDLE, so an idle server
-        // costs ~2k syscall-cheap iterations/s instead of a spin.
-        const HOT_SPINS: u32 = 256;
-        let mut quiet_iters: u32 = 0;
+        let mut ready = PollSet::default();
         while !state.shutdown.load(Ordering::Acquire) {
+            // Consume pending wakes before looking for work: a delivery
+            // after the look wakes the wait below at once.
+            state.waker.reset();
             let mut progress = false;
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         stream.set_nonblocking(true).ok();
                         stream.set_nodelay(true).ok();
-                        conns.push(Conn::new(stream));
+                        conns.push(Conn::new(stream, Arc::clone(&state.waker)));
                         progress = true;
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -473,15 +484,17 @@ impl Server {
             progress |= conns.len() != before;
             state.metrics.connections.set(conns.len() as i64);
             if progress {
-                quiet_iters = 0;
-            } else {
-                quiet_iters = quiet_iters.saturating_add(1);
-                if quiet_iters < HOT_SPINS {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(POLL_IDLE);
-                }
+                continue;
             }
+            // Nothing moved: sleep until a socket or a worker has
+            // something, instead of spinning beside the workers.
+            ready.clear();
+            ready.add_waker(&state.waker);
+            ready.add(&listener, true, false);
+            for conn in &conns {
+                ready.add(&conn.stream, !conn.eof, !conn.wbuf.is_empty());
+            }
+            ready.wait(POLL_TIMEOUT);
         }
 
         // Drain: wait (condvar-notified — no sleep-polling) for every
@@ -529,12 +542,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: TcpStream, waker: Arc<Waker>) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
-            mailbox: Mailbox::new(),
+            mailbox: Mailbox::new(waker),
             next_seq: 0,
             next_write: 0,
             eof: false,
@@ -705,10 +718,11 @@ fn dispatch_line(state: &Arc<ServerState>, conn: &mut Conn, line: &str) {
     }
 }
 
-/// One worker shard: drains the queue with a private plan cache, which
-/// counts hits, misses, evictions and resident plans straight into the
-/// shard's registry handles.
-fn worker_loop(state: Arc<ServerState>, shard: usize) {
+/// One worker shard, on its CPU (see [`crate::affinity`]): drains the
+/// queue with a private plan cache, which counts hits, misses, evictions
+/// and resident plans straight into the shard's registry handles.
+fn worker_loop(state: Arc<ServerState>, shard: usize, placement: Placement) {
+    placement.pin();
     let sm = &state.shard_metrics[shard];
     let mut cache = ShardCache::new(state.per_shard_capacity, sm.cache.clone());
     while let Some(job) = state.queue.pop() {
@@ -716,7 +730,7 @@ fn worker_loop(state: Arc<ServerState>, shard: usize) {
         sm.jobs.inc();
         {
             let _s = pqe_obs::span::span("serve.eval");
-            process_job(&state, sm, &mut cache, job);
+            process_job(&state, sm, &mut cache, &placement, job);
         }
         state.queue.done();
     }
@@ -730,6 +744,7 @@ fn process_job(
     state: &ServerState,
     sm: &ShardMetrics,
     cache: &mut ShardCache<ServedPlan>,
+    placement: &Placement,
     job: Job,
 ) {
     let Job { request, latency_us, mailbox, seq, received } = job;
@@ -774,7 +789,15 @@ fn process_job(
             .with_seed(params.seed)
             .with_threads(threads),
     };
+    // Threads the evaluation spawns inherit the worker's CPU mask: a
+    // fan-out runs unpinned.
+    if threads > 1 {
+        placement.unpin();
+    }
     let response = finish(state, compute(&ctx, cache, &target, &cache_key, params.delay_ms));
+    if threads > 1 {
+        placement.pin();
+    }
     // Completing after computing (never before) guarantees every request
     // that joined saw either the flight or the memo.
     for (wmb, wseq) in &state.flights.complete(&flight_key) {
