@@ -2,10 +2,10 @@
 //!
 //! Part 1 (crossover): on 2×c uniform road grids small enough for both
 //! engines (m = 3c−2 ≤ 16 edges), wall-clock of exact world enumeration
-//! (Θ(2^m)) against the compiled FPRAS (polynomial). Enumeration wins
-//! while 2^m is tiny and loses catastrophically past the crossover; the
-//! derived `e15_crossover_edges` metric records the first size where the
-//! FPRAS is faster.
+//! (a pruned edge-factoring search, exponential in the worst case)
+//! against the compiled FPRAS (polynomial). The derived
+//! `e15_crossover_edges` metric records the first size where the FPRAS
+//! is faster, or NaN when enumeration stays ahead up to the bound.
 //!
 //! Part 2 (scale): FPRAS-only corner-to-corner reliability on n×n uniform
 //! grids up to ≥10³ edges — sizes where 2^m enumeration is physically
@@ -42,8 +42,8 @@ fn main() {
     }
 
     // Derived crossover row: smallest edge count where the FPRAS median
-    // beats enumeration (enumeration doubles per edge, so once it loses
-    // it never recovers).
+    // beats enumeration (enumeration's cost grows exponentially, so once
+    // it loses on these grids it does not recover).
     let results = r.results().to_vec();
     let median = |name: &str| results.iter().find(|s| s.name == name).map(|s| s.median_ns);
     let crossover = [4usize, 7, 10, 13, 16].into_iter().find(|m| {

@@ -5,8 +5,9 @@
 //! probabilistic graph. Two engines exist:
 //!
 //! * **exact world enumeration** ([`pqe_graph::enumerate_probability`]):
-//!   sums `2^m` world probabilities — exact, but only feasible up to
-//!   [`pqe_graph::MAX_ENUM_EDGES`] edges;
+//!   sums the probabilities of the `2^m` worlds by a pruned edge-factoring
+//!   search over integer weights — exact, exponential in the worst case,
+//!   and so only attempted up to [`pqe_graph::MAX_ENUM_EDGES`] edges;
 //! * **combined FPRAS** ([`pqe_graph::compile`] + [`count_nfa`]): the
 //!   RPQ × graph layered product NFA, counted with the ACJR CountNFA
 //!   FPRAS. Sound only on **acyclic** graphs — no combined FPRAS is known
@@ -158,8 +159,8 @@ impl GraphPlan {
     /// Routes and compiles `rpq` against `g`. Increments the
     /// `router.route.graph` counter (once per compilation — cached plans
     /// don't re-count). On the enumeration route the exact probability is
-    /// computed here; on the FPRAS route the product NFA is built (under
-    /// the `graph.compile` span).
+    /// computed here (under the `graph.enum` span); on the FPRAS route the
+    /// product NFA is built (under the `graph.compile` span).
     pub fn compile(
         g: &ProbGraph,
         rpq: &Rpq,
@@ -168,7 +169,11 @@ impl GraphPlan {
         let decision = decide_graph(g.num_edges(), g.is_acyclic(), method)?;
         pqe_obs::metrics::counter("router.route.graph").inc();
         let kind = if decision.route == Route::Enum {
-            let exact = pqe_graph::enumerate_probability(g, rpq).map_err(|e| match e {
+            let exact = {
+                let _span = pqe_obs::span::span("graph.enum");
+                pqe_graph::enumerate_probability(g, rpq)
+            };
+            let exact = exact.map_err(|e| match e {
                 OracleError::TooLarge { edges, bound } => {
                     RouterError::EnumTooLarge { edges, bound }
                 }

@@ -16,6 +16,13 @@
 //! normalized form — the serve layer keys its plan cache on parse → print,
 //! so formatting differences collapse onto one cache entry.
 //!
+//! Queries are untrusted input, so the parser bounds the depth of the
+//! tree it builds. Stacked postfix operators collapse while parsing
+//! (`r**` and `r?*` and `r*?` are `r*`, `r??` is `r?`: same language), and
+//! parentheses nested deeper than [`MAX_REGEX_DEPTH`] are an
+//! [`RpqParseError`]. Every recursive pass over a [`Regex`] (parser,
+//! printer, NFA builder, `Drop`) then stays far inside a thread's stack.
+//!
 //! [`Rpq::label_nfa`] compiles the regex into an ε-free NFA over label
 //! names (Thompson construction followed by ε-closure elimination) — the
 //! query-side factor of the product construction in [`crate::compile`] and
@@ -113,6 +120,9 @@ impl fmt::Display for Rpq {
     }
 }
 
+/// Deepest parenthesis nesting [`parse_regex`] accepts.
+pub const MAX_REGEX_DEPTH: usize = 64;
+
 /// A syntax error with a description (RPQs are single-line; no position
 /// tracking beyond the message).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,7 +173,7 @@ pub fn parse(src: &str) -> Result<Rpq, RpqParseError> {
 
 /// Parses a bare regular expression over labels.
 pub fn parse_regex(src: &str) -> Result<Regex, RpqParseError> {
-    let mut p = Parser { chars: src.char_indices().peekable(), src };
+    let mut p = Parser { chars: src.char_indices().peekable(), src, depth: 0 };
     let r = p.alternation()?;
     p.skip_ws();
     match p.chars.peek() {
@@ -177,6 +187,8 @@ pub fn parse_regex(src: &str) -> Result<Regex, RpqParseError> {
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::CharIndices<'a>>,
     src: &'a str,
+    /// Parentheses open at the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -224,13 +236,21 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             match self.chars.peek() {
+                // Idempotent stacks collapse: (r*)* = (r?)* = (r*)? = r*
+                // and (r?)? = r?, so the tree stays one postfix deep.
                 Some(&(_, '*')) => {
                     self.chars.next();
-                    r = Regex::Star(Box::new(r));
+                    r = match r {
+                        Regex::Star(_) => r,
+                        Regex::Opt(inner) => Regex::Star(inner),
+                        r => Regex::Star(Box::new(r)),
+                    };
                 }
                 Some(&(_, '?')) => {
                     self.chars.next();
-                    r = Regex::Opt(Box::new(r));
+                    if !matches!(r, Regex::Star(_) | Regex::Opt(_)) {
+                        r = Regex::Opt(Box::new(r));
+                    }
                 }
                 _ => break,
             }
@@ -241,10 +261,17 @@ impl<'a> Parser<'a> {
     fn atom(&mut self) -> Result<Regex, RpqParseError> {
         self.skip_ws();
         match self.chars.peek() {
-            Some(&(_, '(')) => {
+            Some(&(i, '(')) => {
                 self.chars.next();
+                self.depth += 1;
+                if self.depth > MAX_REGEX_DEPTH {
+                    return Err(bad(format!(
+                        "parentheses nest deeper than {MAX_REGEX_DEPTH} levels at byte {i} of the regex"
+                    )));
+                }
                 let r = self.alternation()?;
                 self.skip_ws();
+                self.depth -= 1;
                 match self.chars.next() {
                     Some((_, ')')) => Ok(r),
                     _ => Err(bad(format!("unclosed `(` in regex {:?}", self.src))),
@@ -447,7 +474,7 @@ mod tests {
         assert_eq!(roundtrip("a -> x y* z -> b"), roundtrip("a -> x . y* . z -> b"));
         // Nested postfix needs parens only around composites.
         assert_eq!(roundtrip("a -> (x y)* -> b"), "a -> (x.y)* -> b");
-        assert_eq!(roundtrip("a -> x*? -> b"), "a -> x*? -> b");
+        assert_eq!(roundtrip("a -> (x|y)? -> b"), "a -> (x|y)? -> b");
     }
 
     #[test]
@@ -459,6 +486,31 @@ mod tests {
         assert!(parse("a -> road) -> b").is_err());
         assert!(parse("a! -> road -> b").is_err());
         assert!(parse("a -> road || ferry -> b").is_err());
+    }
+
+    #[test]
+    fn stacked_postfix_operators_collapse() {
+        assert_eq!(roundtrip("a -> x** -> b"), "a -> x* -> b");
+        assert_eq!(roundtrip("a -> x*? -> b"), "a -> x* -> b");
+        assert_eq!(roundtrip("a -> x?* -> b"), "a -> x* -> b");
+        assert_eq!(roundtrip("a -> x?? -> b"), "a -> x? -> b");
+        assert_eq!(roundtrip("a -> ((x y)*)? -> b"), "a -> (x.y)* -> b");
+        assert_eq!(roundtrip("a -> x* ?* ? -> b"), "a -> x* -> b");
+        // 100 000 stacked stars: one `Star` node, not a 100 000-deep tree.
+        let src = format!("a -> x{} -> b", "*".repeat(100_000));
+        let q = parse(&src).unwrap();
+        assert_eq!(q.regex, Regex::Star(Box::new(Regex::Label("x".to_owned()))));
+    }
+
+    #[test]
+    fn parenthesis_depth_is_bounded() {
+        let nested = |d: usize| format!("a -> {}x{} -> b", "(".repeat(d), ")".repeat(d));
+        assert_eq!(roundtrip(&nested(MAX_REGEX_DEPTH)), "a -> x -> b");
+        let e = parse(&nested(MAX_REGEX_DEPTH + 1)).unwrap_err();
+        assert!(e.to_string().contains(&format!("deeper than {MAX_REGEX_DEPTH}")), "{e}");
+        // 20 000 unclosed `(`s: rejected at the bound, not a stack overflow.
+        let e = parse(&format!("a -> {}r -> b", "(".repeat(20_000))).unwrap_err();
+        assert!(e.to_string().contains(&format!("deeper than {MAX_REGEX_DEPTH}")), "{e}");
     }
 
     /// Membership in the compiled NFA, by direct subset simulation.

@@ -92,13 +92,15 @@ pub struct Metric {
 }
 
 impl Metric {
-    /// One machine-readable JSON object for this metric.
+    /// One machine-readable JSON object for this metric. JSON has no NaN
+    /// or infinity, so a non-finite value is written as `null`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"value\":{}}}",
-            json_escape(&self.name),
-            self.value
-        )
+        let value = if self.value.is_finite() {
+            self.value.to_string()
+        } else {
+            "null".to_owned()
+        };
+        format!("{{\"name\":\"{}\",\"value\":{value}}}", json_escape(&self.name))
     }
 }
 
@@ -311,6 +313,8 @@ mod tests {
         assert!(json.contains("\"metrics\":[{\"name\":\"throughput_rps\",\"value\":123.5}"));
         assert!(json.contains("{\"name\":\"hit_rate\",\"value\":0.75}"));
         assert_eq!(r.metrics().len(), 2);
+        r.metric("undefined", f64::NAN);
+        assert!(r.to_json().contains("{\"name\":\"undefined\",\"value\":null}"));
     }
 
     #[test]

@@ -71,6 +71,23 @@ PROFILE_DIR=$(mktemp -d)
 printf '1/2 R1(a,b)\n1/3 R2(b,c)\n2/3 R2(b,d)\n1/5 R3(c,e)\n3/4 R3(d,e)\n' > "$PROFILE_DIR/smoke.pdb"
 profile_out=$(./target/release/pqe estimate --db "$PROFILE_DIR/smoke.pdb" \
     --query 'R1(x,y), R2(y,z), R3(z,w)' --method fpras --seed 7 --profile)
+# The graph enumeration route reports its own phase under the root.
+printf '1/2 a -r-> b\n1/2 b -r-> c\n1/3 a -s-> c\n' > "$PROFILE_DIR/three.graph"
+graph_profile=$(./target/release/pqe graph-estimate --graph "$PROFILE_DIR/three.graph" \
+    --rpq 'a -> r* -> c' --profile)
+echo "$graph_profile" | grep -q 'Pr(a -> r\* -> c) = 1/4' || {
+    echo "  FAIL: graph-estimate did not print = 1/4: $graph_profile" >&2; exit 1; }
+echo "$graph_profile" | grep -q '^  graph\.enum ' || {
+    echo "  FAIL: graph-estimate --profile has no graph.enum row" >&2; exit 1; }
+# A depth-bomb RPQ (20 000 unclosed parentheses) is a structured exit-2
+# error naming the RPQ, not a stack overflow.
+bomb="a -> $(printf '%20000s' '' | tr ' ' '(')r -> c"
+bomb_status=0
+./target/release/pqe graph-estimate --graph "$PROFILE_DIR/three.graph" \
+    --rpq "$bomb" 2> "$PROFILE_DIR/err" > /dev/null || bomb_status=$?
+[ "$bomb_status" -eq 2 ] && grep -q 'bad RPQ' "$PROFILE_DIR/err" || {
+    echo "  FAIL: depth-bomb RPQ exited $bomb_status: $(head -c 200 "$PROFILE_DIR/err")" >&2
+    exit 1; }
 rm -rf "$PROFILE_DIR"
 echo "$profile_out" | grep -q 'Pr(Q) ≈'
 echo "$profile_out" | grep -q -- '--- profile: phase totals'
@@ -81,7 +98,7 @@ echo "$profile_out" | grep -q 'fpras.samples'
 # Non-zero root total: the rendered line must not read "0ns".
 echo "$profile_out" | grep '^estimate ' | grep -qv ' 0ns ' || {
     echo "  FAIL: profile root total is zero" >&2; exit 1; }
-echo "  ok: --profile renders the span tree with non-zero totals"
+echo "  ok: --profile renders the span tree with non-zero totals, graph.enum row, RPQ depth bound"
 
 # Router + conditional smoke: the route line is printed, ground evidence
 # conditions exactly, impossible evidence is a structured exit-2 error,

@@ -785,6 +785,30 @@ fn heavy_op_wire_format_is_pinned() {
     let _ = std::fs::remove_file(&graph);
 }
 
+/// A 20 KB RPQ of nested `(`s used to overflow a worker shard's stack and
+/// abort the process. It is a `bad_request` naming the nesting bound, and
+/// the same server answers the next request.
+#[test]
+fn deeply_nested_rpq_is_a_bad_request_and_the_server_survives() {
+    let db = write_db(PATH3_DB);
+    let graph = write_graph(DIAMOND_GRAPH);
+    let server =
+        ServerProc::start(&db, &["--workers", "2", "--graph", graph.to_str().unwrap()]);
+    let mut c = server.connect();
+    let bomb = format!(r#"{{"op":"graph_estimate","rpq":"a -> {}r -> d"}}"#, "(".repeat(20_000));
+    let resp = roundtrip(&mut c, &bomb);
+    assert_eq!(json_str_field(&resp, "error"), "bad_request", "response: {resp}");
+    let bound = format!("deeper than {}", pqe::graph::MAX_REGEX_DEPTH);
+    assert!(resp.contains(&bound), "response: {resp}");
+
+    let resp = roundtrip(&mut c, r#"{"op":"graph_estimate","rpq":"a -> r r -> d"}"#);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    assert_eq!(json_str_field(&resp, "exact"), "7/16");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+    let _ = std::fs::remove_file(&graph);
+}
+
 /// Each heavy op's latency lands in its own `serve.request_us.<op>`
 /// histogram: N estimates, M reliabilities and K graph estimates sent one
 /// at a time (so nothing coalesces) show up as counts N, M and K.
