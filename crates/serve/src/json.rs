@@ -5,9 +5,15 @@
 //! RFC 8259 minus two corners we have no use for: numbers are parsed
 //! through `f64` (integers stay exact up to 2⁵³ — seeds larger than that
 //! can be sent as strings), and `\uXXXX` escapes outside the BMP must be
-//! paired surrogates.
+//! paired surrogates. Nesting is bounded by [`MAX_JSON_DEPTH`], so a
+//! hostile line of brackets is a parse error, not a stack overflow.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. Wire requests
+/// nest one level and responses about three; the bound keeps the
+/// recursive-descent parser's stack use small on any input.
+pub const MAX_JSON_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +52,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parses one JSON document (trailing whitespace allowed, nothing else).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { src: src.as_bytes(), pos: 0 };
+        let mut p = Parser { src: src.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -197,6 +203,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,8 +247,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(c @ (b'[' | b'{')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if c == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
         }
@@ -469,6 +484,17 @@ mod tests {
             r#""\ud800x""#,
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let nest = |d: usize| format!("{}1{}", open.repeat(d), close.repeat(d));
+            assert!(Json::parse(&nest(MAX_JSON_DEPTH)).is_ok(), "{open} × {MAX_JSON_DEPTH}");
+            let e = Json::parse(&nest(MAX_JSON_DEPTH + 1)).unwrap_err();
+            let bound = format!("nesting deeper than {MAX_JSON_DEPTH} levels");
+            assert!(e.message.contains(&bound), "{e}");
         }
     }
 

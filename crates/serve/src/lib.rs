@@ -28,17 +28,12 @@
 //! Overload policy is *rejection, not queueing*: a heavy request arriving
 //! at a full work queue gets an immediate structured `overloaded` error
 //! (the queue depth is the backpressure signal); per-request deadlines
-//! turn runaway work into `timeout` errors ([`server`]). [`loadgen`]
-//! drives a server with a reproducible hot/cold query mix across a
-//! concurrency axis and measures throughput, tail latency, the cache-hit
-//! speedup, and an error-kind breakdown (`pqe bench-serve` persists it as
-//! `BENCH_serve.json`).
+//! turn runaway work into `timeout` errors ([`server`]).
 
 mod affinity;
 pub mod cache;
 pub mod flight;
 pub mod json;
-pub mod loadgen;
 mod poll;
 pub mod protocol;
 pub mod queue;
@@ -47,7 +42,6 @@ pub mod server;
 pub use cache::{CacheCounters, ShardCache};
 pub use flight::{Flight, FlightTable};
 pub use json::Json;
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use protocol::{ErrorKind, Request};
 pub use queue::Queue;
 pub use server::{ServeConfig, ServedPlan, Server};

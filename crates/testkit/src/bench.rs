@@ -59,6 +59,11 @@ impl Stats {
 }
 
 /// Renders a duration in ns with an adaptive unit.
+/// Cores this process may run on, as recorded in every bench file.
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.1} ns")
@@ -218,8 +223,9 @@ impl Runner {
     /// `{"suite": ..., "config": {...}, "results": [...]}`, plus a
     /// `"metrics"` array when any were recorded. The `config` object
     /// records the calibration knobs the suite actually ran with (sample
-    /// count and per-sample time floor, after env overrides), so archived
-    /// BENCH_*.json files are comparable at face value.
+    /// count and per-sample time floor, after env overrides) and the core
+    /// count it ran on (`nproc`), so archived BENCH_*.json files are
+    /// comparable at face value.
     pub fn to_json(&self) -> String {
         let body: Vec<String> = self.results.iter().map(Stats::to_json).collect();
         let metrics = if self.metrics.is_empty() {
@@ -229,10 +235,11 @@ impl Runner {
             format!(",\"metrics\":[{}]", m.join(","))
         };
         format!(
-            "{{\"suite\":\"{}\",\"config\":{{\"samples\":{},\"min_sample_ms\":{}}},\"results\":[{}]{}}}\n",
+            "{{\"suite\":\"{}\",\"config\":{{\"samples\":{},\"min_sample_ms\":{},\"nproc\":{}}},\"results\":[{}]{}}}\n",
             json_escape(&self.suite),
             self.samples,
             self.min_sample.as_millis(),
+            nproc(),
             body.join(","),
             metrics
         )
@@ -294,7 +301,10 @@ mod tests {
         });
         let json = r.to_json();
         assert!(json.starts_with("{\"suite\":\"unit_json\",\"config\":{"));
-        assert!(json.contains("\"config\":{\"samples\":3,\"min_sample_ms\":1}"));
+        assert!(json.contains(&format!(
+            "\"config\":{{\"samples\":3,\"min_sample_ms\":1,\"nproc\":{}}}",
+            nproc()
+        )));
         assert!(json.contains("\"name\":\"noop \\\"quoted\\\"\""));
         assert!(json.contains("\"median_ns\":"));
         assert!(json.trim_end().ends_with("]}"));

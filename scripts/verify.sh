@@ -256,19 +256,15 @@ exec 4>&- 4<&- 5>&- 5<&- 6>&- 6<&-
 wait "$SERVE_PID"
 echo "  ok: full queue rejected with structured overloaded error, counted once"
 
-# bench-serve smoke: the concurrency axis lands in BENCH_serve.json.
-echo "bench-serve smoke test:"
-BENCH_DIR=$(mktemp -d)
-PQE_BENCH_JSON_DIR="$BENCH_DIR" ./target/release/pqe bench-serve \
-    --requests 8 --epsilon 0.3 --method fpras > /dev/null
-test -s "$BENCH_DIR/BENCH_serve.json" || {
-    echo "  FAIL: bench-serve emitted no BENCH_serve.json" >&2; exit 1; }
-grep -q '"c1.throughput_rps"' "$BENCH_DIR/BENCH_serve.json"
-grep -q '"c16.throughput_rps"' "$BENCH_DIR/BENCH_serve.json"
-grep -q '"c64.throughput_rps"' "$BENCH_DIR/BENCH_serve.json"
-grep -q '"c16.hit_p99_us"' "$BENCH_DIR/BENCH_serve.json"
-rm -rf "$BENCH_DIR"
-echo "  ok: bench-serve swept the 1/4/16/64 concurrency axis"
+# Serve cache bench smoke: the binary itself asserts 0 errors and the
+# E11 hot/cold ratio >= 5x over 4 connections x 25 requests.
+echo "serve_cache bench smoke test:"
+cache_out=$(cargo bench -q --offline -p pqe-bench --bench serve_cache)
+echo "$cache_out" | grep -q 'errors 0' || {
+    echo "  FAIL: serve_cache reported errors: $cache_out" >&2; exit 1; }
+echo "$cache_out" | grep -q 'hit_speedup' || {
+    echo "  FAIL: serve_cache printed no hit_speedup: $cache_out" >&2; exit 1; }
+echo "  ok: serve_cache held 0 errors and the >= 5x hot/cold bar"
 
 # Graph smoke: both routes on the diamond graph with pinned digits (the
 # enum answer is exact; the FPRAS digits are seed-pinned and must be

@@ -25,10 +25,9 @@ use pqe::db::{io as dbio, ProbDatabase};
 use pqe::delta::{Delta, VersionedDb};
 use pqe::graph::ProbGraph;
 use pqe::query::{parse, ConjunctiveQuery};
-use pqe::serve::{run_load, LoadConfig, ServeConfig, Server};
+use pqe::serve::{ServeConfig, Server};
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
-use pqe_testkit::bench::Runner;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -50,9 +49,6 @@ USAGE:
   pqe serve       --db FILE [--graph FILE] [--addr HOST:PORT] [--workers N]
                   [--queue-depth N] [--deadline-ms N] [--cache-capacity N]
                   [--threads N]
-  pqe bench-serve [--db FILE] [--query Q] [--connections N] [--requests N]
-                  [--repeat-ratio R] [--epsilon E] [--seed N] [--method M]
-                  [--workers N] [--update-mix R] [--update-delta TEXT]
 
 SERVE CONCURRENCY:
   --workers N      worker shards draining the request queue; each owns a
@@ -60,8 +56,6 @@ SERVE CONCURRENCY:
   --queue-depth N  bounded work-queue capacity; heavy requests arriving at
                    a full queue get a structured `overloaded` error
                    (default 64; --max-inflight is a legacy alias)
-  bench-serve sweeps 1/4/16/64 connections by default; --connections pins
-  a single point, --requests is the total budget per point.
 
 THREADS:
   --threads N sets the FPRAS worker count for the command (and the server
@@ -131,9 +125,7 @@ DELTA FORMAT (apply-delta, serve `update` op): one op per line:
   A batch validates atomically: either every op applies or none do.
   apply-delta rewrites --db in place unless --output names another file;
   a probability-only batch (~ ops) leaves compiled plans structurally
-  valid, so a live server only recounts, never recompiles. bench-serve's
-  --update-mix R sends an `update` carrying --update-delta with
-  probability R per request, exercising scoped cache invalidation.
+  valid, so a live server only recounts, never recompiles.
 ";
 
 struct Args {
@@ -233,6 +225,20 @@ impl Args {
                 }
                 Ok(n)
             }
+        }
+    }
+
+    /// A count option that must be at least 1: with zero draws the
+    /// sampler finds no world and would report `Pr(Q) = 0` whatever the
+    /// query's probability.
+    fn positive(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.opt(name) {
+            None => Ok(default),
+            Some(s) => match s.parse::<usize>() {
+                Ok(0) => Err(format!("--{name} must be at least 1, got 0")),
+                Ok(n) => Ok(n),
+                Err(_) => Err(format!("bad --{name} {s:?}")),
+            },
         }
     }
 
@@ -525,10 +531,7 @@ fn cmd_sample(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "count", "seed", "epsilon"])?;
     let h = load_db(args)?;
     let q = load_query(args)?;
-    let count: usize = match args.opt("count") {
-        None => 5,
-        Some(s) => s.parse().map_err(|_| format!("bad --count {s:?}"))?,
-    };
+    let count = args.positive("count", 5)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     let sampler = WeightedWorldSampler::new(&q, &h, cfg).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(args.seed()?);
@@ -553,10 +556,7 @@ fn cmd_marginals(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "samples", "seed", "epsilon"])?;
     let h = load_db(args)?;
     let q = load_query(args)?;
-    let samples: usize = match args.opt("samples") {
-        None => 2000,
-        Some(s) => s.parse().map_err(|_| format!("bad --samples {s:?}"))?,
-    };
+    let samples = args.positive("samples", 2000)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     let sampler = WeightedWorldSampler::new(&q, &h, cfg).map_err(|e| e.to_string())?;
     let mut rng = StdRng::seed_from_u64(args.seed()?);
@@ -702,168 +702,6 @@ fn cmd_apply_delta(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench_serve(args: &Args) -> Result<(), String> {
-    args.check_known(&[
-        "db",
-        "query",
-        "connections",
-        "requests",
-        "repeat-ratio",
-        "epsilon",
-        "seed",
-        "method",
-        "threads",
-        "workers",
-        "update-mix",
-        "update-delta",
-    ])?;
-    // --db is optional here: without it the bench runs over the seeded
-    // synthetic triangle-graph instance, so `pqe bench-serve` needs no
-    // fixture file and every machine measures the same database.
-    let h = match args.opt("db") {
-        Some(_) => load_db(args)?,
-        None => pqe::serve::loadgen::synthetic_triangle_db(6, 35, 0xE8),
-    };
-    let parse_opt = |name: &str, default: usize| -> Result<usize, String> {
-        match args.opt(name) {
-            None => Ok(default),
-            Some(s) => s.parse().map_err(|_| format!("bad --{name} {s:?}")),
-        }
-    };
-    let parse_ratio = |name: &str, default: f64| -> Result<f64, String> {
-        match args.opt(name) {
-            None => Ok(default),
-            Some(s) => {
-                let r: f64 = s.parse().map_err(|_| format!("bad --{name} {s:?}"))?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("--{name} must lie in [0,1], got {r}"));
-                }
-                Ok(r)
-            }
-        }
-    };
-    let repeat_ratio = parse_ratio("repeat-ratio", 0.8)?;
-    let update_mix = parse_ratio("update-mix", 0.0)?;
-    let update_delta = args.opt("update-delta").unwrap_or("").to_owned();
-    if update_mix > 0.0 && update_delta.is_empty() {
-        return Err("--update-mix needs --update-delta to supply the batch text".to_owned());
-    }
-    // --connections pins a single point; the default sweeps the axis so
-    // BENCH_serve.json carries throughput at every concurrency level.
-    let axis: Vec<usize> = match args.opt("connections") {
-        Some(_) => vec![parse_opt("connections", 4)?.max(1)],
-        None => vec![1, 4, 16, 64],
-    };
-    // --requests is the total budget per axis point (split across the
-    // point's connections), so every point costs about the same.
-    let total_requests = parse_opt("requests", 192)?.max(1);
-    let base = LoadConfig {
-        addr: String::new(), // bound per axis point
-        connections: 1,
-        requests: 1,
-        repeat_ratio,
-        query: args
-            .opt("query")
-            .unwrap_or("R1(x,y), R2(y,z), R3(z,x)")
-            .to_owned(),
-        epsilon: args.epsilon()?,
-        seed: args.seed()?,
-        method: args.opt("method").unwrap_or("auto").to_owned(),
-        update_mix,
-        update_delta,
-    };
-    let workers = parse_opt("workers", ServeConfig::default().workers)?.max(1);
-
-    let mut r = Runner::new("serve");
-    r.start();
-    let headline = axis.iter().copied().find(|&c| c == 16).unwrap_or(*axis.last().unwrap());
-    let mut total_errors = 0u64;
-    for &conns in &axis {
-        // A fresh in-process server per point: cold caches at every
-        // concurrency level, so the points are comparable.
-        let serve_cfg = ServeConfig {
-            workers,
-            threads: args.threads()?,
-            ..ServeConfig::default()
-        };
-        let server = Server::bind(serve_cfg, h.clone()).map_err(|e| format!("bind: {e}"))?;
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run());
-        let load = LoadConfig {
-            addr: addr.to_string(),
-            connections: conns,
-            requests: (total_requests / conns).max(3),
-            ..base.clone()
-        };
-        println!(
-            "bench-serve: {} connections × {} requests, repeat ratio {}, query {:?}",
-            load.connections, load.requests, load.repeat_ratio, load.query
-        );
-        let report = run_load(&load).map_err(|e| format!("load run: {e}"))?;
-        println!(
-            "  c{conns}: {:.1} rps, p50 {}us, p99 {}us, hit p99 {}us, {} errors",
-            report.throughput_rps, report.p50_us, report.p99_us, report.hit_p99_us, report.errors
-        );
-        if report.updates > 0 {
-            println!(
-                "  c{conns}: {} updates interleaved, {} plan invalidations observed",
-                report.updates, report.invalidated
-            );
-        }
-
-        let p = format!("c{conns}.");
-        r.metric(&format!("{p}requests"), report.requests as f64);
-        r.metric(&format!("{p}errors"), report.errors as f64);
-        r.metric(&format!("{p}overloaded"), report.overloaded as f64);
-        r.metric(&format!("{p}timeouts"), report.timeouts as f64);
-        r.metric(&format!("{p}eval_errors"), report.eval_errors as f64);
-        r.metric(&format!("{p}throughput_rps"), report.throughput_rps);
-        r.metric(&format!("{p}latency_p50_us"), report.p50_us as f64);
-        r.metric(&format!("{p}latency_p95_us"), report.p95_us as f64);
-        r.metric(&format!("{p}latency_p99_us"), report.p99_us as f64);
-        r.metric(&format!("{p}hit_p99_us"), report.hit_p99_us as f64);
-        r.metric(&format!("{p}connect_mean_us"), report.connect_mean_us);
-        r.metric(&format!("{p}cache_hit_rate"), report.hit_rate);
-        r.metric(&format!("{p}hit_mean_us"), report.hit_mean_us);
-        r.metric(&format!("{p}cold_compile_mean_us"), report.miss_mean_us);
-        r.metric(&format!("{p}hit_speedup"), report.hit_speedup);
-        r.metric(&format!("{p}updates"), report.updates as f64);
-        r.metric(&format!("{p}invalidated"), report.invalidated as f64);
-        if conns == headline {
-            // Unprefixed legacy names: dashboards tracking the old
-            // single-point report keep working off the headline point.
-            r.metric("requests", report.requests as f64);
-            r.metric("errors", report.errors as f64);
-            r.metric("throughput_rps", report.throughput_rps);
-            r.metric("latency_p50_us", report.p50_us as f64);
-            r.metric("latency_p95_us", report.p95_us as f64);
-            r.metric("latency_p99_us", report.p99_us as f64);
-            r.metric("cache_hit_rate", report.hit_rate);
-            r.metric("hit_mean_us", report.hit_mean_us);
-            r.metric("cold_compile_mean_us", report.miss_mean_us);
-            r.metric("hit_speedup", report.hit_speedup);
-        }
-        total_errors += report.errors;
-
-        // Shut the point's server down over the wire.
-        use std::io::{BufRead as _, BufReader, Write as _};
-        let mut c = std::net::TcpStream::connect(addr).map_err(|e| e.to_string())?;
-        c.write_all(b"{\"op\":\"shutdown\"}\n").map_err(|e| e.to_string())?;
-        let mut line = String::new();
-        BufReader::new(c).read_line(&mut line).ok();
-        handle
-            .join()
-            .map_err(|_| "server thread panicked".to_owned())?
-            .map_err(|e| format!("serve: {e}"))?;
-    }
-    r.finish();
-
-    if total_errors > 0 {
-        return Err(format!("{total_errors} request(s) failed during the load run"));
-    }
-    Ok(())
-}
-
 /// Enables span recording for the duration of a profiled command and
 /// prints the rendered tree (plus the fpras.* counters) when dropped.
 /// Profiling never touches RNG streams, so the printed digits are
@@ -925,7 +763,6 @@ fn run() -> Result<(), String> {
         "lineage" => cmd_lineage(&args),
         "apply-delta" => cmd_apply_delta(&args),
         "serve" => cmd_serve(&args),
-        "bench-serve" => cmd_bench_serve(&args),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())

@@ -426,6 +426,25 @@ fn marginals_rank_the_witness_facts() {
 }
 
 #[test]
+fn zero_sample_counts_are_rejected_not_reported_as_zero_probability() {
+    // Pr(Q) = 1/4 here: a zero-draw run must not claim Pr(Q) = 0.
+    let db = write_db("0.5 R(a,b)\n0.5 S(b,c)\n");
+    for (cmd, opt) in [("sample", "--count"), ("marginals", "--samples")] {
+        let out = pqe()
+            .args([cmd, "--db"])
+            .arg(&db.0)
+            .args(["--query", "R(x,y), S(y,z)", opt, "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} {opt} 0 must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{opt} must be at least 1")), "{stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!stdout.contains("Pr(Q) = 0"), "{stdout}");
+    }
+}
+
+#[test]
 fn influence_is_largest_for_the_bottleneck_fact() {
     let db = write_db(TWO_PATH_DB);
     let out = pqe()

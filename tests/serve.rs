@@ -809,6 +809,25 @@ fn deeply_nested_rpq_is_a_bad_request_and_the_server_survives() {
     let _ = std::fs::remove_file(&graph);
 }
 
+#[test]
+fn deeply_nested_json_is_a_bad_request_and_the_server_survives() {
+    let db = write_db(PATH3_DB);
+    let server = ServerProc::start(&db, &["--workers", "2"]);
+    let mut c = server.connect();
+    let resp = roundtrip(&mut c, &"[".repeat(100_000));
+    assert_eq!(json_str_field(&resp, "error"), "bad_request", "response: {resp}");
+    let bound = format!("deeper than {}", pqe::serve::json::MAX_JSON_DEPTH);
+    assert!(resp.contains(&bound), "response: {resp}");
+
+    let resp = roundtrip(
+        &mut c,
+        r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.3,"seed":1}"#,
+    );
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+}
+
 /// Each heavy op's latency lands in its own `serve.request_us.<op>`
 /// histogram: N estimates, M reliabilities and K graph estimates sent one
 /// at a time (so nothing coalesces) show up as counts N, M and K.
