@@ -6,7 +6,7 @@
 
 use crate::ParseNumError;
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::{Add, AddAssign, BitAnd, Div, Mul, MulAssign, Rem, Shl, Shr, Sub, SubAssign};
 use std::str::FromStr;
 
@@ -52,9 +52,7 @@ impl BigUint {
 
     /// Constructs a value from little-endian `u32` limbs (trailing zeros ok).
     pub fn from_limbs(mut limbs: Vec<u32>) -> Self {
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
+        trim_limbs(&mut limbs);
         BigUint { limbs }
     }
 
@@ -151,33 +149,65 @@ impl BigUint {
         acc
     }
 
-    /// Greatest common divisor (binary GCD: shifts and subtractions only).
+    /// Greatest common divisor; `gcd(0, 0) = 0`.
+    ///
+    /// Euclid (`%`) steps while the operands' limb lengths differ by more
+    /// than one, and binary GCD (subtract and shift, in place, on odd
+    /// operands) while they are of similar size. An operand of 1 stops the
+    /// loop at once, and operands that fit a `u64` finish in hardware. So
+    /// the common case of a rational product — a long numerator against a
+    /// short denominator, or against a power of two — costs one pass over
+    /// the long operand, not one round per bit.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        if a.is_zero() {
-            return b;
+        let (hi, lo) = if self >= other {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        if lo.is_zero() {
+            return hi.clone();
         }
+        if lo.is_one() {
+            return BigUint::one();
+        }
+        // gcd(hi, lo) = gcd(lo, hi mod lo): reduce a long operand without
+        // cloning it first.
+        let (mut a, mut b) = if hi.limbs.len() > lo.limbs.len() + 1 {
+            (lo.clone(), hi % lo)
+        } else {
+            (hi.clone(), lo.clone())
+        };
         if b.is_zero() {
             return a;
         }
-        let az = a.trailing_zeros();
-        let bz = b.trailing_zeros();
+        let (az, bz) = (a.trailing_zeros(), b.trailing_zeros());
         let common = az.min(bz);
-        a = &a >> az;
-        b = &b >> bz;
-        loop {
-            debug_assert!(a.bit(0) && b.bit(0));
-            match a.cmp(&b) {
-                Ordering::Equal => break,
-                Ordering::Less => std::mem::swap(&mut a, &mut b),
-                Ordering::Greater => {}
+        shr_assign_limbs(&mut a.limbs, az);
+        shr_assign_limbs(&mut b.limbs, bz);
+        // Both odd from here on: the common power of two is set aside, and
+        // gcd(odd, r) = gcd(odd, r / 2^k).
+        let odd = loop {
+            if a < b {
+                std::mem::swap(&mut a, &mut b);
             }
-            a = &a - &b;
+            if a == b || b.is_one() {
+                break b;
+            }
+            if let (Some(x), Some(y)) = (a.to_u64(), b.to_u64()) {
+                break BigUint::from(gcd_u64(x, y));
+            }
+            if a.limbs.len() > b.limbs.len() + 1 {
+                a = &a % &b;
+                if a.is_zero() {
+                    break b;
+                }
+            } else {
+                sub_assign_limbs(&mut a.limbs, &b.limbs);
+            }
             let tz = a.trailing_zeros();
-            a = &a >> tz;
-        }
-        &a << common
+            shr_assign_limbs(&mut a.limbs, tz);
+        };
+        &odd << common
     }
 
     /// Number of trailing zero bits. Panics on zero.
@@ -421,6 +451,65 @@ fn sub_limbs(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
+/// Binary GCD of two machine words (Stein's algorithm).
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `a -= b` in place. Requires `a >= b`.
+fn sub_assign_limbs(a: &mut Vec<u32>, b: &[u32]) {
+    let mut borrow = false;
+    for (i, ai) in a.iter_mut().enumerate() {
+        if i >= b.len() && !borrow {
+            break;
+        }
+        let (d, o1) = ai.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d, o2) = d.overflowing_sub(borrow as u32);
+        *ai = d;
+        borrow = o1 || o2;
+    }
+    debug_assert!(!borrow, "subtraction underflow");
+    trim_limbs(a);
+}
+
+/// `a >>= shift` in place.
+fn shr_assign_limbs(a: &mut Vec<u32>, shift: u64) {
+    let limb_shift = (shift / BASE_BITS as u64) as usize;
+    if limb_shift >= a.len() {
+        a.clear();
+        return;
+    }
+    a.drain(..limb_shift);
+    let bit_shift = (shift % BASE_BITS as u64) as u32;
+    if bit_shift != 0 {
+        for i in 0..a.len() {
+            let hi = a.get(i + 1).copied().unwrap_or(0);
+            a[i] = (a[i] >> bit_shift) | (hi << (BASE_BITS - bit_shift));
+        }
+    }
+    trim_limbs(a);
+}
+
+fn trim_limbs(a: &mut Vec<u32>) {
+    while a.last() == Some(&0) {
+        a.pop();
+    }
+}
+
 /// Multiplication by a single limb: one carry pass, no `a.len() + 1`-sized
 /// zero-then-accumulate buffer. The multiplier gadget and run-DP hot paths
 /// multiply by small constants constantly, so this path dominates.
@@ -612,20 +701,33 @@ impl MulAssign<&BigUint> for BigUint {
 // ---------------------------------------------------------------------------
 
 impl fmt::Display for BigUint {
+    /// Decimal digits, by repeated division of one scratch copy of the
+    /// limbs by `10^9`, in place.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return write!(f, "0");
+        const CHUNK: u64 = 1_000_000_000;
+        let mut limbs = self.limbs.clone();
+        // Base-10^9 digits, least significant first; 9.63 decimal digits
+        // per 32-bit limb is about 1.07 chunks per limb.
+        let mut chunks: Vec<u32> = Vec::with_capacity(limbs.len() * 11 / 10 + 1);
+        while !limbs.is_empty() {
+            let mut rem: u64 = 0;
+            for l in limbs.iter_mut().rev() {
+                let cur = (rem << 32) | *l as u64;
+                *l = (cur / CHUNK) as u32;
+                rem = cur % CHUNK;
+            }
+            trim_limbs(&mut limbs);
+            chunks.push(rem as u32);
         }
-        let mut chunks = Vec::new();
-        let mut cur = self.clone();
-        while !cur.is_zero() {
-            let (q, r) = cur.divrem_small(1_000_000_000);
-            chunks.push(r);
-            cur = q;
-        }
-        let mut s = chunks.pop().unwrap().to_string();
-        for c in chunks.iter().rev() {
-            s.push_str(&format!("{c:09}"));
+        let mut s = String::with_capacity(chunks.len() * 9);
+        match chunks.split_last() {
+            None => s.push('0'),
+            Some((top, rest)) => {
+                write!(s, "{top}")?;
+                for c in rest.iter().rev() {
+                    write!(s, "{c:09}")?;
+                }
+            }
         }
         f.pad_integral(true, "", &s)
     }

@@ -15,6 +15,21 @@ use std::str::FromStr;
 /// An exact rational number `num / den`, always normalized: `den > 0`,
 /// `gcd(|num|, den) = 1`, and zero is `0/1`.
 ///
+/// Every constructor normalizes, and every operation takes normalized
+/// operands to a normalized result. Two operations lean on that invariant
+/// to skip the gcd of the full result, whose cost grows with the square
+/// of the operands' length:
+///
+/// * `a/b · c/d` cancels `gcd(a, d)` and `gcd(c, b)` *before*
+///   multiplying (each gcd pairs one operand's numerator with the other's
+///   denominator, typically a long number against a short one); the
+///   reduced product is normalized because `gcd(a, b) = gcd(c, d) = 1`;
+/// * `1 − n/d = (d − n)/d` needs no gcd at all, since
+///   `gcd(d − n, d) = gcd(n, d) = 1`.
+///
+/// The results are the same normalized values a full gcd would give, so
+/// the normalized form (and every printed digit) is unchanged.
+///
 /// ```
 /// use pqe_arith::Rational;
 /// let p: Rational = "3/10".parse().unwrap();
@@ -105,18 +120,27 @@ impl Rational {
         !self.num.is_negative() && self.num.magnitude() <= &self.den
     }
 
-    /// `1 − self`, the probability of the complementary event.
+    /// `1 − self`, the probability of the complementary event: `(d − n)/d`,
+    /// normalized without a gcd (see the type docs).
     pub fn complement(&self) -> Rational {
-        &Rational::one() - self
+        let num = &BigInt::from(self.den.clone()) - &self.num;
+        if num.is_zero() {
+            return Rational::zero();
+        }
+        Rational {
+            num,
+            den: self.den.clone(),
+        }
     }
 
-    /// Multiplicative inverse. Panics on zero.
+    /// Multiplicative inverse. Panics on zero. Swapping the parts of a
+    /// normalized rational keeps it normalized, so no gcd runs.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::new(
-            BigInt::from_sign_magnitude(self.num.sign(), self.den.clone()),
-            self.num.magnitude().clone(),
-        )
+        Rational {
+            num: BigInt::from_sign_magnitude(self.num.sign(), self.den.clone()),
+            den: self.num.magnitude().clone(),
+        }
     }
 
     /// Absolute value.
@@ -244,8 +268,37 @@ impl Sub for &Rational {
 
 impl Mul for &Rational {
     type Output = Rational;
+    /// Cross-cancelling product: `(a/g₁)(c/g₂) / ((b/g₂)(d/g₁))` with
+    /// `g₁ = gcd(a, d)`, `g₂ = gcd(c, b)` — normalized with no gcd of the
+    /// full product (see the type docs).
     fn mul(self, rhs: &Rational) -> Rational {
-        Rational::new(&self.num * &rhs.num, &self.den * &rhs.den)
+        if self.is_zero() || rhs.is_zero() {
+            return Rational::zero();
+        }
+        let (a, b) = (self.num.magnitude(), &self.den);
+        let (c, d) = (rhs.num.magnitude(), &rhs.den);
+        let g1 = a.gcd(d);
+        let g2 = c.gcd(b);
+        let num = &*cancel(a, &g1) * &*cancel(c, &g2);
+        let den = &*cancel(b, &g2) * &*cancel(d, &g1);
+        let sign = if self.num.sign() == rhs.num.sign() {
+            Sign::Positive
+        } else {
+            Sign::Negative
+        };
+        Rational {
+            num: BigInt::from_sign_magnitude(sign, num),
+            den,
+        }
+    }
+}
+
+/// `x / g`, borrowing `x` when `g = 1`.
+fn cancel<'a>(x: &'a BigUint, g: &BigUint) -> std::borrow::Cow<'a, BigUint> {
+    if g.is_one() {
+        std::borrow::Cow::Borrowed(x)
+    } else {
+        std::borrow::Cow::Owned(x / g)
     }
 }
 

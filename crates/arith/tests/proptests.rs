@@ -35,13 +35,70 @@ fn bigint_gen() -> BoxedGen<BigInt> {
         .boxed()
 }
 
-fn rational_gen() -> BoxedGen<Rational> {
-    (bigint_gen(), biguint_gen())
-        .prop_map(|(n, d)| {
-            let d = if d.is_zero() { BigUint::one() } else { d };
-            Rational::new(n, d)
+/// A random value of `limbs` 32-bit limbs (top limb nonzero).
+fn wide_gen(limbs: std::ops::RangeInclusive<usize>) -> BoxedGen<BigUint> {
+    vec(any::<u32>(), limbs)
+        .prop_map(|mut l| {
+            if let Some(top) = l.last_mut() {
+                *top |= 1 << 31;
+            }
+            BigUint::from_limbs(l)
         })
         .boxed()
+}
+
+fn pow2_gen() -> BoxedGen<BigUint> {
+    (0u64..1200).prop_map(|k| &BigUint::one() << k).boxed()
+}
+
+/// `biguint_gen` plus the shapes exact lifted inference produces: powers of
+/// two, products of small odd primes, and ~1100-bit (35-limb) values.
+fn gcd_operand_gen() -> BoxedGen<BigUint> {
+    one_of(vec![
+        biguint_gen(),
+        pow2_gen(),
+        (0u32..40, 0u32..25, 0u32..20)
+            .prop_map(|(i, j, k)| {
+                &(&BigUint::from(3u32).pow(i) * &BigUint::from(5u32).pow(j))
+                    * &BigUint::from(7u32).pow(k)
+            })
+            .boxed(),
+        wide_gen(32..=36),
+        (wide_gen(32..=36), 0u64..64)
+            .prop_map(|(a, k)| &a << k)
+            .boxed(),
+    ])
+    .boxed()
+}
+
+fn rational_gen() -> BoxedGen<Rational> {
+    let general = (bigint_gen(), biguint_gen()).prop_map(|(n, d)| {
+        let d = if d.is_zero() { BigUint::one() } else { d };
+        Rational::new(n, d)
+    });
+    // Probability-shaped values with power-of-two denominators, and long
+    // numerators over mixed denominators, as lifted inference builds them.
+    let pow2_den = (any::<u64>(), 0u64..1100, any::<bool>()).prop_map(|(n, k, neg)| {
+        let d = &BigUint::one() << k;
+        let n = BigInt::from(&BigUint::from(n) % &d);
+        Rational::new(if neg { -n } else { n }, d)
+    });
+    let wide = (wide_gen(33..=35), gcd_operand_gen(), any::<bool>()).prop_map(|(n, d, neg)| {
+        let d = if d.is_zero() { BigUint::one() } else { d };
+        let n = BigInt::from(n);
+        Rational::new(if neg { -n } else { n }, d)
+    });
+    one_of(vec![general.boxed(), pow2_den.boxed(), wide.boxed()]).boxed()
+}
+
+/// The textbook Euclidean algorithm: the reference for `BigUint::gcd`.
+fn euclid(a: &BigUint, b: &BigUint) -> BigUint {
+    let (mut a, mut b) = (a.clone(), b.clone());
+    while !b.is_zero() {
+        let r = &a % &b;
+        a = std::mem::replace(&mut b, r);
+    }
+    a
 }
 
 #[test]
@@ -167,10 +224,114 @@ fn gcd_divides_both_and_is_maximal() {
 }
 
 #[test]
+fn gcd_matches_plain_euclid() {
+    // A shared factor makes the gcd nontrivial; operand pairs cover 1,
+    // powers of two, equal operands, limb-length gaps of two or more (the
+    // `%` steps), and 1000+-bit values (the subtract-and-shift rounds).
+    let gens = (gcd_operand_gen(), gcd_operand_gen(), gcd_operand_gen(), 0u8..4);
+    check("gcd_matches_plain_euclid", &cfg(), &gens, |(a, b, g, mode)| {
+        let (a, b) = match mode {
+            0 => (a.clone(), b.clone()),
+            1 => (a * g, b * g),
+            2 => (a * g, a * g),
+            _ => (a.clone(), BigUint::one()),
+        };
+        prop_assert_eq!(a.gcd(&b), euclid(&a, &b));
+        prop_assert_eq!(b.gcd(&a), euclid(&a, &b));
+        Ok(())
+    });
+}
+
+#[test]
+fn gcd_edge_cases_match_plain_euclid() {
+    let p = |k: u64| &BigUint::one() << k;
+    let wide = &(&BigUint::from(3u32).pow(700) * &BigUint::from(7u32).pow(13)) << 5;
+    let cases = [
+        (BigUint::zero(), BigUint::zero()),
+        (BigUint::one(), p(1100)),
+        (p(1100), p(700)),
+        (p(64), BigUint::from(u64::MAX)),
+        (wide.clone(), wide.clone()),
+        (wide.clone(), p(3)),
+        (wide.clone(), BigUint::from(21u32)),
+        (&wide + &BigUint::one(), wide.clone()),
+        (wide.clone(), &BigUint::from(3u32).pow(300) << 40),
+    ];
+    for (a, b) in &cases {
+        assert_eq!(a.gcd(b), euclid(a, b), "gcd({a}, {b})");
+        assert_eq!(b.gcd(a), euclid(a, b), "gcd({b}, {a})");
+    }
+}
+
+#[test]
+fn rational_mul_matches_full_normalization() {
+    let gens = (rational_gen(), rational_gen());
+    check("rational_mul_matches_full_normalization", &cfg(), &gens, |(x, y)| {
+        let full = Rational::new(
+            x.numerator() * y.numerator(),
+            x.denominator() * y.denominator(),
+        );
+        let product = x * y;
+        prop_assert_eq!(product.numerator(), full.numerator());
+        prop_assert_eq!(product.denominator(), full.denominator());
+        Ok(())
+    });
+}
+
+#[test]
+fn rational_complement_matches_one_minus() {
+    check("rational_complement_matches_one_minus", &cfg(), &rational_gen(), |x| {
+        let reference = &Rational::one() - x;
+        let complement = x.complement();
+        prop_assert_eq!(complement.numerator(), reference.numerator());
+        prop_assert_eq!(complement.denominator(), reference.denominator());
+        Ok(())
+    });
+}
+
+#[test]
+fn rational_recip_matches_full_normalization() {
+    check("rational_recip_matches_full_normalization", &cfg(), &rational_gen(), |x| {
+        prop_assume!(!x.is_zero());
+        let den = BigInt::from(x.denominator().clone());
+        let num = if x.numerator().is_negative() { -den } else { den };
+        let full = Rational::new(num, x.numerator().magnitude().clone());
+        prop_assert_eq!(x.recip(), full);
+        Ok(())
+    });
+}
+
+#[test]
 fn decimal_roundtrips() {
     check("decimal_roundtrips", &cfg(), &biguint_gen(), |a| {
         let s = a.to_string();
         prop_assert_eq!(BigUint::from_decimal(&s).unwrap(), *a);
+        Ok(())
+    });
+}
+
+#[test]
+fn display_matches_chunked_division() {
+    // Reference: peel base-10^9 digits off with `divrem`, one new quotient
+    // per chunk, then zero-pad every chunk below the top one.
+    fn reference(a: &BigUint) -> String {
+        let chunk = BigUint::from(1_000_000_000u32);
+        let mut chunks = Vec::new();
+        let mut cur = a.clone();
+        while !cur.is_zero() {
+            let (q, r) = cur.divrem(&chunk);
+            chunks.push(r.to_u64().unwrap());
+            cur = q;
+        }
+        let mut s = chunks.pop().map_or("0".to_owned(), |top| top.to_string());
+        for c in chunks.iter().rev() {
+            s.push_str(&format!("{c:09}"));
+        }
+        s
+    }
+    check("display_matches_chunked_division", &cfg(), &gcd_operand_gen(), |a| {
+        prop_assert_eq!(a.to_string(), reference(a));
+        prop_assert_eq!(format!("{a:>1200}"), format!("{:>1200}", reference(a)));
         Ok(())
     });
 }

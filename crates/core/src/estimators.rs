@@ -1,6 +1,7 @@
 //! The three estimators of the paper: `PathEstimate` (Thm 2),
 //! `UREstimate` (Thm 3), and `PQEEstimate` (Thm 1).
 
+use crate::arity::ArityMismatch;
 use crate::plan::{compile_pqe_plan, compile_ur_plan};
 use crate::reductions::{build_path_nfa, build_path_pqe_nfa, ReductionError};
 use pqe_arith::{BigFloat, BigUint};
@@ -14,6 +15,14 @@ use std::time::Instant;
 pub enum EstimateError {
     /// The reduction could not be built (self-joins, not a path query, …).
     Reduction(ReductionError),
+    /// A query atom's arity disagrees with the database schema.
+    Arity(ArityMismatch),
+}
+
+impl From<ArityMismatch> for EstimateError {
+    fn from(e: ArityMismatch) -> Self {
+        EstimateError::Arity(e)
+    }
 }
 
 impl From<ReductionError> for EstimateError {
@@ -26,6 +35,7 @@ impl std::fmt::Display for EstimateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EstimateError::Reduction(e) => write!(f, "{e}"),
+            EstimateError::Arity(e) => write!(f, "{e}"),
         }
     }
 }

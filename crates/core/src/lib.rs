@@ -43,6 +43,7 @@
 //! assert!(rel < 0.2);
 //! ```
 
+mod arity;
 pub mod baselines;
 mod estimators;
 pub mod graph_router;
@@ -52,6 +53,7 @@ pub mod reductions;
 pub mod router;
 pub mod worlds;
 
+pub use arity::{check_arities, ArityMismatch};
 pub use estimators::{
     fact_influence, path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, EstimateError,
     PathUrReport, PqeReport, UrReport,

@@ -167,8 +167,10 @@ enum UrPlanKind {
     },
 }
 
-/// Compiles the `UREstimate` prefix for `(q, db)`.
+/// Compiles the `UREstimate` prefix for `(q, db)`, after checking the
+/// query's arities against the schema ([`crate::check_arities`]).
 pub fn compile_ur_plan(q: &ConjunctiveQuery, db: &Database) -> Result<UrPlan, EstimateError> {
+    crate::check_arities(q, db.schema())?;
     let _span = pqe_obs::span::span("compile");
     let start = Instant::now();
     let classification = landscape::classify(q);

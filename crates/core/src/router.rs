@@ -48,6 +48,7 @@
 //! `router.refresh.{incremental,recompiled}` counters attribute which path
 //! ran.
 
+use crate::arity::{check_arities, ArityMismatch};
 use crate::baselines::{lifted_pqe, LiftedError};
 use crate::landscape::{self, Classification};
 use crate::plan::{compile_pqe_plan, PqePlan};
@@ -217,6 +218,8 @@ pub fn decide(class: &Classification, method: Method) -> RouteDecision {
 /// answer.
 #[derive(Debug)]
 pub enum RouterError {
+    /// A query atom's arity disagrees with the database schema.
+    Arity(ArityMismatch),
     /// The lifted route refused the query (unsafe or self-joins).
     Lifted(LiftedError),
     /// The FPRAS route refused the query (reduction failure).
@@ -244,6 +247,7 @@ pub enum RouterError {
 impl std::fmt::Display for RouterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RouterError::Arity(e) => write!(f, "{e}"),
             RouterError::Lifted(e) => write!(f, "{e}"),
             RouterError::Estimate(e) => write!(f, "{e}"),
             RouterError::ZeroEvidence { detail } => {
@@ -260,6 +264,12 @@ impl std::fmt::Display for RouterError {
 }
 
 impl std::error::Error for RouterError {}
+
+impl From<ArityMismatch> for RouterError {
+    fn from(e: ArityMismatch) -> Self {
+        RouterError::Arity(e)
+    }
+}
 
 impl From<LiftedError> for RouterError {
     fn from(e: LiftedError) -> Self {
@@ -382,6 +392,7 @@ impl RoutedPlan {
         method: Method,
         epochs: &Epochs,
     ) -> Result<RoutedPlan, RouterError> {
+        check_arities(q, h.database().schema())?;
         let classification = landscape::classify(q);
         let decision = decide(&classification, method);
         // `decide` picks lifted or FPRAS; enumeration is graph-only.
@@ -420,6 +431,11 @@ impl RoutedPlan {
         match epochs.freshness(&self.stamp) {
             Freshness::Current => Ok(Revalidation::Current),
             Freshness::ProbsChanged => {
+                // A structural change (say, a delta creating a relation
+                // the query read as empty, with another arity) recompiles
+                // through `compile_at`, which checks arities; a
+                // caller-managed database may skip the structural epoch.
+                check_arities(&self.query, h.database().schema())?;
                 let refreshed = match &mut self.kind {
                     RoutedKind::Lifted { exact } => {
                         // The safe route's artifact *is* the answer:
@@ -589,6 +605,8 @@ impl ConditionalPlan {
         method: Method,
         epochs: &Epochs,
     ) -> Result<ConditionalPlan, RouterError> {
+        // Ground evidence never becomes a routed query, so check it here.
+        check_arities(e, h.database().schema())?;
         let all_ground = e
             .atoms()
             .iter()

@@ -123,8 +123,17 @@ if ./target/release/pqe estimate --db "$COND_DIR/cond.pdb" \
     echo "  FAIL: unknown method was accepted" >&2; exit 1
 fi
 grep -q 'did you mean "fpras"' "$COND_DIR/err"
+# An atom whose arity disagrees with the schema is a structured exit-2
+# error naming the atom and both arities, not a panic on the lifted route.
+arity_status=0
+./target/release/pqe estimate --db "$COND_DIR/cond.pdb" \
+    --query 'R(x,y,z), S(z,w)' 2> "$COND_DIR/err" > /dev/null || arity_status=$?
+[ "$arity_status" -eq 2 ] \
+    && grep -q 'atom R(x,y,z) has arity 3 but relation R has arity 2' "$COND_DIR/err" || {
+    echo "  FAIL: arity-mismatched query exited $arity_status: $(head -c 200 "$COND_DIR/err")" >&2
+    exit 1; }
 rm -rf "$COND_DIR"
-echo "  ok: route line, ground P(Q|E), zero-evidence error, method hint"
+echo "  ok: route line, ground P(Q|E), zero-evidence error, method hint, arity error"
 
 echo "serve smoke test:"
 SMOKE_DIR=$(mktemp -d)
@@ -171,11 +180,20 @@ echo "$resp" | grep -q '"classifies":1'
 send '{"op":"metrics"}'
 echo "$resp" | grep -q '"serve.request_us.estimate":{"count":2' || {
     echo "  FAIL: metrics miscounted estimates: $resp" >&2; exit 1; }
+# An arity-mismatched atom is an eval_error naming the atom, and the next
+# estimate on the same connection succeeds.
+send '{"op":"estimate","query":"R1(x,y,z), R2(z,w)"}'
+echo "$resp" | grep -q '"error":"eval_error"' \
+    && echo "$resp" | grep -q 'atom R1(x,y,z) has arity 3 but relation R1 has arity 2' || {
+    echo "  FAIL: arity-mismatched estimate: $resp" >&2; exit 1; }
+send '{"op":"estimate","query":"R1(x,y), R2(y,z)"}'
+echo "$resp" | grep -q '"ok":true' || {
+    echo "  FAIL: estimate after the arity error: $resp" >&2; exit 1; }
 send '{"op":"shutdown"}'
 echo "$resp" | grep -q '"ok":true'
 exec 3>&- 3<&-
 wait "$SERVE_PID"
-echo "  ok: classify/estimate/stats/metrics/shutdown round-tripped, clean exit"
+echo "  ok: classify/estimate/stats/metrics/arity error/shutdown round-tripped, clean exit"
 
 # Concurrency smoke: the multiplexed server handles 4 simultaneous
 # connections (distinct seeds — no single-flight sharing), still offline

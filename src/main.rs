@@ -271,6 +271,14 @@ fn load_query(args: &Args) -> Result<ConjunctiveQuery, String> {
     parse(q).map_err(|e| e.to_string())
 }
 
+/// Parses `--query` and checks its atoms' arities against `h`'s schema,
+/// so no engine pairs an atom's terms with the wrong fact arguments.
+fn load_query_for(args: &Args, h: &ProbDatabase) -> Result<ConjunctiveQuery, String> {
+    let q = load_query(args)?;
+    pqe::core::check_arities(&q, h.database().schema()).map_err(|e| e.to_string())?;
+    Ok(q)
+}
+
 fn load_graph(args: &Args) -> Result<ProbGraph, String> {
     let path = args.require("graph")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -303,7 +311,7 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
     ])?;
     let _profile = ProfileGuard::start(args.profile(), "estimate");
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let eps = args.epsilon()?;
     let seed = args.seed()?;
     // Validate up front so a bad value errors on every method, not just
@@ -493,7 +501,7 @@ fn cmd_reliability(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "epsilon", "seed", "threads", "profile"])?;
     let _profile = ProfileGuard::start(args.profile(), "reliability");
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?)
         .with_seed(args.seed()?)
         .with_threads(args.threads()?);
@@ -530,7 +538,7 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
 fn cmd_sample(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "count", "seed", "epsilon"])?;
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let count = args.positive("count", 5)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     let sampler = WeightedWorldSampler::new(&q, &h, cfg).map_err(|e| e.to_string())?;
@@ -555,7 +563,7 @@ fn cmd_sample(args: &Args) -> Result<(), String> {
 fn cmd_marginals(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "samples", "seed", "epsilon"])?;
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let samples = args.positive("samples", 2000)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     let sampler = WeightedWorldSampler::new(&q, &h, cfg).map_err(|e| e.to_string())?;
@@ -580,7 +588,7 @@ fn cmd_marginals(args: &Args) -> Result<(), String> {
 fn cmd_influence(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "epsilon", "seed"])?;
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     println!("influence ∂Pr(Q)/∂π(f) = Pr(Q|f=1) − Pr(Q|f=0):");
     let mut rows: Vec<(f64, String)> = Vec::new();
@@ -598,7 +606,7 @@ fn cmd_influence(args: &Args) -> Result<(), String> {
 fn cmd_lineage(args: &Args) -> Result<(), String> {
     args.check_known(&["db", "query", "materialize"])?;
     let h = load_db(args)?;
-    let q = load_query(args)?;
+    let q = load_query_for(args, &h)?;
     let count = Lineage::clause_count(&q, h.database());
     println!("lineage clauses: {count}");
     if let Some(limit) = args.opt("materialize") {

@@ -459,3 +459,63 @@ fn influence_is_largest_for_the_bottleneck_fact() {
     let first = stdout.lines().nth(1).unwrap();
     assert!(first.contains("R(a,b)"), "{stdout}");
 }
+
+/// A query atom whose arity disagrees with the schema is refused on every
+/// command that reads facts, on every estimate method: before the check,
+/// the lifted route and `lineage` panicked, and the FPRAS, brute-force and
+/// sampling paths paired a prefix of the atom's terms with the facts'
+/// arguments and answered as if the atom matched.
+#[test]
+fn arity_mismatched_query_is_refused_by_every_command() {
+    let db = write_db(TWO_PATH_DB);
+    let runs: &[&[&str]] = &[
+        &["estimate"],
+        &["estimate", "--method", "lifted"],
+        &["estimate", "--method", "fpras"],
+        &["estimate", "--method", "brute"],
+        &["estimate", "--method", "karp-luby"],
+        &["estimate", "--method", "mc"],
+        &["reliability"],
+        &["sample"],
+        &["marginals"],
+        &["influence"],
+        &["lineage"],
+    ];
+    for (query, atom) in [
+        ("R(x,y,z), S(z,w)", "atom R(x,y,z) has arity 3 but relation R has arity 2"),
+        ("R(x)", "atom R(x) has arity 1 but relation R has arity 2"),
+    ] {
+        for run in runs {
+            let out = pqe()
+                .args(*run)
+                .arg("--db")
+                .arg(&db.0)
+                .args(["--query", query])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{run:?} {query}: {stderr}");
+            assert!(stderr.contains(atom), "{run:?} {query}: {stderr}");
+        }
+    }
+
+    // Evidence atoms are checked too.
+    let out = pqe()
+        .args(["estimate", "--db"])
+        .arg(&db.0)
+        .args(["--query", "R(x,y)", "--evidence", "S('b')"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("atom S('b') has arity 1"));
+
+    // A relation absent from the schema is still an empty relation.
+    let out = pqe()
+        .args(["estimate", "--db"])
+        .arg(&db.0)
+        .args(["--query", "R(x,y), T(y)"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Pr(Q) = 0 "));
+}

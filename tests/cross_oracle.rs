@@ -122,6 +122,74 @@ fn oracles_agree_with_extreme_probabilities() {
     }
 }
 
+/// `with_probs` over `db` with every denominator drawn from
+/// {3, 5, 7, 8, 10}: odd primes and non-powers of two, which the lifted
+/// route's cross-cancelling products must reduce exactly as a full gcd
+/// would.
+fn with_mixed_denominators(db: pqe::db::Database, rng: &mut StdRng) -> ProbDatabase {
+    use pqe_rand::Rng;
+    const DENOMINATORS: [u64; 5] = [3, 5, 7, 8, 10];
+    let probs = (0..db.len())
+        .map(|_| {
+            let d = DENOMINATORS[rng.random_range(0..DENOMINATORS.len())];
+            Rational::from_ratio(rng.random_range(1..d) as i64, d)
+        })
+        .collect();
+    ProbDatabase::with_probs(db, probs).unwrap()
+}
+
+#[test]
+fn oracles_agree_with_non_power_of_two_denominators() {
+    let mut rng = StdRng::seed_from_u64(1008);
+    let mut checked = 0;
+    for trial in 0..4 {
+        let arms = 2 + trial % 2;
+        let db = generators::star_data(arms, 2, 2, 0.7, &mut rng);
+        if db.len() <= 12 {
+            let h = with_mixed_denominators(db, &mut rng);
+            check_all_oracles(&shapes::star_query(arms), &h, &format!("star trial={trial}"));
+            checked += 1;
+        }
+        let db = generators::layered_graph_connected(2, 2, 0.7, &mut rng);
+        if db.len() <= 12 {
+            let h = with_mixed_denominators(db, &mut rng);
+            check_all_oracles(&shapes::path_query(2), &h, &format!("2-path trial={trial}"));
+            checked += 1;
+        }
+    }
+    assert!(checked >= 4, "only {checked} instances were small enough");
+}
+
+#[test]
+fn lifted_matches_brute_force_on_constants_repeats_and_missing_relations() {
+    // Safe queries the shape generators never produce; ≤ 16 facts so the
+    // brute-force oracle can enumerate every world.
+    let queries = [
+        "R(x,'c1'), S(x,y)",
+        "R('c0',y), S(y,z)",
+        "R(x,x), S(x,y)",
+        "R(x,y), S(y,y)",
+        "U(x), R(x,y), S(x,y)",
+        "R(x,y), M(x)",
+        "R(x,y), U(z)",
+        "R(x,y), S(y,z), U('c2')",
+    ];
+    let mut rng = StdRng::seed_from_u64(1009);
+    for trial in 0..6 {
+        let db = generators::random_instance(&[("R", 2), ("S", 2), ("U", 1)], 3, 5, &mut rng);
+        let h = with_mixed_denominators(db, &mut rng);
+        assert!(h.len() <= 16, "{} facts", h.len());
+        for text in queries {
+            let q = pqe::query::parse(text).unwrap();
+            assert_eq!(
+                lifted_pqe(&q, &h).unwrap(),
+                brute_force_pqe(&q, &h),
+                "{text} trial={trial}"
+            );
+        }
+    }
+}
+
 #[test]
 fn router_agrees_with_itself_across_routes() {
     // For every `ExactAndFpras` query the router has a real choice: auto

@@ -809,6 +809,68 @@ fn deeply_nested_rpq_is_a_bad_request_and_the_server_survives() {
     let _ = std::fs::remove_file(&graph);
 }
 
+/// A query atom whose arity disagrees with the schema used to index past
+/// a fact's arguments on the lifted route and kill the worker shard; with
+/// one worker, every later heavy request then hung. It is now the
+/// `eval_error` every compile refusal gets, and the same worker answers.
+#[test]
+fn arity_mismatched_query_is_an_eval_error_and_the_server_survives() {
+    let db = write_db(PATH3_DB);
+    let server = ServerProc::start(&db, &["--workers", "1"]);
+    let mut c = server.connect();
+    // A dead worker shard would leave the reply unsent: fail, don't hang.
+    c.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    for op in ["estimate", "reliability"] {
+        let resp = roundtrip(
+            &mut c,
+            &format!(r#"{{"op":"{op}","query":"R1(x,y,z), R2(z,w)"}}"#),
+        );
+        assert_eq!(json_str_field(&resp, "error"), "eval_error", "response: {resp}");
+        assert!(
+            resp.contains("atom R1(x,y,z) has arity 3 but relation R1 has arity 2"),
+            "response: {resp}"
+        );
+    }
+
+    let resp = roundtrip(&mut c, r#"{"op":"estimate","query":"R1(x,y), R2(y,z)"}"#);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    assert_eq!(json_str_field(&resp, "exact"), "7/18");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+}
+
+/// A cached plan over a relation the database lacks (an empty relation)
+/// meets a delta that creates that relation with another arity: the plan's
+/// revalidation refuses it instead of re-solving against facts of the
+/// wrong shape, and the same single worker answers the next request.
+#[test]
+fn update_that_mismatches_a_cached_plan_is_an_eval_error_and_the_server_survives() {
+    let db = write_db(PATH3_DB);
+    let server = ServerProc::start(&db, &["--workers", "1"]);
+    let mut c = server.connect();
+    // A dead worker shard would leave the reply unsent: fail, don't hang.
+    c.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let estimate = r#"{"op":"estimate","query":"T(x,y), R2(y,z)"}"#;
+    let resp = roundtrip(&mut c, estimate);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    assert_eq!(json_str_field(&resp, "exact"), "0");
+
+    let resp = roundtrip(&mut c, r#"{"op":"update","delta":"+ 1/2 T(b)"}"#);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    let resp = roundtrip(&mut c, estimate);
+    assert_eq!(json_str_field(&resp, "error"), "eval_error", "response: {resp}");
+    assert!(
+        resp.contains("atom T(x,y) has arity 2 but relation T has arity 1"),
+        "response: {resp}"
+    );
+
+    let resp = roundtrip(&mut c, r#"{"op":"estimate","query":"T(y), R2(y,z)"}"#);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    assert_eq!(json_str_field(&resp, "exact"), "7/18");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+}
+
 #[test]
 fn deeply_nested_json_is_a_bad_request_and_the_server_survives() {
     let db = write_db(PATH3_DB);
