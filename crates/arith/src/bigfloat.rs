@@ -94,6 +94,12 @@ impl BigFloat {
         num / den
     }
 
+    /// The pair `(mantissa, exp)` with `self = mantissa × 2^exp`: the
+    /// mantissa lies in `[1, 2)`, or the pair is `(0.0, 0)` for zero.
+    pub fn parts(&self) -> (f64, i64) {
+        (self.mantissa, self.exp)
+    }
+
     /// Best-effort `f64` (may overflow to `inf` / underflow to 0).
     pub fn to_f64(&self) -> f64 {
         if self.is_zero() {

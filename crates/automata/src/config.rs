@@ -1,5 +1,14 @@
 //! Tuning knobs for the CountNFA / CountNFTA approximation schemes.
 
+/// The least `ε` the `pqe` CLI and the serve wire protocol accept.
+///
+/// A union's sample cap is `⌈scale · m / ε⌉`, so the work grows as `1/ε`,
+/// and below about `1e-300` the cap saturates `usize`: such a request
+/// would run until killed and, served, pin a worker shard for good. On a
+/// five-fact path instance ε = 1e-2, 1e-3 and 1e-4 take about 15 ms,
+/// 140 ms and 1.4 s; nothing in the workspace asks for less than 0.05.
+pub const MIN_EPSILON: f64 = 1e-3;
+
 /// Configuration of the FPRAS runs.
 ///
 /// The theoretical algorithms of Arenas et al. fix sample counts from

@@ -88,6 +88,11 @@ impl ForestReg {
         }
     }
 
+    /// Number of interned forests: ids are `0..num_forests()`.
+    pub fn num_forests(&self) -> usize {
+        self.heads.len()
+    }
+
     /// The id of transition `ti`'s full child forest.
     #[inline]
     pub fn transition_forest(&self, ti: usize) -> u32 {

@@ -59,7 +59,7 @@ pub use multiplier::{required_bits, MulTransition, MultiplierNfta};
 pub use multiplier_nfa::{MulNfaTransition, MultiplierNfa};
 pub use nfa::{Nfa, StateId};
 pub use nfa_fpras::count_nfa;
-pub use nfta::{IndexedTree, Nfta, Transition, Tree};
+pub use nfta::{IndexedTree, Nfta, NodeMemo, Transition, Tree};
 pub use nfta_exact::{count_runs, count_trees_exact};
 pub use nfta_fpras::{count_nfta, NftaCounter};
 pub use nfta_run_estimator::{count_nfta_run_based, RunTables};

@@ -14,6 +14,7 @@
 //! fixed seed gives bit-identical estimates at any thread count.
 
 use crate::ambiguity::mark_ancestors;
+use crate::nfta_run_estimator::KeyIndex;
 use crate::scratch::{resample, with_scratch, PickSpan, PickTable, Scratch};
 use crate::union_mc::{adaptive_mean, TAG_NFA_GROUP, TAG_NFA_TOP};
 use crate::{FprasConfig, Nfa, StateId, SymbolId};
@@ -54,8 +55,9 @@ pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
 /// The keys are the closure of `{(q₀, n) : q₀ initial}` under
 /// `(q, i) → (t, i − 1)` — every key the counter's estimates and draws
 /// reach. The tables are built once per (automaton, `n`), level by level,
-/// and read without a lock by every repetition; a lookup outside them is
-/// a caller bug and panics.
+/// and read without a lock by every repetition. Keys are found through a
+/// [`KeyIndex`] per state, without hashing; a lookup outside them is a
+/// caller bug and panics.
 ///
 /// Alongside them sit the automaton's other exact, seed-independent facts:
 /// each state's transitions grouped by symbol, and which states are
@@ -64,7 +66,7 @@ pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
 /// at most one run.
 struct PathTables {
     size: usize,
-    index: FxHashMap<(StateId, u32), u32>,
+    index: KeyIndex,
     counts: Vec<FixUint>,
     spans: Vec<PickSpan>,
     picks: PickTable<(SymbolId, StateId)>,
@@ -103,15 +105,10 @@ impl PathTables {
             below.dedup();
             levels[i - 1] = below;
         }
-        let mut t = PathTables {
-            size: n,
-            index: FxHashMap::default(),
-            counts: Vec::new(),
-            spans: Vec::new(),
-            picks: PickTable::default(),
-            groups,
-            ambiguous_below,
-        };
+        let mut ids: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+        let mut counts: Vec<FixUint> = Vec::new();
+        let mut spans = Vec::new();
+        let mut picks = PickTable::default();
         for (i, level) in levels.iter().enumerate() {
             for &q in level {
                 let (count, span) = if i == 0 {
@@ -121,26 +118,37 @@ impl PathTables {
                     let options: Vec<((SymbolId, StateId), FixUint)> = nfa
                         .transitions_from(q)
                         .iter()
-                        .map(|&(a, t2)| ((a, t2), t.count(t2, i - 1).clone()))
+                        .map(|&(a, t2)| {
+                            let below = ids[&(t2.0, i as u32 - 1)] as usize;
+                            ((a, t2), counts[below].clone())
+                        })
                         .collect();
                     let mut count = FixUint::zero();
                     for (_, c) in &options {
                         count += c;
                     }
-                    let span = t.picks.push(options.iter().map(|(o, c)| (*o, c.to_bigfloat())));
+                    let span = picks.push(options.iter().map(|(o, c)| (*o, c.to_bigfloat())));
                     (count, span)
                 };
-                t.index.insert((q, i as u32), t.counts.len() as u32);
-                t.counts.push(count);
-                t.spans.push(span);
+                ids.insert((q.0, i as u32), counts.len() as u32);
+                counts.push(count);
+                spans.push(span);
             }
         }
-        t
+        PathTables {
+            size: n,
+            index: KeyIndex::new(nfa.num_states(), ids),
+            counts,
+            spans,
+            picks,
+            groups,
+            ambiguous_below,
+        }
     }
 
     fn id(&self, q: StateId, i: usize) -> usize {
-        match self.index.get(&(q, i as u32)) {
-            Some(&id) => id as usize,
+        match self.index.get(q.0, i as u32) {
+            Some(id) => id as usize,
             None => panic!(
                 "PathTables: key ({q:?}, {i}) is outside the tables built for length {}",
                 self.size

@@ -226,13 +226,12 @@ impl Nfta {
     /// cheaper than a bottom-up pass over every same-symbol transition.
     pub fn accepts_from(&self, q: StateId, t: &Tree) -> bool {
         let it = IndexedTree::new(t);
-        let mut memo = FxHashMap::default();
-        self.accepted_at(q, &it, 0, &mut memo)
+        self.accepted_at(q, &it, 0, &mut NodeMemo::new())
     }
 
     /// Memoized top-down acceptance over an [`IndexedTree`]. Callers doing
     /// repeated membership checks against the same tree should share the
-    /// index and the memo.
+    /// index and the memo (one [`NodeMemo`] per arena generation).
     ///
     /// A node drawn by [`RunTables::sample_run_into`] is accepted from its
     /// [`IndexedTree::run_state`] without a search: the run it was drawn
@@ -240,6 +239,220 @@ impl Nfta {
     ///
     /// [`RunTables::sample_run_into`]: crate::RunTables::sample_run_into
     pub fn accepted_at(
+        &self,
+        q: StateId,
+        it: &IndexedTree,
+        node: usize,
+        memo: &mut NodeMemo<bool>,
+    ) -> bool {
+        if it.run_state(node) == Some(q) {
+            return true;
+        }
+        if let Some(&v) = memo.get(q, node) {
+            return v;
+        }
+        let children = it.children(node);
+        let label = it.label(node);
+        let mut ok = false;
+        for &ti in &self.by_src[q.index()] {
+            let tr = &self.transitions[ti];
+            if tr.symbol != label || tr.children.len() != children.len() {
+                continue;
+            }
+            if tr
+                .children
+                .iter()
+                .zip(children.iter())
+                .all(|(&cq, &cn)| self.accepted_at(cq, it, cn as usize, memo))
+            {
+                ok = true;
+                break;
+            }
+        }
+        memo.insert(q, node, ok);
+        ok
+    }
+
+    /// `M(t)`: the number of accepting runs over the fixed tree `t`
+    /// starting from `q` (exact DP over `(state, node)` pairs).
+    pub fn runs_of_tree(&self, q: StateId, t: &Tree) -> FixUint {
+        let it = IndexedTree::new(t);
+        self.runs_at(q, &it, 0, None, &mut NodeMemo::new())
+    }
+
+    /// [`Nfta::runs_of_tree`] over a node already in a flat arena, with a
+    /// caller-owned [`NodeMemo`]. Node ids are unique within an arena
+    /// generation and the DP is pure, so one memo may be shared across all
+    /// candidates of a sample.
+    ///
+    /// Given the automaton's `ambiguity`, a node whose
+    /// [`IndexedTree::run_state`] is `q` counts 1 without a search when `q`
+    /// is not ambiguous below: every tree then has at most one run from
+    /// `q`, and the witness is one.
+    pub fn runs_at(
+        &self,
+        q: StateId,
+        it: &IndexedTree,
+        node: usize,
+        ambiguity: Option<&Ambiguity>,
+        memo: &mut NodeMemo<FixUint>,
+    ) -> FixUint {
+        if it.run_state(node) == Some(q) && ambiguity.is_some_and(|a| !a.is_ambiguous_below(q)) {
+            return FixUint::one();
+        }
+        if let Some(v) = memo.get(q, node) {
+            return v.clone();
+        }
+        let children = it.children(node);
+        let label = it.label(node);
+        let mut total = FixUint::zero();
+        for &ti in &self.by_src[q.index()] {
+            let tr = &self.transitions[ti];
+            if tr.symbol != label || tr.children.len() != children.len() {
+                continue;
+            }
+            let mut prod = FixUint::one();
+            for (&cq, &cn) in tr.children.iter().zip(children.iter()) {
+                prod = &prod * &self.runs_at(cq, it, cn as usize, ambiguity, memo);
+                if prod.is_zero() {
+                    break;
+                }
+            }
+            total += prod;
+        }
+        memo.insert(q, node, total.clone());
+        total
+    }
+}
+
+/// The DP memo of [`Nfta::accepted_at`] and [`Nfta::runs_at`]: one value
+/// per `(state, node)` of an [`IndexedTree`] arena generation.
+///
+/// A flat open-addressing table. The key `node · 2³² + state` picks its
+/// home slot with one multiply (Fibonacci hashing), collisions probe the
+/// next slots, and at most a quarter of the slots are live, so a probe
+/// usually reads one slot however many states meet at one node. Every
+/// slot records the generation that wrote it: [`NodeMemo::clear`] starts
+/// a new generation, and older slots read as empty. The values sit in a
+/// side vector the slots index. Both buffers are kept across clears, so a
+/// memo reused across samples stops allocating at its high-water mark.
+pub struct NodeMemo<V> {
+    /// A power of two many slots.
+    slots: Vec<MemoSlot>,
+    /// The memoized values, in insertion order.
+    values: Vec<V>,
+    /// The generation of the live slots; never 0, which marks a slot
+    /// never written.
+    gen: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+struct MemoSlot {
+    key: u64,
+    gen: u32,
+    /// Index into `NodeMemo::values`.
+    value: u32,
+}
+
+/// Slots of a new [`NodeMemo`].
+const MEMO_MIN_SLOTS: usize = 64;
+
+impl<V> Default for NodeMemo<V> {
+    fn default() -> Self {
+        NodeMemo { slots: vec![MemoSlot::default(); MEMO_MIN_SLOTS], values: Vec::new(), gen: 1 }
+    }
+}
+
+impl<V> NodeMemo<V> {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every entry, keeping the buffers. Required whenever the
+    /// arena's node ids are reused (after [`IndexedTree::clear`]).
+    pub fn clear(&mut self) {
+        self.values.clear();
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // The stamps wrapped: erase them all once, then restart at 1.
+            self.slots.fill(MemoSlot::default());
+            self.gen = 1;
+        }
+    }
+
+    /// Number of memoized `(state, node)` values.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `true` iff nothing is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    #[inline]
+    fn key(q: StateId, node: usize) -> u64 {
+        (node as u64) << 32 | u64::from(q.0)
+    }
+
+    /// The home slot of `key`: the top bits of its Fibonacci hash.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The value memoized for `(q, node)`, if any.
+    #[inline]
+    pub(crate) fn get(&self, q: StateId, node: usize) -> Option<&V> {
+        let key = Self::key(q, node);
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let slot = self.slots[i];
+            if slot.gen != self.gen {
+                return None;
+            }
+            if slot.key == key {
+                return Some(&self.values[slot.value as usize]);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Memoizes `v` for `(q, node)`, which must not be memoized yet.
+    #[inline]
+    pub(crate) fn insert(&mut self, q: StateId, node: usize, v: V) {
+        if (self.values.len() + 1) * 4 > self.slots.len() {
+            let doubled = vec![MemoSlot::default(); self.slots.len() * 2];
+            let gen = self.gen;
+            for slot in std::mem::replace(&mut self.slots, doubled) {
+                if slot.gen == gen {
+                    self.place(slot.key, slot.value);
+                }
+            }
+        }
+        let value = self.values.len() as u32;
+        self.values.push(v);
+        self.place(Self::key(q, node), value);
+    }
+
+    /// Writes `key → value` into the first free slot from `key`'s home.
+    fn place(&mut self, key: u64, value: u32) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        while self.slots[i].gen == self.gen {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = MemoSlot { key, gen: self.gen, value };
+    }
+}
+
+/// The map-memo DPs [`NodeMemo`] replaced, kept as test references.
+#[cfg(test)]
+impl Nfta {
+    pub(crate) fn accepted_at_map(
         &self,
         q: StateId,
         it: &IndexedTree,
@@ -264,7 +477,7 @@ impl Nfta {
                 .children
                 .iter()
                 .zip(children.iter())
-                .all(|(&cq, &cn)| self.accepted_at(cq, it, cn as usize, memo))
+                .all(|(&cq, &cn)| self.accepted_at_map(cq, it, cn as usize, memo))
             {
                 ok = true;
                 break;
@@ -274,24 +487,7 @@ impl Nfta {
         ok
     }
 
-    /// `M(t)`: the number of accepting runs over the fixed tree `t`
-    /// starting from `q` (exact DP over `(state, node)` pairs).
-    pub fn runs_of_tree(&self, q: StateId, t: &Tree) -> FixUint {
-        let it = IndexedTree::new(t);
-        let mut memo = FxHashMap::default();
-        self.runs_at(q, &it, 0, None, &mut memo)
-    }
-
-    /// [`Nfta::runs_of_tree`] over a node already in a flat arena, with a
-    /// caller-owned memo. Node ids are unique within an arena generation
-    /// and the DP is pure, so one memo may be shared across all candidates
-    /// of a sample.
-    ///
-    /// Given the automaton's `ambiguity`, a node whose
-    /// [`IndexedTree::run_state`] is `q` counts 1 without a search when `q`
-    /// is not ambiguous below: every tree then has at most one run from
-    /// `q`, and the witness is one.
-    pub fn runs_at(
+    pub(crate) fn runs_at_map(
         &self,
         q: StateId,
         it: &IndexedTree,
@@ -315,7 +511,7 @@ impl Nfta {
             }
             let mut prod = FixUint::one();
             for (&cq, &cn) in tr.children.iter().zip(children.iter()) {
-                prod = &prod * &self.runs_at(cq, it, cn as usize, ambiguity, memo);
+                prod = &prod * &self.runs_at_map(cq, it, cn as usize, ambiguity, memo);
                 if prod.is_zero() {
                     break;
                 }
@@ -550,6 +746,35 @@ mod tests {
         let lone = arena.new_node(b, 0);
         assert_eq!(lone, 0, "node ids restart after clear");
         assert_eq!(arena.to_tree(lone), Tree::leaf(b));
+    }
+
+    #[test]
+    fn node_memo_keeps_entries_across_growth_and_forgets_them_on_clear() {
+        let mut memo = NodeMemo::new();
+        // Hundreds of states at each of three nodes, as on wide automata,
+        // and far past the initial slots: several doublings.
+        let keys = |n: usize| (0..n).map(|i| (StateId(i as u32), i % 3));
+        for (v, (q, node)) in keys(1_000).enumerate() {
+            assert!(memo.get(q, node).is_none());
+            memo.insert(q, node, v);
+        }
+        assert_eq!(memo.len(), 1_000);
+        for (v, (q, node)) in keys(1_000).enumerate() {
+            assert_eq!(memo.get(q, node), Some(&v));
+            assert!(memo.get(q, node + 3).is_none());
+        }
+        memo.clear();
+        assert!(memo.is_empty() && keys(1_000).all(|(q, node)| memo.get(q, node).is_none()));
+        // A clear that wraps the generation stamp forgets what the first
+        // generation wrote, too.
+        let mut memo = NodeMemo::new();
+        memo.insert(StateId(1), 2, 3);
+        memo.gen = u32::MAX;
+        memo.insert(StateId(4), 5, 6);
+        memo.clear();
+        assert!(memo.get(StateId(1), 2).is_none() && memo.get(StateId(4), 5).is_none());
+        memo.insert(StateId(4), 5, 7);
+        assert_eq!(memo.get(StateId(4), 5), Some(&7));
     }
 
     #[test]

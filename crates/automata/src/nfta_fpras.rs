@@ -430,7 +430,7 @@ impl<'a> NftaCounter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{count_trees_exact, Alphabet, Transition};
+    use crate::{count_trees_exact, Alphabet, IndexedTree, Transition};
     use pqe_arith::BigUint;
     use pqe_rand::rngs::StdRng;
     use pqe_rand::SeedableRng;
@@ -585,6 +585,87 @@ mod tests {
         let b = counter.count();
         assert_eq!(a, b); // memoized tables
         assert_eq!(a.to_biguint_round(), BigUint::from(5u32));
+    }
+
+    /// A random NFTA over two symbols with up to three states.
+    fn random_nfta() -> pqe_testkit::BoxedGen<Nfta> {
+        use pqe_testkit::prelude::*;
+        (1usize..=3, vec((0u32..3, 0u32..2, vec(0u32..3, 0..3)), 1..10))
+            .prop_map(|(states, transitions)| {
+                let mut alpha = Alphabet::new();
+                let syms = [alpha.intern("a"), alpha.intern("b")];
+                let mut t = Nfta::new(alpha);
+                let ids: Vec<StateId> = std::iter::once(t.initial())
+                    .chain((1..states).map(|_| t.add_state()))
+                    .collect();
+                for (src, sym, children) in transitions {
+                    t.add_transition(Transition {
+                        src: ids[src as usize % states],
+                        symbol: syms[sym as usize],
+                        children: children.iter().map(|&c| ids[c as usize % states]).collect(),
+                    });
+                }
+                t
+            })
+            .boxed()
+    }
+
+    /// `M(t)` at `node` from `q` by plain recursion: no memo, no witness.
+    fn runs_memo_free(nfta: &Nfta, q: StateId, it: &IndexedTree, node: usize) -> BigUint {
+        let children = it.children(node);
+        nfta.transitions_from(q)
+            .iter()
+            .map(|&ti| &nfta.transitions()[ti])
+            .filter(|tr| tr.symbol == it.label(node) && tr.children.len() == children.len())
+            .map(|tr| {
+                tr.children.iter().zip(children).fold(BigUint::one(), |prod, (&cq, &cn)| {
+                    &prod * &runs_memo_free(nfta, cq, it, cn as usize)
+                })
+            })
+            .fold(BigUint::zero(), |acc, prod| &acc + &prod)
+    }
+
+    /// Differential check of the `NodeMemo` DPs (also run under
+    /// `PQE_SLOW_PATH=1`, for `BigUint` counts). SIR draws leave several
+    /// candidates side by side in one arena, with the run-count memo the
+    /// sampler filled; at every node and from every state, `runs_at` and
+    /// `accepted_at` over [`NodeMemo`]s return what a memo-free recursion
+    /// and the map-memo references return.
+    #[test]
+    fn witness_shortcuts_node_memos_match_a_memo_free_recursion() {
+        use pqe_par::FxHashMap;
+        use pqe_testkit::prelude::*;
+        let gen = (random_nfta(), 1usize..7, any::<bool>(), any::<u64>());
+        check("witness_shortcuts_node_memos", &Config::cases(64), &gen, |(nfta, n, naive, seed)| {
+            let runs = RunTables::new(nfta, *n);
+            let ambiguity = Ambiguity::new(nfta, *naive);
+            let mut cfg = FprasConfig::default().with_seed(*seed);
+            cfg.naive_unions = *naive;
+            let counter = NftaCounter::new(nfta, &runs, &ambiguity, cfg);
+            let mut rng = StdRng::seed_from_u64(*seed);
+            with_scratch(|s| {
+                s.begin_sample();
+                for _ in 0..3 {
+                    counter.sample_tree_into(nfta.initial(), *n, &mut rng, s);
+                }
+                let Scratch { tree, runs_memo, accept_memo, .. } = s;
+                let (mut runs_map, mut accept_map) = (FxHashMap::default(), FxHashMap::default());
+                for v in 0..tree.len() {
+                    for q in (0..nfta.num_states()).map(|q| StateId(q as u32)) {
+                        let full = runs_memo_free(nfta, q, tree, v);
+                        let memo = nfta.runs_at(q, tree, v, Some(&ambiguity), runs_memo);
+                        prop_assert_eq!(memo.to_biguint(), full.clone(), "{q} at {v}");
+                        let map = nfta.runs_at_map(q, tree, v, Some(&ambiguity), &mut runs_map);
+                        prop_assert_eq!(map.to_biguint(), full.clone(), "{q} at {v}");
+                        let accepted = nfta.accepted_at(q, tree, v, accept_memo);
+                        prop_assert_eq!(accepted, !full.is_zero(), "{q} at {v}");
+                        let map = nfta.accepted_at_map(q, tree, v, &mut accept_map);
+                        prop_assert_eq!(map, accepted, "{q} at {v}");
+                    }
+                }
+                Ok(())
+            })
+        });
     }
 
     #[test]

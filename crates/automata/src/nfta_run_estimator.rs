@@ -36,6 +36,46 @@ use pqe_par::FxHashMap;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::{Rng, SeedableRng};
 
+/// Dense ids of two-part keys `(major, minor)` — `(state, size)`,
+/// `(forest, size)`, `(state, length)` — found without hashing: per major
+/// key, an offset into a run of `(minor, id)` pairs sorted by minor. A
+/// lookup is two offset reads and a bisection over one run, and memory is
+/// `O(majors + keys)` (the closures are sparse: most `(major, minor)`
+/// pairs are not keys).
+pub(crate) struct KeyIndex {
+    /// `runs[offsets[major]..offsets[major + 1]]` holds `major`'s keys.
+    offsets: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+}
+
+impl KeyIndex {
+    /// Indexes distinct keys `(major, minor)`, `major < majors`, with
+    /// their ids.
+    pub(crate) fn new(majors: usize, ids: impl IntoIterator<Item = ((u32, u32), u32)>) -> Self {
+        let mut keys: Vec<((u32, u32), u32)> = ids.into_iter().collect();
+        keys.sort_unstable();
+        let mut offsets = vec![0u32; majors + 1];
+        for &((major, _), _) in &keys {
+            offsets[major as usize + 1] += 1;
+        }
+        for m in 0..majors {
+            offsets[m + 1] += offsets[m];
+        }
+        let runs = keys.into_iter().map(|((_, minor), id)| (minor, id)).collect();
+        KeyIndex { offsets, runs }
+    }
+
+    /// The id of key `(major, minor)`, if it is indexed.
+    #[inline]
+    pub(crate) fn get(&self, major: u32, minor: u32) -> Option<u32> {
+        let m = major as usize;
+        let (&lo, &hi) = (self.offsets.get(m)?, self.offsets.get(m + 1)?);
+        let run = &self.runs[lo as usize..hi as usize];
+        let i = run.binary_search_by_key(&minor, |&(k, _)| k).ok()?;
+        Some(run[i].1)
+    }
+}
+
 /// One key of the exact tables: its run count and the pick list a draw
 /// at that key uses.
 #[derive(Debug)]
@@ -54,18 +94,19 @@ struct Entry {
 /// follows the same splits. Each entry keeps, besides the exact count,
 /// the cumulative pick table of its proportional choice — transitions for
 /// a tree key, first-tree sizes for a forest key — so a draw does one
-/// lookup and one bisection per node.
+/// hash-free key lookup and one `f64` bisection per node.
 ///
-/// Looking up a key outside the closure is a bug in the caller and
-/// **panics**; it never reads as a silent zero. Forests are keyed by
-/// interned ids (see `forest_reg`), so lookups never allocate.
+/// Keys are found through [`KeyIndex`]es: tree keys per state, forest
+/// keys per interned forest id (see `forest_reg`), so lookups never hash
+/// or allocate. Looking up a key outside the closure is a bug in the
+/// caller and **panics**; it never reads as a silent zero.
 pub struct RunTables {
     reg: ForestReg,
     /// Root symbol per transition: draws need no `Nfta`.
     symbols: Vec<SymbolId>,
     size: usize,
-    trees: FxHashMap<(StateId, u32), u32>,
-    forests: FxHashMap<(u32, u32), u32>,
+    trees: KeyIndex,
+    forests: KeyIndex,
     tree_entries: Vec<Entry>,
     forest_entries: Vec<Entry>,
     /// Choices are transition ids (tree keys) or first-tree sizes (forest
@@ -77,10 +118,8 @@ impl RunTables {
     /// Builds the tables of `nfta` for trees of size `n` (see the type
     /// docs), single-threaded.
     pub fn new(nfta: &Nfta, n: usize) -> Self {
-        let mut t = RunTables {
+        let mut b = PartialTables {
             reg: ForestReg::new(nfta),
-            symbols: nfta.transitions().iter().map(|tr| tr.symbol).collect(),
-            size: n,
             trees: FxHashMap::default(),
             forests: FxHashMap::default(),
             tree_entries: Vec::new(),
@@ -88,9 +127,19 @@ impl RunTables {
             picks: PickTable::default(),
         };
         if n > 0 {
-            t.build_tree(nfta, nfta.initial(), n);
+            b.build_tree(nfta, nfta.initial(), n);
         }
-        t
+        let num_forests = b.reg.num_forests();
+        RunTables {
+            reg: b.reg,
+            symbols: nfta.transitions().iter().map(|tr| tr.symbol).collect(),
+            size: n,
+            trees: KeyIndex::new(nfta.num_states(), b.trees),
+            forests: KeyIndex::new(num_forests, b.forests),
+            tree_entries: b.tree_entries,
+            forest_entries: b.forest_entries,
+            picks: b.picks,
+        }
     }
 
     /// The target size the tables were built for.
@@ -108,79 +157,14 @@ impl RunTables {
         self.symbols.len()
     }
 
-    /// Builds tree key `(q, s)`, `s ≥ 1`, after every key it depends on;
-    /// returns its entry index.
-    fn build_tree(&mut self, nfta: &Nfta, q: StateId, s: usize) -> usize {
-        if let Some(&id) = self.trees.get(&(q, s as u32)) {
-            return id as usize;
-        }
-        let tis = nfta.transitions_from(q);
-        let counts: Vec<FixUint> = tis
-            .iter()
-            .map(|&ti| self.build_forest(nfta, self.reg.transition_forest(ti), s - 1))
-            .collect();
-        let mut count = FixUint::zero();
-        for c in &counts {
-            count += c;
-        }
-        let picks = self
-            .picks
-            .push(tis.iter().zip(&counts).map(|(&ti, c)| (ti as u32, c.to_bigfloat())));
-        let id = self.tree_entries.len();
-        self.tree_entries.push(Entry { count, picks });
-        self.trees.insert((q, s as u32), id as u32);
-        id
-    }
-
-    /// Builds forest key `(fid, m)` (and everything below it); returns its
-    /// count.
-    fn build_forest(&mut self, nfta: &Nfta, fid: u32, m: usize) -> FixUint {
-        if fid == EMPTY_FOREST {
-            return if m == 0 { FixUint::one() } else { FixUint::zero() };
-        }
-        let len = self.reg.len(fid);
-        if m < len {
-            return FixUint::zero();
-        }
-        let head = self.reg.head(fid);
-        if len == 1 {
-            let id = self.build_tree(nfta, head, m);
-            return self.tree_entries[id].count.clone();
-        }
-        if let Some(&id) = self.forests.get(&(fid, m as u32)) {
-            return self.forest_entries[id as usize].count.clone();
-        }
-        let tail = self.reg.tail(fid);
-        // Unpruned: the tail is built even where the head count is zero,
-        // because the estimator's split weights read both factors.
-        let products: Vec<FixUint> = (1..=(m - (len - 1)))
-            .map(|j| {
-                let t = self.build_tree(nfta, head, j);
-                let f = self.build_forest(nfta, tail, m - j);
-                &self.tree_entries[t].count * &f
-            })
-            .collect();
-        let mut count = FixUint::zero();
-        for p in &products {
-            count += p;
-        }
-        let picks = self
-            .picks
-            .push((1u32..).zip(&products).map(|(j, p)| (j, p.to_bigfloat())));
-        let id = self.forest_entries.len() as u32;
-        self.forest_entries.push(Entry { count: count.clone(), picks });
-        self.forests.insert((fid, m as u32), id);
-        count
-    }
-
     /// The entry of tree key `(q, n)`; `None` for `n = 0` (no tree has
     /// size 0). Panics outside the tables.
     fn tree_entry(&self, q: StateId, n: usize) -> Option<&Entry> {
         if n == 0 {
             return None;
         }
-        match self.trees.get(&(q, n as u32)) {
-            Some(&id) => Some(&self.tree_entries[id as usize]),
+        match self.trees.get(q.0, n as u32) {
+            Some(id) => Some(&self.tree_entries[id as usize]),
             None => panic!(
                 "RunTables: tree key ({q:?}, {n}) is outside the tables built for size {}",
                 self.size
@@ -191,8 +175,8 @@ impl RunTables {
     /// The dense id of forest key `(fid, m)`, `2 ≤ len(fid) ≤ m`, in
     /// `0..num_forest_keys()`. Panics outside the tables.
     pub(crate) fn forest_id(&self, fid: u32, m: usize) -> usize {
-        match self.forests.get(&(fid, m as u32)) {
-            Some(&id) => id as usize,
+        match self.forests.get(fid, m as u32) {
+            Some(id) => id as usize,
             None => panic!(
                 "RunTables: forest key ({fid}, {m}) is outside the tables built for size {}",
                 self.size
@@ -279,6 +263,84 @@ impl RunTables {
         let c = self.sample_run_into(head, j, rng, arena)?;
         arena.set_child(parent, slot, c);
         self.sample_forest_run_into(self.reg.tail(fid), m - j, rng, arena, parent, slot + 1)
+    }
+}
+
+/// The tables under construction: the same parts as [`RunTables`], with
+/// the keys in hash maps until the closure is complete.
+struct PartialTables {
+    reg: ForestReg,
+    trees: FxHashMap<(u32, u32), u32>,
+    forests: FxHashMap<(u32, u32), u32>,
+    tree_entries: Vec<Entry>,
+    forest_entries: Vec<Entry>,
+    picks: PickTable<u32>,
+}
+
+impl PartialTables {
+    /// Builds tree key `(q, s)`, `s ≥ 1`, after every key it depends on;
+    /// returns its entry index.
+    fn build_tree(&mut self, nfta: &Nfta, q: StateId, s: usize) -> usize {
+        if let Some(&id) = self.trees.get(&(q.0, s as u32)) {
+            return id as usize;
+        }
+        let tis = nfta.transitions_from(q);
+        let counts: Vec<FixUint> = tis
+            .iter()
+            .map(|&ti| self.build_forest(nfta, self.reg.transition_forest(ti), s - 1))
+            .collect();
+        let mut count = FixUint::zero();
+        for c in &counts {
+            count += c;
+        }
+        let picks = self
+            .picks
+            .push(tis.iter().zip(&counts).map(|(&ti, c)| (ti as u32, c.to_bigfloat())));
+        let id = self.tree_entries.len();
+        self.tree_entries.push(Entry { count, picks });
+        self.trees.insert((q.0, s as u32), id as u32);
+        id
+    }
+
+    /// Builds forest key `(fid, m)` (and everything below it); returns its
+    /// count.
+    fn build_forest(&mut self, nfta: &Nfta, fid: u32, m: usize) -> FixUint {
+        if fid == EMPTY_FOREST {
+            return if m == 0 { FixUint::one() } else { FixUint::zero() };
+        }
+        let len = self.reg.len(fid);
+        if m < len {
+            return FixUint::zero();
+        }
+        let head = self.reg.head(fid);
+        if len == 1 {
+            let id = self.build_tree(nfta, head, m);
+            return self.tree_entries[id].count.clone();
+        }
+        if let Some(&id) = self.forests.get(&(fid, m as u32)) {
+            return self.forest_entries[id as usize].count.clone();
+        }
+        let tail = self.reg.tail(fid);
+        // Unpruned: the tail is built even where the head count is zero,
+        // because the estimator's split weights read both factors.
+        let products: Vec<FixUint> = (1..=(m - (len - 1)))
+            .map(|j| {
+                let t = self.build_tree(nfta, head, j);
+                let f = self.build_forest(nfta, tail, m - j);
+                &self.tree_entries[t].count * &f
+            })
+            .collect();
+        let mut count = FixUint::zero();
+        for p in &products {
+            count += p;
+        }
+        let picks = self
+            .picks
+            .push((1u32..).zip(&products).map(|(j, p)| (j, p.to_bigfloat())));
+        let id = self.forest_entries.len() as u32;
+        self.forest_entries.push(Entry { count: count.clone(), picks });
+        self.forests.insert((fid, m as u32), id);
+        count
     }
 }
 
@@ -395,6 +457,23 @@ mod tests {
             assert!(aut.accepts(&t));
             assert!(!aut.runs_of_tree(aut.initial(), &t).is_zero());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the tables")]
+    fn forest_key_lookup_outside_the_closure_panics() {
+        let mut alpha = Alphabet::new();
+        let a = alpha.intern("a");
+        let b = alpha.intern("b");
+        let mut aut = Nfta::new(alpha);
+        let q = aut.initial();
+        aut.add_transition(Transition { src: q, symbol: a, children: vec![q, q] });
+        aut.add_transition(Transition { src: q, symbol: b, children: vec![] });
+        let tables = RunTables::new(&aut, 3);
+        // Size 3 reaches the pair forest [q, q] at size 2, and no larger.
+        let pair = tables.reg().transition_forest(0);
+        assert_eq!(tables.forest_id(pair, 2), 0);
+        tables.forest_id(pair, 4);
     }
 
     #[test]

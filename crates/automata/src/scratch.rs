@@ -11,7 +11,8 @@
 //! * SIR candidate lists are stack-disciplined: a recursion level records
 //!   the stack base, pushes its candidates, picks, and truncates back — no
 //!   allocation once the high-water mark is reached;
-//! * memo tables (`accept_memo`, `runs_memo`) are cleared, never dropped.
+//! * the DP memos (`accept_memo`, `runs_memo`) are [`NodeMemo`]s, keyed
+//!   by `(state, node)` of the arena: cleared in O(1), never dropped.
 //!
 //! ## Why a pool, not a single thread-local cell
 //!
@@ -38,11 +39,26 @@
 //! references) compare against, so a bisection returns the scan's index
 //! on every `u` — including the scan's fallback when rounding leaves the
 //! threshold unmet.
+//!
+//! The scans compare `BigFloat`s: `acc_i = m_i·2^e_i` against the
+//! threshold `total · u`, `total = m_t·2^e_t`. A table stores each sum as
+//! the `f64` `s_i = m_i·2^(e_i − e_t)` and compares it with `m_t · u`, a
+//! few machine operations per probe, and the outcome is the same for
+//! every `u`:
+//!
+//! * `u ≥ 2⁻⁵³` (any nonzero draw): `m_t · u` lies in the normal range,
+//!   so its `f64` rounding is the `BigFloat` product's mantissa rounding
+//!   scaled by `2^e_u`, and the two thresholds differ by exactly the
+//!   factor `2^e_t`. Where `s_i` is normal it is exact too (a
+//!   power-of-two rescale), so both sides compare the same reals.
+//! * Sums below `2⁻¹⁰²²` of the total would be subnormal; they are stored
+//!   as `f64::MIN_POSITIVE`. Both forms then answer `≤` for every
+//!   nonzero `u`, whose threshold is at least `2⁻⁵³` of the total.
+//! * `u = 0`: the threshold is zero and no (nonzero) sum is `≤` it in
+//!   either form.
 
-use crate::IndexedTree;
-use crate::{StateId, SymbolId};
+use crate::{IndexedTree, NodeMemo, StateId, SymbolId};
 use pqe_arith::{BigFloat, FixUint};
-use pqe_par::FxHashMap;
 use pqe_rand::Rng;
 use std::cell::RefCell;
 
@@ -57,10 +73,10 @@ pub(crate) struct Scratch {
     pub cand_nodes: Vec<u32>,
     /// SIR candidate weights, parallel to `cand_nodes`.
     pub cand_weights: Vec<f64>,
-    /// Memo for the membership oracle (`accepted_at`), keyed `(state, node)`.
-    pub accept_memo: FxHashMap<(u32, u32), bool>,
-    /// Memo for run-count DPs over the arena, keyed `(state, node)`.
-    pub runs_memo: FxHashMap<(u32, u32), FixUint>,
+    /// Memo for the membership oracle (`accepted_at`) over the arena.
+    pub accept_memo: NodeMemo<bool>,
+    /// Memo for run-count DPs (`runs_at`) over the arena.
+    pub runs_memo: NodeMemo<FixUint>,
     /// Flat symbol buffer for string candidates (NFA sampler).
     pub syms: Vec<SymbolId>,
     /// Parallel to `syms`: the state of the drawn path after each symbol —
@@ -114,25 +130,32 @@ pub(crate) fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
 }
 
 /// Proportional-pick lists stored back to back (see module docs): each
-/// list keeps its nonzero options and the running sums of their weights.
-/// Exact tables keep thousands of lists in one `PickTable`; a per-union
-/// part list is a table of one.
+/// list keeps its nonzero options and the running sums of their weights,
+/// scaled to the list's total. Exact tables keep thousands of lists in one
+/// `PickTable`; a per-union part list is a table of one.
 #[derive(Debug)]
 pub(crate) struct PickTable<C> {
     choices: Vec<C>,
-    cum: Vec<BigFloat>,
+    /// Per option: its running sum `m_i·2^e_i` as `m_i·2^(e_i − e_t)`,
+    /// `e_t` its list total's exponent, or `f64::MIN_POSITIVE` where that
+    /// is subnormal. A list's last entry is its total's mantissa `m_t`.
+    scaled: Vec<f64>,
+    /// The span of the list pushed last.
+    last: PickSpan,
 }
 
-/// One list of a [`PickTable`]: its `start..end` range.
+/// One list of a [`PickTable`]: its `start..end` range and the binary
+/// exponent of its total.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PickSpan {
     start: u32,
     end: u32,
+    total_exp: i64,
 }
 
 impl<C> Default for PickTable<C> {
     fn default() -> Self {
-        PickTable { choices: Vec::new(), cum: Vec::new() }
+        PickTable { choices: Vec::new(), scaled: Vec::new(), last: PickSpan::default() }
     }
 }
 
@@ -148,21 +171,33 @@ impl<C: Copy> PickTable<C> {
     /// on one (adding zero leaves `acc` unchanged), and the nonzero scan's
     /// fallback — the last nonzero entry — is then the list's last entry.
     pub fn push(&mut self, options: impl IntoIterator<Item = (C, BigFloat)>) -> PickSpan {
-        let start = self.cum.len() as u32;
+        let start = self.scaled.len();
+        let mut sums = Vec::new();
         let mut acc = BigFloat::zero();
         for (c, w) in options {
             if !w.is_zero() {
                 acc = acc + w;
                 self.choices.push(c);
-                self.cum.push(acc);
+                sums.push(acc);
             }
         }
-        PickSpan { start, end: self.cum.len() as u32 }
+        let (_, total_exp) = acc.parts();
+        self.scaled.extend(sums.iter().map(|sum| {
+            // 2^-1022 is the least normal power of two.
+            if sum.parts().1 - total_exp < -1022 {
+                f64::MIN_POSITIVE
+            } else {
+                sum.scale_exp(-total_exp).to_f64()
+            }
+        }));
+        self.last = PickSpan { start: start as u32, end: self.scaled.len() as u32, total_exp };
+        self.last
     }
 
-    /// The span covering the whole table (the list of a [`PickTable::single`]).
+    /// The span of a table's only list (the list of a [`PickTable::single`]).
     pub fn whole(&self) -> PickSpan {
-        PickSpan { start: 0, end: self.cum.len() as u32 }
+        debug_assert_eq!(self.last.start, 0, "whole() of a table of several lists");
+        self.last
     }
 
     /// The options of `span` that carry weight, in push order.
@@ -175,22 +210,23 @@ impl<C: Copy> PickTable<C> {
         if span.start == span.end {
             BigFloat::zero()
         } else {
-            self.cum[span.end as usize - 1]
+            BigFloat::new(self.scaled[span.end as usize - 1], span.total_exp)
         }
     }
 
     /// Draws one option of `span` proportionally to its weight: the first
-    /// running sum above `total · u`, by bisection, or the last option if
-    /// rounding leaves the threshold unmet. Panics on an empty list.
+    /// running sum above `total · u`, by bisection over the scaled sums
+    /// (see module docs), or the last option if rounding leaves the
+    /// threshold unmet. Panics on an empty list.
     #[inline]
     pub fn pick<R: Rng + ?Sized>(&self, span: PickSpan, rng: &mut R) -> C {
         let (start, end) = (span.start as usize, span.end as usize);
-        let cum = &self.cum[start..end];
-        let total = *cum.last().expect("pick from an empty list");
+        let scaled = &self.scaled[start..end];
+        let total_mantissa = *scaled.last().expect("pick from an empty list");
         let u: f64 = rng.random();
-        let threshold = total * u;
-        let i = cum.partition_point(|acc| *acc <= threshold);
-        self.choices[start + i.min(cum.len() - 1)]
+        let threshold = total_mantissa * u;
+        let i = scaled.partition_point(|&sum| sum <= threshold);
+        self.choices[start + i.min(scaled.len() - 1)]
     }
 }
 
@@ -283,8 +319,8 @@ mod tests {
         with_scratch(|s| {
             s.cand_nodes.push(0);
             s.cand_weights.push(1.0);
-            s.accept_memo.insert((0, 0), true);
-            s.runs_memo.insert((0, 0), FixUint::one());
+            s.accept_memo.insert(StateId(0), 0, true);
+            s.runs_memo.insert(StateId(0), 0, FixUint::one());
             s.syms.push(SymbolId(1));
             s.path_states.push(StateId(0));
             s.str_spans.push((0, 1));
@@ -330,28 +366,46 @@ mod tests {
         }
     }
 
-    /// A random weight list: zeros, plateaus of equal prefix sums, and
-    /// weights too small to move the sum (exponent gap > 64).
+    /// A random weight list: zeros, plateaus of equal prefix sums, weights
+    /// too small to move the sum (exponent gap > 64), and weights 1 200
+    /// binary orders either side, so that prefix sums fall below `2⁻¹⁰²²`
+    /// of the total (the `f64` table's `MIN_POSITIVE` entries).
     fn weight_list(rng: &mut StdRng) -> Vec<BigFloat> {
         let len = rng.random_range(1..12usize);
         let base = rng.random_range(-80..80i64);
         (0..len)
-            .map(|_| match rng.random_range(0..5u32) {
+            .map(|_| match rng.random_range(0..6u32) {
                 0 => BigFloat::zero(),
                 1 => BigFloat::new(1.0, base - rng.random_range(65..200i64)), // vanishes
                 2 => BigFloat::new(1.0, base),                           // ties
+                3 => {
+                    let far = base + rng.random_range(-1200..1200i64);
+                    BigFloat::new(1.0 + rng.random::<f64>(), far)
+                }
                 _ => BigFloat::new(1.0 + rng.random::<f64>(), base + rng.random_range(-8..8i64)),
             })
             .collect()
     }
 
-    /// Words spanning `u`: random, 0, and the top of `[0, 1)`.
-    fn words(rng: &mut StdRng) -> Vec<u64> {
+    /// Words spanning `u`: random, 0, the top of `[0, 1)`, and for each
+    /// prefix sum of `weights` the `u` whose threshold lands nearest it,
+    /// with its neighbours.
+    fn words(rng: &mut StdRng, weights: &[BigFloat]) -> Vec<u64> {
         let mut w: Vec<u64> = (0..24).map(|_| rng.random()).collect();
         w.extend([0, 1 << 11, u64::MAX, u64::MAX - (1 << 11), u64::MAX - (7 << 11)]);
+        let total: BigFloat = weights.iter().copied().sum();
+        let mut acc = BigFloat::zero();
+        for &x in weights {
+            acc = acc + x;
+            let u = (acc / total).to_f64();
+            let word = ((u * (1u64 << 53) as f64) as u64).min((1 << 53) - 1) << 11;
+            w.extend([word, word.saturating_sub(1 << 11), word.saturating_add(1 << 11)]);
+        }
         w
     }
 
+    /// Property: the `f64` tables draw the index the `BigFloat` scans draw,
+    /// for every list of `weight_list` and every `u` of `words`.
     #[test]
     fn pick_tables_draw_what_the_scans_draw() {
         let mut gen = StdRng::seed_from_u64(0x9c4);
@@ -368,7 +422,7 @@ mod tests {
             let nonzero: Vec<BigFloat> =
                 weights.iter().copied().filter(|w| !w.is_zero()).collect();
             let filtered = PickTable::single(nonzero.iter().copied().enumerate());
-            for w in words(&mut gen) {
+            for w in words(&mut gen, &weights) {
                 let scan = pick_index_nonzero(&weights, &mut Words(vec![w]));
                 assert_eq!(table.pick(table.whole(), &mut Words(vec![w])), scan, "{weights:?} w={w}");
                 let scan = pick_index_last(&nonzero, total, &mut Words(vec![w]));

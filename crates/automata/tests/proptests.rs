@@ -6,9 +6,8 @@ use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{
     count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, Alphabet, Ambiguity,
     AugSymbol, AugTransition, AugmentedNfta, FprasConfig, IndexedTree, MulTransition,
-    MultiplierNfta, Nfa, Nfta, NftaCounter, RunTables, StateId, Transition,
+    MultiplierNfta, Nfa, Nfta, NftaCounter, NodeMemo, RunTables, StateId, Transition,
 };
-use pqe_par::FxHashMap;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
 use pqe_testkit::prelude::*;
@@ -204,7 +203,7 @@ fn witness_shortcuts_match_the_full_dp_on_random_nftas() {
                 prop_assert_eq!(arena.run_state(root as usize), Some(nfta.initial()));
             }
         }
-        let (mut runs_memo, mut accept_memo) = (FxHashMap::default(), FxHashMap::default());
+        let (mut runs_memo, mut accept_memo) = (NodeMemo::new(), NodeMemo::new());
         for v in 0..arena.len() {
             let t = arena.to_tree(v as u32);
             for q in (0..nfta.num_states()).map(|q| StateId(q as u32)) {

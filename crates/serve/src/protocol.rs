@@ -30,6 +30,7 @@
 //! ```
 
 use crate::json::Json;
+use pqe_automata::config::MIN_EPSILON;
 use pqe_core::{GraphMethod, Method};
 use pqe_par::MAX_THREADS;
 
@@ -177,6 +178,9 @@ fn params(v: &Json) -> Result<Params, String> {
     let epsilon = opt_f64(v, "epsilon", DEFAULT_EPSILON)?;
     if !(epsilon > 0.0 && epsilon < 1.0) {
         return Err(format!("epsilon must lie in (0,1), got {epsilon}"));
+    }
+    if epsilon < MIN_EPSILON {
+        return Err(format!("epsilon must be at least {MIN_EPSILON}, got {epsilon}"));
     }
     let threads = opt_u64(v, "threads", 0)?;
     if threads > MAX_THREADS as u64 {

@@ -28,6 +28,9 @@ PQE_SLOW_PATH=1 cargo test -q --offline --test determinism
 # membership) must return what the full DPs return with BigUint counts
 # too: rerun their differential tests with the escape hatch forced.
 PQE_SLOW_PATH=1 cargo test -q --offline -p pqe-automata witness_shortcuts
+# The pinned sampling counts (samples, tries, membership checks, union
+# estimates of the golden estimate) must hold with BigUint counts too.
+PQE_SLOW_PATH=1 cargo test -q --offline --test fpras_counts
 
 # Oracle smoke: the perf ledger checks every answer against an oracle
 # computed before timing starts. The counting workloads (the NFTA counter

@@ -13,6 +13,7 @@
 //! per line). Methods: `auto` (lifted when safe, else FPRAS), `fpras`,
 //! `lifted`, `brute`, `karp-luby`, `mc`.
 
+use pqe::automata::config::MIN_EPSILON;
 use pqe::automata::FprasConfig;
 use pqe::core::baselines::{brute_force_pqe, karp_luby_pqe, naive_monte_carlo_pqe, Lineage};
 use pqe::core::worlds::WeightedWorldSampler;
@@ -183,6 +184,9 @@ impl Args {
                 // must be written as a negated conjunction.
                 if !(e > 0.0 && e < 1.0) {
                     return Err(format!("--epsilon must lie in (0,1), got {e}"));
+                }
+                if e < MIN_EPSILON {
+                    return Err(format!("--epsilon must be at least {MIN_EPSILON}, got {e}"));
                 }
                 Ok(e)
             }

@@ -444,6 +444,38 @@ fn zero_sample_counts_are_rejected_not_reported_as_zero_probability() {
     }
 }
 
+/// A union's sample cap grows as 1/ε and saturates `usize` near 1e-300,
+/// so `--epsilon 1e-300` used to run until killed. Every command that
+/// takes `--epsilon` refuses ε below `MIN_EPSILON`, naming the bound.
+#[test]
+fn epsilon_below_the_least_supported_value_is_refused() {
+    let db = write_db(TWO_PATH_DB);
+    let bound = format!("--epsilon must be at least {}", pqe::automata::config::MIN_EPSILON);
+    for run in [&["estimate", "--method", "fpras"][..], &["reliability"], &["influence"]] {
+        for eps in ["1e-300", "0.0009"] {
+            let out = pqe()
+                .args(run)
+                .arg("--db")
+                .arg(&db.0)
+                .args(["--query", "R(x,y), S(y,z)", "--epsilon", eps])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{run:?} ε = {eps}: {stderr}");
+            assert!(stderr.contains(&bound), "{run:?} ε = {eps}: {stderr}");
+        }
+    }
+    // The bound itself is accepted.
+    let out = pqe()
+        .args(["estimate", "--db"])
+        .arg(&db.0)
+        .args(["--query", "R(x,y), S(y,z)", "--epsilon", "0.001"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("7/30"));
+}
+
 #[test]
 fn influence_is_largest_for_the_bottleneck_fact() {
     let db = write_db(TWO_PATH_DB);

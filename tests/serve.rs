@@ -890,6 +890,37 @@ fn deeply_nested_json_is_a_bad_request_and_the_server_survives() {
     let _ = std::fs::remove_file(&db);
 }
 
+/// ε below `MIN_EPSILON` used to be accepted: at 1e-300 a union's sample
+/// cap saturates `usize`, and the request pinned its worker shard for
+/// good. It is a `bad_request` naming the bound, and the one worker then
+/// answers the next request.
+#[test]
+fn tiny_epsilon_is_a_bad_request_and_the_server_survives() {
+    let db = write_db(PATH3_DB);
+    let server = ServerProc::start(&db, &["--workers", "1"]);
+    let mut c = server.connect();
+    // A pinned worker would leave the next reply unsent: fail, don't hang.
+    c.set_read_timeout(Some(std::time::Duration::from_secs(30))).unwrap();
+    let bound = format!("epsilon must be at least {}", pqe::automata::config::MIN_EPSILON);
+    for op in ["estimate", "reliability"] {
+        let resp = roundtrip(
+            &mut c,
+            &format!(
+                r#"{{"op":"{op}","query":"R1(x,y), R2(y,z), R3(z,w)","method":"fpras","epsilon":1e-300}}"#
+            ),
+        );
+        assert_eq!(json_str_field(&resp, "error"), "bad_request", "response: {resp}");
+        assert!(resp.contains(&bound), "response: {resp}");
+    }
+    let resp = roundtrip(
+        &mut c,
+        r#"{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","epsilon":0.3,"seed":1}"#,
+    );
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    server.shutdown();
+    let _ = std::fs::remove_file(&db);
+}
+
 /// Each heavy op's latency lands in its own `serve.request_us.<op>`
 /// histogram: N estimates, M reliabilities and K graph estimates sent one
 /// at a time (so nothing coalesces) show up as counts N, M and K.
