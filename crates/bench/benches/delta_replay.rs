@@ -6,7 +6,7 @@
 //! `VersionedDb`, then replays a probability-only delta stream that
 //! touches one pod per step. Two replicas answer every (step, pod) pair:
 //!
-//! * **incremental** — `RoutedPlan::revalidate` after each delta; only the
+//! * **incremental** — `Plan::revalidate` after each delta; only the
 //!   touched pod's plan reweights its retained automaton and recounts,
 //!   the other pods' cached answers are reused as-is.
 //! * **cold** — every plan recompiled from scratch and recounted after
@@ -22,7 +22,7 @@
 //! drop machine-readable `BENCH_delta.json` next to the invocation.
 
 use pqe_automata::FprasConfig;
-use pqe_core::{Method, Revalidation, RoutedAnswer, RoutedPlan};
+use pqe_core::{Method, Plan, Revalidation, Target};
 use pqe_db::io::load_str;
 use pqe_delta::{Delta, VersionedDb};
 use pqe_query::{parse, ConjunctiveQuery};
@@ -67,8 +67,14 @@ fn prob_delta(step: usize) -> Delta {
     Delta::parse_str(&format!("~ {num}/10 A{pod}(n0,n1)")).expect("prob delta")
 }
 
-fn digits(a: &RoutedAnswer) -> String {
-    format!("{:.15e}", a.to_f64())
+/// Compiles `q`'s FPRAS plan at `db`'s current version.
+fn compile(q: &ConjunctiveQuery, db: &VersionedDb) -> Plan {
+    let target = Target::Query { q: q.clone(), method: Method::Fpras };
+    Plan::compile_at(target, db.current(), db.epochs()).expect("compile")
+}
+
+fn digits(plan: &Plan, cfg: &FprasConfig) -> String {
+    format!("{:.15e}", plan.execute(cfg).expect("execute").to_f64())
 }
 
 fn main() {
@@ -81,11 +87,8 @@ fn main() {
 
     // --- incremental replica -------------------------------------------
     let mut db = VersionedDb::new(base.clone());
-    let mut plans: Vec<RoutedPlan> = queries
-        .iter()
-        .map(|q| RoutedPlan::compile_at(q, db.current(), Method::Fpras, db.epochs()).unwrap())
-        .collect();
-    let mut answers: Vec<String> = plans.iter().map(|p| digits(&p.execute(&cfg))).collect();
+    let mut plans: Vec<Plan> = queries.iter().map(|q| compile(q, &db)).collect();
+    let mut answers: Vec<String> = plans.iter().map(|p| digits(p, &cfg)).collect();
 
     let mut incr_log: Vec<Vec<String>> = Vec::with_capacity(STEPS);
     let mut refreshed = 0u64;
@@ -99,7 +102,7 @@ fn main() {
                 Revalidation::Refreshed { incremental } => {
                     assert!(incremental, "probability-only delta must not recompile");
                     refreshed += 1;
-                    *ans = digits(&plan.execute(&cfg));
+                    *ans = digits(plan, &cfg);
                 }
             }
         }
@@ -115,10 +118,7 @@ fn main() {
         db.apply(&prob_delta(step)).expect("apply (cold)");
         let step_answers: Vec<String> = queries
             .iter()
-            .map(|q| {
-                let plan = RoutedPlan::compile(q, db.current(), Method::Fpras).unwrap();
-                digits(&plan.execute(&cfg))
-            })
+            .map(|q| digits(&compile(q, &db), &cfg))
             .collect();
         cold_log.push(step_answers);
     }

@@ -85,20 +85,21 @@ pub fn pqe_estimate(
     Ok(report)
 }
 
-/// Result of `UREstimate` (Theorem 3).
+/// Result of `UREstimate` (Theorem 3) and `PathEstimate` (Theorem 2).
 #[derive(Debug, Clone)]
 pub struct UrReport {
     /// The `(1±ε)` estimate of `UR(Q, D)` (a count, so reported as a wide
     /// float; round with [`BigFloat::to_biguint_round`]).
     pub reliability: BigFloat,
-    /// Tree size counted (`|D'| + c`).
+    /// Tree size counted (`|D'| + c`), or string length (`|D'|`) on the
+    /// path route.
     pub target_size: usize,
     /// Free facts outside `Q`'s relations (already folded into
     /// `reliability` as `2^dropped`).
     pub dropped_facts: usize,
-    /// States of the translated NFTA.
+    /// States of the translated NFTA (or of the path NFA).
     pub automaton_states: usize,
-    /// Encoding size of the translated NFTA.
+    /// Encoding size of the translated NFTA (or of the path NFA).
     pub automaton_size: usize,
     /// Resolved worker-thread count the estimate ran with.
     pub threads: usize,
@@ -123,23 +124,6 @@ pub fn ur_estimate(
     Ok(report)
 }
 
-/// Result of `PathEstimate` (Theorem 2).
-#[derive(Debug, Clone)]
-pub struct PathUrReport {
-    /// The `(1±ε)` estimate of `UR(Q, D)`.
-    pub reliability: BigFloat,
-    /// String length counted (`|D'|`).
-    pub target_len: usize,
-    /// NFA states.
-    pub automaton_states: usize,
-    /// NFA transition count.
-    pub automaton_size: usize,
-    /// Resolved worker-thread count the estimate ran with.
-    pub threads: usize,
-    /// Wall-clock time.
-    pub elapsed: std::time::Duration,
-}
-
 /// `PathEstimate(Q, D)` — Theorem 2 (the §3 warm-up): a `(1±ε)`
 /// approximation of `UR(Q, D)` for self-join-free *path* queries, via the
 /// string-automaton reduction and CountNFA.
@@ -147,14 +131,14 @@ pub fn path_ur_estimate(
     q: &ConjunctiveQuery,
     db: &Database,
     cfg: &FprasConfig,
-) -> Result<PathUrReport, EstimateError> {
+) -> Result<UrReport, EstimateError> {
     let start = Instant::now();
     let p = build_path_nfa(q, db)?;
     let strings = count_nfa(&p.nfa, p.target_len, cfg);
-    let reliability = strings.scale_exp(p.dropped_facts as i64);
-    Ok(PathUrReport {
-        reliability,
-        target_len: p.target_len,
+    Ok(UrReport {
+        reliability: strings.scale_exp(p.dropped_facts as i64),
+        target_size: p.target_len,
+        dropped_facts: p.dropped_facts,
         automaton_states: p.nfa.num_states(),
         automaton_size: p.nfa.size(),
         threads: cfg.effective_threads(),

@@ -139,7 +139,7 @@ pub fn decide_graph(
 
 /// A routed, compiled plan for one `(graph, RPQ, method)`.
 pub struct GraphPlan {
-    /// Normalized RPQ text (parse → print), the serve cache key.
+    /// Normalized RPQ text (parse → print).
     pub rpq: String,
     /// The route taken and why.
     pub decision: RouteDecision,

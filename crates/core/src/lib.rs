@@ -56,11 +56,14 @@ pub mod worlds;
 pub use arity::{check_arities, ArityMismatch};
 pub use estimators::{
     fact_influence, path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, EstimateError,
-    PathUrReport, PqeReport, UrReport,
+    PqeReport, UrReport,
 };
-pub use plan::{compile_pqe_plan, compile_ur_plan, PqePlan, UrPlan};
+pub use plan::{
+    compile_pqe_plan, compile_ur_plan, Answer, Compiled, Plan, PqePlan, Revalidation, Target,
+    UrPlan,
+};
 pub use graph_router::{decide_graph, GraphAnswer, GraphMethod, GraphPlan};
 pub use router::{
-    ConditionalPlan, ConditionalReport, Method, Revalidation, Route, RouteDecision, RoutedAnswer,
-    RoutedPlan, RouterError,
+    ConditionalPlan, ConditionalReport, Method, Route, RouteDecision, RoutedAnswer, RoutedPlan,
+    RouterError,
 };

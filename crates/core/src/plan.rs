@@ -1,4 +1,5 @@
-//! The compilation / execution split of the paper's estimators.
+//! The compilation / execution split of the paper's estimators, and the
+//! one plan lifecycle every heavy op shares.
 //!
 //! For a fixed query and database instance, the whole reduction chain —
 //! hypertree decomposition, landscape classification, augmented-NFTA
@@ -16,17 +17,29 @@
 //! the tests below and in `tests/determinism.rs`). Plans are `Send + Sync`
 //! (everything inside is plain owned data), so a service can share one
 //! plan across request threads behind an `Arc`.
+//!
+//! [`Plan`] is the lifecycle on top: it compiles one [`Target`] (a routed
+//! CQ, a conditional, a reliability or an RPQ) at the database's current
+//! epochs ([`Plan::compile_at`]), keeps it current after deltas
+//! ([`Plan::revalidate`], the only freshness policy in the workspace), and
+//! runs it at any `(ε, seed)` ([`Plan::execute`]).
 
 use crate::landscape::{self, Classification};
 use crate::reductions::{
     build_pqe_automaton, build_ur_automaton, PqeAutomaton, ReweightError,
 };
-use crate::{EstimateError, PqeReport, UrReport};
+use crate::{
+    ConditionalPlan, ConditionalReport, EstimateError, GraphMethod, GraphPlan, Method, PqeReport,
+    RoutedAnswer, RoutedPlan, RouterError, UrReport,
+};
 use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{count_nfta, FprasConfig, Nfta};
 use pqe_db::{Database, ProbDatabase};
-use pqe_query::ConjunctiveQuery;
-use std::time::{Duration, Instant};
+use pqe_delta::{EpochStamp, Epochs, Freshness};
+use pqe_graph::{ProbGraph, Rpq};
+use pqe_query::{Atom, ConjunctiveQuery};
+use std::sync::Arc;
+use std::time::Instant;
 
 // The whole point of first-class plans is cross-thread reuse; fail the
 // build, not the downstream service, if a field ever loses Sync.
@@ -34,6 +47,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<PqePlan>();
     assert_send_sync::<UrPlan>();
+    assert_send_sync::<Plan>();
 };
 
 /// The cacheable prefix of `PQEEstimate`: everything derived from
@@ -41,8 +55,6 @@ const _: () = {
 pub struct PqePlan {
     /// Where the query sits in the paper's Table 1.
     pub classification: Classification,
-    /// Wall-clock cost of compilation (decomposition + construction).
-    pub compile_time: Duration,
     kind: PqePlanKind,
 }
 
@@ -63,18 +75,13 @@ pub fn compile_pqe_plan(
     h: &ProbDatabase,
 ) -> Result<PqePlan, EstimateError> {
     let _span = pqe_obs::span::span("compile");
-    let start = Instant::now();
     let classification = landscape::classify(q);
     let kind = if q.is_empty() {
         PqePlanKind::Certain
     } else {
         PqePlanKind::Automaton(Box::new(build_pqe_automaton(q, h)?))
     };
-    Ok(PqePlan {
-        classification,
-        compile_time: start.elapsed(),
-        kind,
-    })
+    Ok(PqePlan { classification, kind })
 }
 
 impl PqePlan {
@@ -150,10 +157,6 @@ impl PqePlan {
 /// The cacheable prefix of `UREstimate`: the translated Proposition 1
 /// automaton for `(Q, D)`.
 pub struct UrPlan {
-    /// Where the query sits in the paper's Table 1.
-    pub classification: Classification,
-    /// Wall-clock cost of compilation.
-    pub compile_time: Duration,
     kind: UrPlanKind,
 }
 
@@ -172,8 +175,6 @@ enum UrPlanKind {
 pub fn compile_ur_plan(q: &ConjunctiveQuery, db: &Database) -> Result<UrPlan, EstimateError> {
     crate::check_arities(q, db.schema())?;
     let _span = pqe_obs::span::span("compile");
-    let start = Instant::now();
-    let classification = landscape::classify(q);
     let kind = if q.is_empty() {
         UrPlanKind::Certain { db_len: db.len() }
     } else {
@@ -188,11 +189,7 @@ pub fn compile_ur_plan(q: &ConjunctiveQuery, db: &Database) -> Result<UrPlan, Es
             dropped_facts: ur.dropped_facts,
         }
     };
-    Ok(UrPlan {
-        classification,
-        compile_time: start.elapsed(),
-        kind,
-    })
+    Ok(UrPlan { kind })
 }
 
 impl UrPlan {
@@ -228,6 +225,232 @@ impl UrPlan {
                 }
             }
         }
+    }
+}
+
+/// What a [`Plan`] compiles: one heavy op, its query normalized by
+/// parsing.
+pub enum Target {
+    /// `Pr(Q)`, routed by `method` ([`RoutedPlan`]).
+    Query {
+        /// The query.
+        q: ConjunctiveQuery,
+        /// The requested method.
+        method: Method,
+    },
+    /// `P(Q | E)` ([`ConditionalPlan`]).
+    Conditional {
+        /// The query.
+        q: ConjunctiveQuery,
+        /// The evidence.
+        evidence: ConjunctiveQuery,
+        /// The method every routed term uses.
+        method: Method,
+    },
+    /// The uniform reliability `UR(Q, D)`: probabilities ignored
+    /// ([`UrPlan`]).
+    Reliability(ConjunctiveQuery),
+    /// `Pr(s ⇝ t via R)` on a probabilistic graph ([`GraphPlan`]). The
+    /// graph is not part of the database, so deltas never touch it.
+    Graph {
+        /// The graph the RPQ runs on.
+        graph: Arc<ProbGraph>,
+        /// The RPQ.
+        rpq: Rpq,
+        /// The requested method.
+        method: GraphMethod,
+    },
+}
+
+impl Target {
+    /// The op name on the wire and the CLI.
+    pub fn op(&self) -> &'static str {
+        match self {
+            Target::Query { .. } | Target::Conditional { .. } => "estimate",
+            Target::Reliability(_) => "reliability",
+            Target::Graph { .. } => "graph_estimate",
+        }
+    }
+
+    /// The plan key: everything compilation depends on — op, method,
+    /// normalized query, and the normalized evidence of a conditional.
+    /// Normalization is parse → print, so whitespace and atom formatting
+    /// differences collapse onto one key while variable renamings stay
+    /// distinct. A graph target's key leaves out the graph itself.
+    pub fn key(&self) -> String {
+        let op = self.op();
+        match self {
+            Target::Query { q, method } => format!("{op}|{}|{q}", method.name()),
+            Target::Conditional { q, evidence, method } => {
+                format!("{op}|{}|{q}|evidence|{evidence}", method.name())
+            }
+            Target::Reliability(q) => format!("{op}|{q}"),
+            Target::Graph { rpq, method, .. } => format!("{op}|{}|{rpq}", method.name()),
+        }
+    }
+
+    /// Stamps the current epochs of the relations the target reads (none
+    /// for a graph target, whose stamp is therefore always current).
+    fn stamp(&self, epochs: &Epochs) -> EpochStamp {
+        let (a, b): (&[Atom], &[Atom]) = match self {
+            Target::Query { q, .. } | Target::Reliability(q) => (q.atoms(), &[]),
+            Target::Conditional { q, evidence, .. } => (q.atoms(), evidence.atoms()),
+            Target::Graph { .. } => (&[], &[]),
+        };
+        epochs.stamp(a.iter().chain(b).map(|atom| atom.relation.as_str()))
+    }
+
+    fn compile(&self, h: &ProbDatabase) -> Result<Compiled, RouterError> {
+        Ok(match self {
+            Target::Query { q, method } => Compiled::Query(RoutedPlan::compile(q, h, *method)?),
+            Target::Conditional { q, evidence, method } => {
+                Compiled::Conditional(ConditionalPlan::compile(q, evidence, h, *method)?)
+            }
+            Target::Reliability(q) => Compiled::Reliability(compile_ur_plan(q, h.database())?),
+            Target::Graph { graph, rpq, method } => {
+                Compiled::Graph(GraphPlan::compile(graph, rpq, *method)?)
+            }
+        })
+    }
+}
+
+/// The artifact a [`Plan`] compiled its [`Target`] into.
+pub enum Compiled {
+    /// A routed CQ: the exact lifted answer or the FPRAS automaton.
+    Query(RoutedPlan),
+    /// A conditional: ground-evidence or ratio terms.
+    Conditional(ConditionalPlan),
+    /// A reliability: the translated Proposition 1 automaton.
+    Reliability(UrPlan),
+    /// An RPQ: the exact enumeration or the product NFA.
+    Graph(GraphPlan),
+}
+
+/// What one [`Plan::execute`] produced.
+pub enum Answer {
+    /// A routed CQ or RPQ: exact, or an FPRAS estimate.
+    Routed(RoutedAnswer),
+    /// `P(Q | E)` with its provenance.
+    Conditional(ConditionalReport),
+    /// The reliability estimate.
+    Reliability(UrReport),
+}
+
+impl Answer {
+    /// The headline number as `f64` (reporting only): the probability,
+    /// the conditional probability, or the reliability count.
+    pub fn to_f64(&self) -> f64 {
+        match self {
+            Answer::Routed(a) => a.to_f64(),
+            Answer::Conditional(r) => r.conditional.to_f64(),
+            Answer::Reliability(r) => r.reliability.to_f64(),
+        }
+    }
+}
+
+/// What [`Plan::revalidate`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Revalidation {
+    /// The plan's answers did not change: the plan **and** any memoized
+    /// `(ε, seed)` results are still valid.
+    Current,
+    /// The plan was refreshed; memoized results are stale and must be
+    /// dropped.
+    Refreshed {
+        /// `true` when the compiled structure was reused (lifted re-solve
+        /// or in-place automaton reweight); `false` for a full recompile.
+        incremental: bool,
+    },
+}
+
+/// A compiled [`Target`] plus the epochs of the relations it reads: the
+/// one plan lifecycle of every heavy op. An answer is a pure function of
+/// the plan and `(ε, seed)`, so callers may memoize it until
+/// [`revalidate`](Plan::revalidate) says otherwise.
+pub struct Plan {
+    target: Target,
+    compiled: Compiled,
+    /// Epochs of the target's relations at compile/refresh time.
+    stamp: EpochStamp,
+}
+
+impl Plan {
+    /// Compiles `target` against `h`, stamping the current `epochs` of
+    /// the relations it reads (all-zero [`Epochs`] suit a database that
+    /// never mutates).
+    pub fn compile_at(
+        target: Target,
+        h: &ProbDatabase,
+        epochs: &Epochs,
+    ) -> Result<Plan, RouterError> {
+        let compiled = target.compile(h)?;
+        let stamp = target.stamp(epochs);
+        Ok(Plan { target, compiled, stamp })
+    }
+
+    /// Brings the plan up to date with a mutated database, doing the least
+    /// work the epochs of its own relations allow. This is the one
+    /// freshness policy:
+    ///
+    /// | plan | probabilities changed | structure changed |
+    /// |---|---|---|
+    /// | query | lifted re-solve or in-place reweight; else recompile | recompile |
+    /// | conditional | recompile | recompile |
+    /// | reliability | restamp; plan and memo kept | recompile |
+    /// | graph | empty stamp: always `Current` | empty stamp: always `Current` |
+    ///
+    /// Untouched relations are always `Current`. The
+    /// `router.refresh.{incremental,recompiled}` counters attribute which
+    /// refresh ran. On [`Revalidation::Refreshed`] the caller must drop
+    /// memoized results. On error the plan is left stale, and the next
+    /// call retries.
+    pub fn revalidate(
+        &mut self,
+        h: &ProbDatabase,
+        epochs: &Epochs,
+    ) -> Result<Revalidation, RouterError> {
+        let incremental = match (epochs.freshness(&self.stamp), &mut self.compiled, &self.target) {
+            (Freshness::Current, ..) => return Ok(Revalidation::Current),
+            // A reliability counts subinstances: probabilities never move it.
+            (Freshness::ProbsChanged, Compiled::Reliability(_), _) => {
+                self.stamp = self.target.stamp(epochs);
+                return Ok(Revalidation::Current);
+            }
+            (Freshness::ProbsChanged, Compiled::Query(plan), Target::Query { q, .. }) => {
+                plan.reweight(q, h)?
+            }
+            _ => false,
+        };
+        if incremental {
+            pqe_obs::metrics::counter("router.refresh.incremental").inc();
+        } else {
+            self.compiled = self.target.compile(h)?;
+            pqe_obs::metrics::counter("router.refresh.recompiled").inc();
+        }
+        self.stamp = self.target.stamp(epochs);
+        Ok(Revalidation::Refreshed { incremental })
+    }
+
+    /// Runs the compiled artifact at `cfg`'s `(ε, seed)`; bit-identical
+    /// to executing the wrapped plan directly. Only a conditional can
+    /// fail here (`P(E)` estimated as zero).
+    pub fn execute(&self, cfg: &FprasConfig) -> Result<Answer, RouterError> {
+        Ok(match &self.compiled {
+            Compiled::Query(p) => Answer::Routed(p.execute(cfg)),
+            Compiled::Conditional(p) => Answer::Conditional(p.execute(cfg)?),
+            Compiled::Reliability(p) => Answer::Reliability(p.execute(cfg)),
+            Compiled::Graph(p) => Answer::Routed(p.execute(cfg)),
+        })
+    }
+
+    /// What the plan was compiled from.
+    pub fn target(&self) -> &Target {
+        &self.target
+    }
+
+    /// The compiled artifact, for callers that report its provenance.
+    pub fn compiled(&self) -> &Compiled {
+        &self.compiled
     }
 }
 

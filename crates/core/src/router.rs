@@ -37,16 +37,13 @@
 //! conditional probability is undefined, and callers report it as a
 //! structured failure rather than a division by zero.
 //!
-//! **Live databases.** Plans compiled with [`RoutedPlan::compile_at`]
-//! record the [`pqe_delta::Epochs`] of the relations their query mentions.
-//! After a delta, [`RoutedPlan::revalidate`] classifies the plan against
-//! the current epochs and refreshes it as cheaply as the change allows:
-//! untouched relations ⇒ nothing to do (memoized results stay valid too);
-//! probability-only changes ⇒ the lifted route re-evaluates its closed
-//! form and the FPRAS route reweights the compiled automaton in place
-//! ([`PqePlan::reweight`]); structural changes ⇒ a full recompile. The
-//! `router.refresh.{incremental,recompiled}` counters attribute which path
-//! ran.
+//! **Live databases.** A [`RoutedPlan`] or [`ConditionalPlan`] is one
+//! compiled artifact; keeping it current under deltas is the job of
+//! [`crate::Plan`], which stamps the epochs of the relations its target
+//! reads and owns the one freshness policy (see [`crate::Plan::revalidate`]
+//! for the table). The only refresh a routed plan does itself is
+//! `RoutedPlan::reweight`: the in-place probability refresh of the
+//! lifted closed form or the compiled automaton.
 
 use crate::arity::{check_arities, ArityMismatch};
 use crate::baselines::{lifted_pqe, LiftedError};
@@ -57,7 +54,6 @@ use crate::{EstimateError, PqeReport};
 use pqe_arith::{BigFloat, Rational};
 use pqe_automata::FprasConfig;
 use pqe_db::{FactId, ProbDatabase};
-use pqe_delta::{EpochStamp, Epochs, Freshness};
 use pqe_query::{ConjunctiveQuery, Term};
 use std::time::{Duration, Instant};
 
@@ -305,27 +301,6 @@ pub struct RoutedPlan {
     /// The route taken and why.
     pub decision: RouteDecision,
     kind: RoutedKind,
-    /// The compiled query, retained so the plan can refresh itself.
-    query: ConjunctiveQuery,
-    /// The requested method, reused verbatim on recompile.
-    method: Method,
-    /// Epochs of the query's relations at compile/refresh time.
-    stamp: EpochStamp,
-}
-
-/// What [`RoutedPlan::revalidate`] (and the conditional counterpart) did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Revalidation {
-    /// No relation the plan depends on changed: the plan **and** any
-    /// memoized `(ε, seed)` results are still valid.
-    Current,
-    /// The plan was refreshed; memoized results are stale and must be
-    /// dropped.
-    Refreshed {
-        /// `true` when the compiled structure was reused (lifted re-solve
-        /// or in-place automaton reweight); `false` for a full recompile.
-        incremental: bool,
-    },
 }
 
 enum RoutedKind {
@@ -378,20 +353,6 @@ impl RoutedPlan {
         h: &ProbDatabase,
         method: Method,
     ) -> Result<RoutedPlan, RouterError> {
-        RoutedPlan::compile_at(q, h, method, &Epochs::new())
-    }
-
-    /// [`compile`](RoutedPlan::compile) against a versioned database: the
-    /// plan additionally stamps the current epochs of its query's
-    /// relations, enabling [`revalidate`](RoutedPlan::revalidate) after
-    /// later deltas. (Plain `compile` stamps all-zero epochs — correct for
-    /// a database that never mutates.)
-    pub fn compile_at(
-        q: &ConjunctiveQuery,
-        h: &ProbDatabase,
-        method: Method,
-        epochs: &Epochs,
-    ) -> Result<RoutedPlan, RouterError> {
         check_arities(q, h.database().schema())?;
         let classification = landscape::classify(q);
         let decision = decide(&classification, method);
@@ -403,75 +364,34 @@ impl RoutedPlan {
             pqe_obs::metrics::counter("router.route.fpras").inc();
             RoutedKind::Fpras(Box::new(compile_pqe_plan(q, h)?))
         };
-        Ok(RoutedPlan {
-            classification,
-            decision,
-            kind,
-            query: q.clone(),
-            method,
-            stamp: stamp_query(q, epochs),
-        })
+        Ok(RoutedPlan { classification, decision, kind })
     }
 
-    /// The epoch stamp recorded at compile/refresh time.
-    pub fn stamp(&self) -> &EpochStamp {
-        &self.stamp
-    }
-
-    /// Brings the plan up to date with a mutated database, doing the least
-    /// work the epochs allow (see the module docs). On
-    /// [`Revalidation::Refreshed`] the caller must drop any memoized
-    /// results derived from this plan. On error the plan is left stale —
-    /// drop it.
-    pub fn revalidate(
+    /// Refreshes the plan in place after a probability-only change to
+    /// `h`, for the query `q` it was compiled from: the lifted route
+    /// re-solves its closed form, the FPRAS route reweights its automaton
+    /// ([`PqePlan::reweight`]). Returns `false`, leaving the plan
+    /// untouched, when the projected fact set moved after all (say, a
+    /// caller-managed database that skipped a structural epoch): then
+    /// only a recompile is sound.
+    pub(crate) fn reweight(
         &mut self,
+        q: &ConjunctiveQuery,
         h: &ProbDatabase,
-        epochs: &Epochs,
-    ) -> Result<Revalidation, RouterError> {
-        match epochs.freshness(&self.stamp) {
-            Freshness::Current => Ok(Revalidation::Current),
-            Freshness::ProbsChanged => {
-                // A structural change (say, a delta creating a relation
-                // the query read as empty, with another arity) recompiles
-                // through `compile_at`, which checks arities; a
-                // caller-managed database may skip the structural epoch.
-                check_arities(&self.query, h.database().schema())?;
-                let refreshed = match &mut self.kind {
-                    RoutedKind::Lifted { exact } => {
-                        // The safe route's artifact *is* the answer:
-                        // re-solving the closed form is the increment.
-                        *exact = lifted_pqe(&self.query, h)?;
-                        true
-                    }
-                    RoutedKind::Fpras(plan) => match plan.reweight(&self.query, h) {
-                        Ok(()) => true,
-                        // The projected fact set moved even though epochs
-                        // said probabilities only (e.g. a caller-managed
-                        // database): recompile.
-                        Err(ReweightError::StructureChanged) => false,
-                    },
-                };
-                if refreshed {
-                    self.stamp = stamp_query(&self.query, epochs);
-                    pqe_obs::metrics::counter("router.refresh.incremental").inc();
-                    Ok(Revalidation::Refreshed { incremental: true })
-                } else {
-                    self.recompile(h, epochs)?;
-                    Ok(Revalidation::Refreshed { incremental: false })
-                }
-            }
-            Freshness::StructureChanged => {
-                self.recompile(h, epochs)?;
-                Ok(Revalidation::Refreshed { incremental: false })
-            }
+    ) -> Result<bool, RouterError> {
+        // A recompile checks arities itself; a caller-managed database
+        // may change an arity without a structural epoch bump.
+        check_arities(q, h.database().schema())?;
+        match &mut self.kind {
+            // The safe route's artifact *is* the answer: re-solving the
+            // closed form is the increment.
+            RoutedKind::Lifted { exact } => *exact = lifted_pqe(q, h)?,
+            RoutedKind::Fpras(plan) => match plan.reweight(q, h) {
+                Ok(()) => {}
+                Err(ReweightError::StructureChanged) => return Ok(false),
+            },
         }
-    }
-
-    fn recompile(&mut self, h: &ProbDatabase, epochs: &Epochs) -> Result<(), RouterError> {
-        let q = self.query.clone();
-        *self = RoutedPlan::compile_at(&q, h, self.method, epochs)?;
-        pqe_obs::metrics::counter("router.refresh.recompiled").inc();
-        Ok(())
+        Ok(true)
     }
 
     /// Runs the routed engine. The FPRAS path is exactly
@@ -504,11 +424,6 @@ impl RoutedPlan {
     }
 }
 
-/// Stamps the current epochs of the relations `q` mentions.
-fn stamp_query(q: &ConjunctiveQuery, epochs: &Epochs) -> EpochStamp {
-    epochs.stamp(q.atoms().iter().map(|a| a.relation.as_str()))
-}
-
 /// Per-term accuracy for the ratio `P(Q ∧ E)/P(E)` when `fpras_terms` of
 /// the two terms are estimated rather than exact.
 ///
@@ -533,17 +448,9 @@ const SEED_TAG_EVIDENCE: u64 = 0x45_5649_44; // "EVID"
 
 /// A compiled conditional query `P(Q | E)`.
 pub struct ConditionalPlan {
-    /// Rendered (normalized) query text.
-    pub query: String,
     /// Rendered (normalized) evidence text.
     pub evidence: String,
     kind: ConditionalKind,
-    /// The compiled ASTs, retained for refresh.
-    q_ast: ConjunctiveQuery,
-    e_ast: ConjunctiveQuery,
-    method: Method,
-    /// Epochs of every relation `Q` or `E` mentions at compile time.
-    stamp: EpochStamp,
 }
 
 enum ConditionalKind {
@@ -592,18 +499,6 @@ impl ConditionalPlan {
         e: &ConjunctiveQuery,
         h: &ProbDatabase,
         method: Method,
-    ) -> Result<ConditionalPlan, RouterError> {
-        ConditionalPlan::compile_at(q, e, h, method, &Epochs::new())
-    }
-
-    /// [`compile`](ConditionalPlan::compile) against a versioned database,
-    /// stamping the epochs of every relation `Q` or `E` mentions.
-    pub fn compile_at(
-        q: &ConjunctiveQuery,
-        e: &ConjunctiveQuery,
-        h: &ProbDatabase,
-        method: Method,
-        epochs: &Epochs,
     ) -> Result<ConditionalPlan, RouterError> {
         // Ground evidence never becomes a routed query, so check it here.
         check_arities(e, h.database().schema())?;
@@ -654,38 +549,7 @@ impl ConditionalPlan {
                 ev: RoutedPlan::compile(e, h, method)?,
             }
         };
-        let joint_rels = q
-            .atoms()
-            .iter()
-            .chain(e.atoms())
-            .map(|a| a.relation.as_str());
-        Ok(ConditionalPlan {
-            query: q.to_string(),
-            evidence: e.to_string(),
-            kind,
-            q_ast: q.clone(),
-            e_ast: e.clone(),
-            method,
-            stamp: epochs.stamp(joint_rels),
-        })
-    }
-
-    /// Brings the plan up to date with a mutated database. Conditional
-    /// plans hold conditioned database copies and ratio terms, so any
-    /// staleness — probability-only included — triggers a recompile; only
-    /// [`Freshness::Current`] keeps the plan (and its memoized results).
-    pub fn revalidate(
-        &mut self,
-        h: &ProbDatabase,
-        epochs: &Epochs,
-    ) -> Result<Revalidation, RouterError> {
-        if epochs.freshness(&self.stamp) == Freshness::Current {
-            return Ok(Revalidation::Current);
-        }
-        let (q, e) = (self.q_ast.clone(), self.e_ast.clone());
-        *self = ConditionalPlan::compile_at(&q, &e, h, self.method, epochs)?;
-        pqe_obs::metrics::counter("router.refresh.recompiled").inc();
-        Ok(Revalidation::Refreshed { incremental: false })
+        Ok(ConditionalPlan { evidence: e.to_string(), kind })
     }
 
     /// The route decision for the numerator term.
@@ -815,6 +679,7 @@ fn render_ground_atom(atom: &pqe_query::Atom) -> String {
 mod tests {
     use super::*;
     use crate::baselines::brute_force_pqe;
+    use crate::plan::{Answer, Plan, Revalidation, Target};
     use pqe_db::{generators, worlds, Database, Schema};
     use pqe_engine::eval_boolean;
     use pqe_query::{parse, shapes};
@@ -1077,6 +942,21 @@ mod tests {
         ));
     }
 
+    fn plan_at(target: Target, v: &pqe_delta::VersionedDb) -> Plan {
+        Plan::compile_at(target, v.current(), v.epochs()).unwrap()
+    }
+
+    fn query_plan(q: &str, method: Method, v: &pqe_delta::VersionedDb) -> Plan {
+        plan_at(Target::Query { q: parse(q).unwrap(), method }, v)
+    }
+
+    fn routed(plan: &Plan, cfg: &FprasConfig) -> RoutedAnswer {
+        match plan.execute(cfg).unwrap() {
+            Answer::Routed(a) => a,
+            _ => panic!("expected a routed answer"),
+        }
+    }
+
     #[test]
     fn revalidate_scopes_work_to_touched_relations() {
         use pqe_delta::{Delta, VersionedDb};
@@ -1084,11 +964,9 @@ mod tests {
         let q = parse("R(x,y), S(y,z)").unwrap();
         let cfg = FprasConfig::with_epsilon(0.2).with_seed(5);
 
-        let mut lifted = RoutedPlan::compile_at(&q, v.current(), Method::Auto, v.epochs()).unwrap();
-        let mut fpras = RoutedPlan::compile_at(&q, v.current(), Method::Fpras, v.epochs()).unwrap();
-        let mut unrelated =
-            RoutedPlan::compile_at(&parse("R(x,y)").unwrap(), v.current(), Method::Auto, v.epochs())
-                .unwrap();
+        let mut lifted = query_plan("R(x,y), S(y,z)", Method::Auto, &v);
+        let mut fpras = query_plan("R(x,y), S(y,z)", Method::Fpras, &v);
+        let mut unrelated = query_plan("R(x,y)", Method::Auto, &v);
 
         // Probability-only delta on S: R-only plan current, others refresh
         // incrementally (lifted re-solve / automaton reweight).
@@ -1110,10 +988,10 @@ mod tests {
         // Both refreshed plans agree bit-for-bit with fresh compiles on
         // the mutated database.
         let exact = brute_force_pqe(&q, &h);
-        assert_eq!(lifted.execute(&cfg).exact().unwrap(), &exact);
+        assert_eq!(routed(&lifted, &cfg).exact().unwrap(), &exact);
         let fresh = RoutedPlan::compile(&q, &h, Method::Fpras).unwrap();
         assert_eq!(
-            fpras.execute(&cfg).to_bigfloat().to_string(),
+            routed(&fpras, &cfg).to_bigfloat().to_string(),
             fresh.execute(&cfg).to_bigfloat().to_string()
         );
 
@@ -1130,7 +1008,7 @@ mod tests {
         );
         let fresh = RoutedPlan::compile(&q, &h, Method::Fpras).unwrap();
         assert_eq!(
-            fpras.execute(&cfg).to_bigfloat().to_string(),
+            routed(&fpras, &cfg).to_bigfloat().to_string(),
             fresh.execute(&cfg).to_bigfloat().to_string()
         );
         // A second revalidate with nothing new is current again.
@@ -1146,8 +1024,7 @@ mod tests {
         let inc = pqe_obs::metrics::counter("router.refresh.incremental");
         let rec = pqe_obs::metrics::counter("router.refresh.recompiled");
         let mut v = VersionedDb::new(two_path_db());
-        let q = parse("R(x,y), S(y,z)").unwrap();
-        let mut plan = RoutedPlan::compile_at(&q, v.current(), Method::Fpras, v.epochs()).unwrap();
+        let mut plan = query_plan("R(x,y), S(y,z)", Method::Fpras, &v);
         let (i0, r0) = (inc.get(), rec.get());
 
         v.apply(&Delta::parse_str("~ 1/5 R(a,b)\n").unwrap()).unwrap();
@@ -1165,8 +1042,9 @@ mod tests {
         let mut v = VersionedDb::new(two_path_db());
         let q = parse("R(x,y), S(y,z)").unwrap();
         let e = parse("S('b','c')").unwrap();
-        let mut plan =
-            ConditionalPlan::compile_at(&q, &e, v.current(), Method::Auto, v.epochs()).unwrap();
+        let (evidence, method) = (e.clone(), Method::Auto);
+        let target = Target::Conditional { q: q.clone(), evidence, method };
+        let mut plan = plan_at(target, &v);
         let cfg = FprasConfig::with_epsilon(0.2);
 
         // Unrelated relation: current.
@@ -1185,7 +1063,9 @@ mod tests {
             plan.revalidate(&h, v.epochs()).unwrap(),
             Revalidation::Refreshed { incremental: false }
         );
-        let r = plan.execute(&cfg).unwrap();
+        let Answer::Conditional(r) = plan.execute(&cfg).unwrap() else {
+            panic!("expected a conditional answer");
+        };
         let brute = brute_conditional(&q, &e, &h).unwrap();
         assert_eq!(r.exact.as_ref().unwrap(), &brute);
     }

@@ -4,7 +4,7 @@
 //! needs flat request/response objects, so this implements exactly
 //! RFC 8259 minus two corners we have no use for: numbers are parsed
 //! through `f64` (integers stay exact up to 2⁵³ — seeds larger than that
-//! can be sent as strings), and `\uXXXX` escapes outside the BMP must be
+//! are sent, and echoed, as decimal strings), and `\uXXXX` escapes outside the BMP must be
 //! paired surrogates. Nesting is bounded by [`MAX_JSON_DEPTH`], so a
 //! hostile line of brackets is a parse error, not a stack overflow.
 
@@ -123,9 +123,16 @@ impl From<f64> for Json {
     }
 }
 
+/// Lossless, mirroring [`Json::as_u64`]: a number up to 2⁵³, where `f64`
+/// is exact, and a decimal string above it, so an echoed seed sent back
+/// is the same seed.
 impl From<u64> for Json {
     fn from(v: u64) -> Json {
-        Json::Num(v as f64)
+        if v <= 1 << 53 {
+            Json::Num(v as f64)
+        } else {
+            Json::Str(v.to_string())
+        }
     }
 }
 
@@ -469,6 +476,16 @@ mod tests {
     fn big_seed_via_string() {
         let v = Json::parse(r#"{"seed":"18446744073709551615"}"#).unwrap();
         assert_eq!(v.get("seed").and_then(Json::as_u64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn every_u64_round_trips() {
+        for v in [0, 42, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let back = Json::parse(&Json::from(v).to_string()).unwrap();
+            assert_eq!(back.as_u64(), Some(v), "{v}");
+        }
+        assert_eq!(Json::from(1u64 << 53).to_string(), "9007199254740992");
+        assert_eq!(Json::from((1u64 << 53) + 1).to_string(), "\"9007199254740993\"");
     }
 
     #[test]

@@ -32,14 +32,15 @@
 //! (post-queue, post-delay, post-compile, post-execute).
 //!
 //! Every heavy op runs one path (`process_job` → `compute`): the
-//! request is parsed into a compile target (a CQ with optional evidence
-//! and a method, a CQ for reliability, or an RPQ with a graph method),
+//! request is parsed into a [`pqe_core::Target`] (a CQ with a method, a
+//! conditional, a CQ for reliability, or an RPQ with a graph method),
 //! then delay → cache/compile → refresh → execute, with one `(ε, seed)`
 //! memo helper and one writer for the route fields routed and graph
-//! answers share. The compiled-plan caches are keyed by
-//! `op | method | normalized-query` — normalization is parse → print, so
-//! whitespace and atom formatting differences collapse onto one entry
-//! while variable renamings stay distinct. A hit skips the entire
+//! answers share. Each cached entry holds one [`pqe_core::Plan`], keyed
+//! by [`pqe_core::Target::key`]: `op | method | normalized-query` —
+//! normalization is parse → print, so whitespace and atom formatting
+//! differences collapse onto one entry while variable renamings stay
+//! distinct. A hit skips the entire
 //! reduction chain (classification, hypertree decomposition, NFTA
 //! construction, multiplier translation) and goes straight to sampling
 //! with the request's own `(ε, seed, threads)`; because execution is a
@@ -53,13 +54,22 @@
 //! Invalidation is lazy and **scoped**: nothing is broadcast to the
 //! shards; instead each worker snapshots `(facts, epochs, generation)`
 //! at job start, and a cached plan whose recorded generation is behind
-//! revalidates against the epochs of *its own* relations — a plan whose
-//! relations were untouched survives with its `(ε, seed)` memo intact
-//! (`delta.kept_plans`), while a touched plan is refreshed (incremental
-//! reweight or recompile, `delta.invalidated_plans`) and its memo
-//! dropped, reported to the client as `"cache":"invalidated"`. The
-//! single-flight key carries the generation, so responses computed
-//! against different database versions never coalesce.
+//! makes one [`pqe_core::Plan::revalidate`] call against the epochs of
+//! *its own* relations. That call owns the freshness policy:
+//!
+//! | plan | probabilities changed | structure changed |
+//! |---|---|---|
+//! | routed | lifted re-solve or in-place reweight (recompile as fallback) | recompile |
+//! | conditional | recompile | recompile |
+//! | reliability | restamp, plan and memo kept | recompile |
+//! | graph | never stale: deltas do not touch the graph | never stale |
+//!
+//! A plan the policy keeps survives with its `(ε, seed)` memo intact
+//! (`delta.kept_plans`); a refreshed plan drops its memo
+//! (`delta.invalidated_plans`), reported to the client as
+//! `"cache":"invalidated"`. The single-flight key carries the generation,
+//! so responses computed against different database versions never
+//! coalesce.
 
 use crate::affinity::Placement;
 use crate::cache::{hit_rate, CacheCounters, ShardCache};
@@ -70,13 +80,10 @@ use crate::protocol::{error_response, ErrorKind, Params, Request};
 use crate::queue::Queue;
 use pqe_automata::FprasConfig;
 use pqe_core::landscape::{self, Classification, Verdict};
-use pqe_core::{
-    compile_ur_plan, ConditionalPlan, GraphMethod, GraphPlan, Method, Revalidation, Route,
-    RouteDecision, RoutedAnswer, RoutedPlan, RouterError, UrPlan,
-};
+use pqe_core::{Compiled, Plan, Revalidation, Route, RouteDecision, RoutedAnswer, Target};
 use pqe_db::ProbDatabase;
-use pqe_delta::{Delta, EpochStamp, Epochs, Freshness, VersionedDb};
-use pqe_graph::{ProbGraph, Rpq};
+use pqe_delta::{Delta, Epochs, VersionedDb};
+use pqe_graph::ProbGraph;
 use pqe_obs::log::{event, Level};
 use pqe_obs::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 use pqe_par::FxHashMap;
@@ -252,29 +259,13 @@ impl Default for ServeConfig {
 /// recounting, and turns a repeat request into a hash lookup instead of
 /// a full sampling run. Plans are worker-owned: no lock, plain fields.
 pub struct ServedPlan {
-    kind: PlanKind,
+    /// The compiled target. It wraps the artifacts the CLI runs, so
+    /// served digits are bit-identical to `pqe estimate`.
+    plan: Plan,
     memo: Memo,
     /// Database generation the plan (and its memo) was last validated
     /// against; a hit at a newer generation triggers revalidation.
     generation: u64,
-}
-
-enum PlanKind {
-    /// An `estimate` plan: the shared router's verdict (Table 1 cell +
-    /// route decision) with the exact rational or constructed automaton
-    /// behind it — the same object the CLI executes, so served digits are
-    /// bit-identical to `pqe estimate`.
-    Routed(RoutedPlan),
-    /// A conditional `estimate` plan: `P(Q | E)` with per-term routing.
-    Conditional(ConditionalPlan),
-    /// Uniform reliability: the translated Proposition 1 automaton, plus
-    /// its query and the epoch stamp of the query's relations
-    /// (reliability ignores probabilities, so only *structural* epoch
-    /// bumps invalidate it).
-    Ur { plan: UrPlan, stamp: EpochStamp, query: ConjunctiveQuery },
-    /// A `graph_estimate` plan: the routed RPQ plan over the served
-    /// probabilistic graph (exact enumeration or the product-NFA FPRAS).
-    Graph(GraphPlan),
 }
 
 /// A plan's result memo: finished digits keyed by `(ε bits, seed)`.
@@ -283,12 +274,6 @@ type Memo = FxHashMap<(u64, u64), String>;
 /// Entries kept per plan before the memo is wholesale cleared; estimates
 /// are tiny strings, this only bounds degenerate seed-sweeping clients.
 const MEMO_CAP: usize = 256;
-
-impl ServedPlan {
-    fn new(kind: PlanKind, generation: u64) -> Self {
-        ServedPlan { kind, memo: FxHashMap::default(), generation }
-    }
-}
 
 /// A per-connection reply slot map: workers deliver responses keyed by
 /// request sequence number; the I/O loop writes them out in order.
@@ -354,7 +339,7 @@ struct ServerState {
     db: RwLock<VersionedDb>,
     /// The served probabilistic graph, when the server was started with
     /// one; `graph_estimate` without it is a structured `eval_error`.
-    g: Option<ProbGraph>,
+    g: Option<Arc<ProbGraph>>,
     cfg: ServeConfig,
     addr: SocketAddr,
     queue: Queue<Job>,
@@ -416,7 +401,7 @@ impl Server {
             listener,
             state: Arc::new(ServerState {
                 db: RwLock::new(VersionedDb::new(h)),
-                g,
+                g: g.map(Arc::new),
                 addr,
                 queue: Queue::new(cfg.queue_depth),
                 flights: FlightTable::new(),
@@ -751,7 +736,7 @@ fn process_job(
     state.metrics.queue_wait_us.record(elapsed_us(received));
     let snap = take_snapshot(state);
     // Parse/normalize first: errors and deadline shedding need no flight.
-    let parsed = Target::parse(&request)
+    let parsed = parse_target(state, &request)
         .and_then(|parsed| check_deadline(state, received, "queue").map(|()| parsed));
     let (target, params) = match parsed {
         Ok(parsed) => parsed,
@@ -762,7 +747,7 @@ fn process_job(
         }
     };
     let threads = if params.threads != 0 { params.threads } else { state.cfg.threads };
-    let cache_key = target.cache_key();
+    let cache_key = target.key();
     // The single-flight key pins every input the response depends on —
     // the evaluation inputs (plan key, database generation, ε, seed)
     // plus the reported thread count and the delay knob — so coalesced
@@ -794,7 +779,7 @@ fn process_job(
     if threads > 1 {
         placement.unpin();
     }
-    let response = finish(state, compute(&ctx, cache, &target, &cache_key, params.delay_ms));
+    let response = finish(state, compute(&ctx, cache, target, &cache_key, params.delay_ms));
     if threads > 1 {
         placement.pin();
     }
@@ -807,103 +792,47 @@ fn process_job(
     latency_us.record(elapsed_us(received));
 }
 
-/// A heavy request parsed into what it compiles. Parsing normalizes the
-/// query text (parse → print), so whitespace and atom formatting
-/// differences collapse onto one cache key.
-enum Target {
-    /// `estimate`: a CQ, optional evidence (`P(Q | E)`), a method.
-    Estimate { q: ConjunctiveQuery, evidence: Option<ConjunctiveQuery>, method: Method },
-    /// `reliability`: a CQ (probabilities ignored).
-    Reliability(ConjunctiveQuery),
-    /// `graph_estimate`: an RPQ over the served graph, a method.
-    Graph { rpq: Rpq, method: GraphMethod },
-}
-
-impl Target {
-    /// Parses a queued heavy request; a syntax error is a `bad_request`.
-    fn parse(request: &Request) -> Result<(Target, Params), ReqError> {
-        match request {
-            Request::Estimate { query, evidence, method, params } => {
-                let q = parse_cq(query, "query")?;
-                // Evidence is query syntax too: a typo is a `bad_request`
-                // before any flight or compilation.
-                let evidence = evidence.as_deref().map(|e| parse_cq(e, "evidence")).transpose()?;
-                Ok((Target::Estimate { q, evidence, method: *method }, *params))
-            }
-            Request::Reliability { query, params } => {
-                Ok((Target::Reliability(parse_cq(query, "query")?), *params))
-            }
-            Request::GraphEstimate { rpq, method, params } => {
-                let rpq = pqe_graph::parse(rpq)
-                    .map_err(|e| (ErrorKind::BadRequest, format!("rpq: {e}")))?;
-                Ok((Target::Graph { rpq, method: *method }, *params))
-            }
-            light => unreachable!("light op {light:?} reached the work queue"),
+/// Parses a queued heavy request into the [`Target`] it compiles. Parsing
+/// normalizes the query text (parse → print), so whitespace and atom
+/// formatting differences collapse onto one plan key. A syntax error is a
+/// `bad_request`; a `graph_estimate` on a server without a graph is an
+/// `eval_error`.
+fn parse_target(state: &ServerState, request: &Request) -> Result<(Target, Params), ReqError> {
+    match request {
+        Request::Estimate { query, evidence, method, params } => {
+            let q = parse_cq(query, "query")?;
+            let method = *method;
+            // Evidence is query syntax too: a typo is a `bad_request`
+            // before any flight or compilation.
+            let target = match evidence {
+                Some(e) => Target::Conditional { q, evidence: parse_cq(e, "evidence")?, method },
+                None => Target::Query { q, method },
+            };
+            Ok((target, *params))
         }
-    }
-
-    /// The wire op name.
-    fn op(&self) -> &'static str {
-        match self {
-            Target::Estimate { .. } => "estimate",
-            Target::Reliability(_) => "reliability",
-            Target::Graph { .. } => "graph_estimate",
+        Request::Reliability { query, params } => {
+            Ok((Target::Reliability(parse_cq(query, "query")?), *params))
         }
-    }
-
-    /// The response's subject field: the normalized query or RPQ text.
-    fn subject(&self) -> (&'static str, String) {
-        match self {
-            Target::Estimate { q, .. } | Target::Reliability(q) => ("query", q.to_string()),
-            Target::Graph { rpq, .. } => ("rpq", rpq.to_string()),
+        Request::GraphEstimate { rpq, method, params } => {
+            let rpq = pqe_graph::parse(rpq)
+                .map_err(|e| (ErrorKind::BadRequest, format!("rpq: {e}")))?;
+            let graph = state.g.clone().ok_or_else(|| {
+                eval_error("no graph loaded (start the server with --graph FILE)")
+            })?;
+            Ok((Target::Graph { graph, rpq, method: *method }, *params))
         }
-    }
-
-    /// The plan key: everything compilation depends on — op, method,
-    /// normalized query, and (for conditionals) the normalized evidence.
-    fn cache_key(&self) -> String {
-        match self {
-            Target::Estimate { q, evidence: None, method } => {
-                format!("estimate|{}|{q}", method.name())
-            }
-            Target::Estimate { q, evidence: Some(e), method } => {
-                format!("estimate|{}|{q}|evidence|{e}", method.name())
-            }
-            Target::Reliability(q) => format!("reliability|{q}"),
-            Target::Graph { rpq, method } => format!("graph_estimate|{}|{rpq}", method.name()),
-        }
-    }
-
-    /// Compiles the plan against the job's snapshot; an engine refusal is
-    /// an `eval_error`.
-    fn compile(&self, ctx: &Ctx) -> Result<ServedPlan, ReqError> {
-        let Snapshot { h, epochs, generation } = &ctx.snap;
-        let kind = match self {
-            Target::Estimate { q, evidence: Some(e), method } => {
-                ConditionalPlan::compile_at(q, e, h, *method, epochs).map(PlanKind::Conditional)
-            }
-            Target::Estimate { q, evidence: None, method } => {
-                RoutedPlan::compile_at(q, h, *method, epochs).map(PlanKind::Routed)
-            }
-            Target::Reliability(q) => compile_ur_plan(q, h.database())
-                .map(|plan| PlanKind::Ur {
-                    plan,
-                    stamp: stamp_relations(q, epochs),
-                    query: q.clone(),
-                })
-                .map_err(RouterError::from),
-            Target::Graph { rpq, method } => {
-                let g = ctx.state.g.as_ref().ok_or_else(no_graph)?;
-                GraphPlan::compile(g, rpq, *method).map(PlanKind::Graph)
-            }
-        };
-        kind.map(|kind| ServedPlan::new(kind, *generation))
-            .map_err(|e| (ErrorKind::EvalError, e.to_string()))
+        light => unreachable!("light op {light:?} reached the work queue"),
     }
 }
 
-fn no_graph() -> ReqError {
-    (ErrorKind::EvalError, "no graph loaded (start the server with --graph FILE)".to_owned())
+/// The response's subject field: the normalized query or RPQ text.
+fn subject(target: &Target) -> (&'static str, String) {
+    match target {
+        Target::Query { q, .. } | Target::Conditional { q, .. } | Target::Reliability(q) => {
+            ("query", q.to_string())
+        }
+        Target::Graph { rpq, .. } => ("rpq", rpq.to_string()),
+    }
 }
 
 /// What one leader evaluation runs against: the server, the job's
@@ -924,48 +853,47 @@ type Fields = Vec<(&'static str, Json)>;
 fn compute(
     ctx: &Ctx,
     cache: &mut ShardCache<ServedPlan>,
-    target: &Target,
+    target: Target,
     cache_key: &str,
     delay_ms: u64,
 ) -> Result<Json, ReqError> {
     apply_delay(delay_ms);
     check_deadline(ctx.state, ctx.received, "delay")?;
-    // Checked before the cache lookup: a server without a graph counts
-    // no plan miss for a request it cannot compile.
-    if matches!(target, Target::Graph { .. }) && ctx.state.g.is_none() {
-        return Err(no_graph());
-    }
-    let (plan, hit) = cache.get_or_insert_with(cache_key, || target.compile(ctx))?;
-    let cache_tag = refresh_plan(ctx, plan, hit)?;
+    let Snapshot { h, epochs, generation } = &ctx.snap;
+    let (served, hit) = cache.get_or_insert_with(cache_key, || {
+        let plan = Plan::compile_at(target, h, epochs).map_err(eval_error)?;
+        Ok(ServedPlan { plan, memo: FxHashMap::default(), generation: *generation })
+    })?;
+    let cache_tag = refresh_plan(ctx, served, hit)?;
     check_deadline(ctx.state, ctx.received, "compile")?;
 
-    let (subject, text) = target.subject();
+    let ServedPlan { plan, memo, .. } = served;
+    let (subject, text) = subject(plan.target());
     let mut fields: Fields = vec![
         ("ok", Json::Bool(true)),
-        ("op", Json::str(target.op())),
+        ("op", Json::str(plan.target().op())),
         (subject, Json::str(text)),
         ("cache", Json::str(cache_tag)),
     ];
-    let ServedPlan { kind, memo, .. } = plan;
-    match kind {
-        PlanKind::Routed(p) => {
+    match plan.compiled() {
+        Compiled::Query(p) => {
             let answer = || p.execute(&ctx.cfg);
             let (decision, states) = (&p.decision, p.automaton_states());
             let landscape = Some(&p.classification);
             write_routed(&mut fields, ctx, memo, decision, landscape, states, answer)?;
         }
-        PlanKind::Graph(p) => {
+        Compiled::Graph(p) => {
             let answer = || p.execute(&ctx.cfg);
             let (decision, states) = (&p.decision, p.automaton_states());
             write_routed(&mut fields, ctx, memo, decision, None, states, answer)?;
             fields.push(("edges", Json::from(p.num_edges)));
         }
-        PlanKind::Conditional(p) => {
+        Compiled::Conditional(p) => {
             // No result memo: a conditional report carries per-execution
             // provenance (P(E), routes, split ε) beyond one number, and the
             // plan cache already amortizes the expensive compilation.
             ctx.state.metrics.executions.inc();
-            let report = p.execute(&ctx.cfg).map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
+            let report = p.execute(&ctx.cfg).map_err(eval_error)?;
             check_deadline(ctx.state, ctx.received, "execute")?;
             fields.push(("evidence", Json::str(p.evidence.clone())));
             push_decision(&mut fields, p.joint_decision());
@@ -990,7 +918,7 @@ fn compute(
             fields.push(("states", Json::from(report.automaton_states)));
             push_params(&mut fields, &ctx.cfg);
         }
-        PlanKind::Ur { plan: ur, .. } => {
+        Compiled::Reliability(ur) => {
             let (reliability, hit) =
                 memoized(ctx, memo, || ur.execute(&ctx.cfg).reliability.to_string())?;
             fields.push(("memo", memo_tag(hit)));
@@ -1003,7 +931,7 @@ fn compute(
     Ok(Json::obj(fields))
 }
 
-/// Writes the fields a [`RoutedPlan`] and a [`GraphPlan`] answer share:
+/// Writes the fields a routed and a graph plan's answers share:
 /// the route decision, then either the exact answer or the memoized FPRAS
 /// digits, the relational plan's Table 1 cell (`landscape`), the
 /// automaton size, and — when sampling ran — its `(ε, seed, threads)`.
@@ -1184,54 +1112,31 @@ fn apply_update(state: &ServerState, delta: &str) -> Result<Json, ReqError> {
 /// including across a generation change that left its relations untouched
 /// — or `"invalidated"` when it was refreshed and the memo dropped.
 /// Misses pass through as `"miss"` (a fresh compile is already current).
-fn refresh_plan(ctx: &Ctx, plan: &mut ServedPlan, hit: bool) -> Result<&'static str, ReqError> {
+fn refresh_plan(ctx: &Ctx, served: &mut ServedPlan, hit: bool) -> Result<&'static str, ReqError> {
     let Snapshot { h, epochs, generation } = &ctx.snap;
     if !hit {
         return Ok("miss");
     }
-    if plan.generation == *generation {
+    if served.generation == *generation {
         return Ok("hit");
-    }
-    let refreshed = match &mut plan.kind {
-        PlanKind::Routed(p) => p.revalidate(h, epochs).map(|r| r != Revalidation::Current),
-        PlanKind::Conditional(p) => p.revalidate(h, epochs).map(|r| r != Revalidation::Current),
-        PlanKind::Ur { plan: ur, stamp, query } => match epochs.freshness(stamp) {
-            // Probability-only changes never move a reliability: the UR
-            // automaton depends on the fact set alone.
-            Freshness::Current | Freshness::ProbsChanged => {
-                *stamp = stamp_relations(query, epochs);
-                Ok(false)
-            }
-            Freshness::StructureChanged => compile_ur_plan(query, h.database())
-                .map(|fresh| {
-                    *ur = fresh;
-                    *stamp = stamp_relations(query, epochs);
-                    true
-                })
-                .map_err(RouterError::from),
-        },
-        // The graph instance is separate from the relational database;
-        // deltas never touch it.
-        PlanKind::Graph(_) => Ok(false),
     }
     // On error leave the plan stale (generation not advanced): the next
     // hit retries the refresh.
-    .map_err(|e| (ErrorKind::EvalError, e.to_string()))?;
-    plan.generation = *generation;
-    let state = ctx.state;
-    if refreshed {
-        plan.memo.clear();
-        state.metrics.delta_invalidated.inc();
-        Ok("invalidated")
-    } else {
-        state.metrics.delta_kept.inc();
+    let revalidation = served.plan.revalidate(h, epochs).map_err(eval_error)?;
+    served.generation = *generation;
+    let m = &ctx.state.metrics;
+    if revalidation == Revalidation::Current {
+        m.delta_kept.inc();
         Ok("hit")
+    } else {
+        served.memo.clear();
+        m.delta_invalidated.inc();
+        Ok("invalidated")
     }
 }
 
-/// Stamps the current epochs of the relations `q` mentions.
-fn stamp_relations(q: &ConjunctiveQuery, epochs: &Epochs) -> EpochStamp {
-    epochs.stamp(q.atoms().iter().map(|a| a.relation.as_str()))
+fn eval_error(e: impl std::fmt::Display) -> ReqError {
+    (ErrorKind::EvalError, e.to_string())
 }
 
 fn classify_response(query: &str) -> Result<Json, ReqError> {
@@ -1382,6 +1287,7 @@ fn metrics_response(state: &ServerState) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pqe_core::{ConditionalPlan, Method, RoutedPlan};
     use pqe_db::io as dbio;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
@@ -1723,6 +1629,98 @@ mod tests {
         assert_eq!(v.get("memo").and_then(Json::as_str), Some("miss"));
         assert_eq!(v.get("facts").and_then(Json::as_u64), Some(4));
         assert_ne!(v.get("reliability").and_then(Json::as_str), Some(digits.as_str()));
+
+        c.roundtrip(r#"{"op":"shutdown"}"#);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn conditional_plans_refresh_only_on_their_own_relations() {
+        let (addr, handle) = start(ServeConfig { workers: 1, ..Default::default() });
+        let mut c = Client::connect(addr);
+
+        let cond = r#"{"op":"estimate","query":"R1(x,y), R2(y,z)","evidence":"R1('a','b')","method":"fpras","epsilon":0.2,"seed":4}"#;
+        let v = c.roundtrip(cond);
+        assert_eq!(v.get("cache").and_then(Json::as_str), Some("miss"));
+        assert_eq!(v.get("p_evidence").and_then(Json::as_str), Some("0.500000"));
+        let digits = v.get("probability").and_then(Json::as_str).unwrap().to_owned();
+
+        // An update to a relation neither Q nor E reads: still a hit.
+        c.roundtrip(r#"{"op":"update","delta":"+ 1/2 R3(c,e)"}"#);
+        let v = c.roundtrip(cond);
+        assert_eq!(v.get("cache").and_then(Json::as_str), Some("hit"));
+        assert_eq!(v.get("probability").and_then(Json::as_str), Some(digits.as_str()));
+
+        // A probability-only update to the evidence relation: the plan is
+        // recompiled, and its digits are a fresh compile's.
+        c.roundtrip(r#"{"op":"update","delta":"~ 1/4 R1(a,b)"}"#);
+        let v = c.roundtrip(cond);
+        assert_eq!(v.get("cache").and_then(Json::as_str), Some("invalidated"));
+        let h2 = dbio::load_str("1/4 R1(a,b)\n1/3 R2(b,c)\n1/5 R2(b,d)\n1/2 R3(c,e)\n").unwrap();
+        let (q, e) = (parse("R1(x,y), R2(y,z)").unwrap(), parse("R1('a','b')").unwrap());
+        let fresh = ConditionalPlan::compile(&q, &e, &h2, Method::Fpras).unwrap();
+        let cfg = FprasConfig::with_epsilon(0.2).with_seed(4);
+        let report = fresh.execute(&cfg).unwrap();
+        let expect = format!("{:.6}", report.conditional.to_f64());
+        assert_eq!(v.get("probability").and_then(Json::as_str), Some(expect.as_str()));
+        assert_eq!(v.get("p_evidence").and_then(Json::as_str), Some("0.250000"));
+
+        let v = c.roundtrip(r#"{"op":"stats"}"#);
+        assert_eq!(v.get("delta.kept_plans").and_then(Json::as_u64), Some(1));
+        assert_eq!(v.get("delta.invalidated_plans").and_then(Json::as_u64), Some(1));
+
+        c.roundtrip(r#"{"op":"shutdown"}"#);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn graph_plans_survive_every_relational_update() {
+        let (addr, handle) = start_with_graph(ServeConfig { workers: 1, ..Default::default() });
+        let mut c = Client::connect(addr);
+
+        let req = r#"{"op":"graph_estimate","rpq":"a -> r r -> d","method":"fpras","epsilon":0.2,"seed":7}"#;
+        let v = c.roundtrip(req);
+        assert_eq!(v.get("cache").and_then(Json::as_str), Some("miss"));
+        let digits = v.get("probability").and_then(Json::as_str).unwrap().to_owned();
+
+        // Probability-only, then structural: the graph is not in the
+        // database, so the plan and its memo survive both.
+        for delta in ["~ 1/4 R1(a,b)", "+ 1/2 R2(b,e)"] {
+            let v = c.roundtrip(&format!(r#"{{"op":"update","delta":"{delta}"}}"#));
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
+            let v = c.roundtrip(req);
+            assert_eq!(v.get("cache").and_then(Json::as_str), Some("hit"), "after {delta}");
+            assert_eq!(v.get("memo").and_then(Json::as_str), Some("hit"), "after {delta}");
+            assert_eq!(v.get("probability").and_then(Json::as_str), Some(digits.as_str()));
+        }
+
+        c.roundtrip(r#"{"op":"shutdown"}"#);
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn echoed_seeds_above_2_pow_53_reproduce_the_digits() {
+        let (addr, handle) = start(ServeConfig { workers: 1, ..Default::default() });
+        let mut c = Client::connect(addr);
+        let request = |seed: &Json| {
+            format!(
+                r#"{{"op":"estimate","query":"R1(x,y), R2(y,z)","method":"fpras","epsilon":0.2,"seed":{seed}}}"#
+            )
+        };
+        for sent in ["9007199254740993", "18446744073709551615"] {
+            let v = c.roundtrip(&request(&Json::str(sent)));
+            let echoed = v.get("seed").unwrap().clone();
+            assert_eq!(echoed.as_u64(), sent.parse().ok(), "echo of {sent}: {echoed}");
+            let digits = v.get("probability").and_then(Json::as_str).unwrap().to_owned();
+            // Sending the echoed seed back is the same request.
+            let again = c.roundtrip(&request(&echoed));
+            assert_eq!(again.get("memo").and_then(Json::as_str), Some("hit"));
+            assert_eq!(again.get("probability").and_then(Json::as_str), Some(digits.as_str()));
+            assert_eq!(again.get("seed"), Some(&echoed));
+        }
+        // Seeds that are exact as numbers still echo as numbers.
+        let v = c.roundtrip(&request(&Json::from(1u64 << 53)));
+        assert_eq!(v.get("seed"), Some(&Json::Num(9007199254740992.0)));
 
         c.roundtrip(r#"{"op":"shutdown"}"#);
         handle.join().unwrap().unwrap();

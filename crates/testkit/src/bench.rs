@@ -76,6 +76,15 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
+/// Runs `f` `iters` times and returns the time per call in ns.
+fn time_batch(f: &mut impl FnMut(), iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Defeats dead-code elimination of a benchmarked expression's result.
 ///
 /// A portable stand-in for `std::hint::black_box` semantics: the value is
@@ -150,10 +159,41 @@ impl Runner {
 
     /// Benchmarks `f`, which runs one iteration of the workload per call.
     pub fn bench(&mut self, name: impl Into<String>, mut f: impl FnMut()) {
-        let name = name.into();
+        let iters = self.calibrate(&mut f);
+        let per_iter_ns: Vec<f64> = (0..self.samples).map(|_| time_batch(&mut f, iters)).collect();
+        self.record(name.into(), per_iter_ns, iters);
+    }
 
-        // Warmup + calibration: double the batch until one batch crosses
-        // the per-sample floor.
+    /// Benchmarks `a` and `b` in alternation: each round takes one sample
+    /// of both, `a` first in even rounds and `b` first in odd ones, so
+    /// drift on the host (clock speed, neighbours) lands on both alike.
+    /// Records both stats like [`bench`](Self::bench) and returns each
+    /// round's `(a, b)` time per iteration in ns, for paired statistics.
+    pub fn bench_paired(
+        &mut self,
+        (name_a, mut a): (impl Into<String>, impl FnMut()),
+        (name_b, mut b): (impl Into<String>, impl FnMut()),
+    ) -> Vec<(f64, f64)> {
+        let iters = self.calibrate(&mut a).max(self.calibrate(&mut b));
+        let pairs: Vec<(f64, f64)> = (0..self.samples)
+            .map(|round| {
+                if round % 2 == 0 {
+                    let ta = time_batch(&mut a, iters);
+                    (ta, time_batch(&mut b, iters))
+                } else {
+                    let tb = time_batch(&mut b, iters);
+                    (time_batch(&mut a, iters), tb)
+                }
+            })
+            .collect();
+        self.record(name_a.into(), pairs.iter().map(|p| p.0).collect(), iters);
+        self.record(name_b.into(), pairs.iter().map(|p| p.1).collect(), iters);
+        pairs
+    }
+
+    /// Warmup + calibration: doubles the batch until one batch crosses the
+    /// per-sample floor, and returns that batch's iteration count.
+    fn calibrate(&self, f: &mut impl FnMut()) -> u64 {
         let mut iters: u64 = 1;
         loop {
             let start = Instant::now();
@@ -162,7 +202,7 @@ impl Runner {
             }
             let elapsed = start.elapsed();
             if elapsed >= self.min_sample || iters >= 1 << 30 {
-                break;
+                return iters;
             }
             // Jump straight toward the target once we have a signal.
             let scale = if elapsed.as_nanos() == 0 {
@@ -172,18 +212,12 @@ impl Runner {
             };
             iters = iters.saturating_mul(scale);
         }
+    }
 
-        let mut per_iter_ns: Vec<f64> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    f();
-                }
-                start.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect();
+    /// Summarizes per-iteration sample times into [`Stats`], prints them
+    /// and keeps them.
+    fn record(&mut self, name: String, mut per_iter_ns: Vec<f64>, iters: u64) {
         per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-
         let stats = Stats {
             name,
             min_ns: per_iter_ns[0],
@@ -289,6 +323,21 @@ mod tests {
         let s = &r.results()[0];
         assert!(s.min_ns > 0.0 && s.min_ns <= s.mean_ns * 1.5);
         assert!(s.iters_per_sample >= 1);
+    }
+
+    #[test]
+    fn paired_bench_records_both_sides_per_round() {
+        std::env::set_var("PQE_BENCH_SAMPLES", "3");
+        std::env::set_var("PQE_BENCH_MIN_SAMPLE_MS", "1");
+        let mut r = Runner::new("unit_paired");
+        let (mut na, mut nb) = (0u64, 0u64);
+        let pairs = r.bench_paired(("a", || na += 1), ("b", || nb += 1));
+        assert_eq!(pairs.len(), 3);
+        assert!(pairs.iter().all(|&(a, b)| a > 0.0 && b > 0.0));
+        let names: Vec<&str> = r.results().iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(r.results()[0].iters_per_sample, r.results()[1].iters_per_sample);
+        assert!(na > 0 && nb > 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
         "Thm 2 (NFA route)  : {:.1}   [{} states, strings of length {}]",
         via_nfa.reliability.to_f64(),
         via_nfa.automaton_states,
-        via_nfa.target_len
+        via_nfa.target_size
     );
 
     let via_nfta = ur_estimate(&q, &db, &cfg).unwrap();

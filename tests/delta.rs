@@ -9,11 +9,11 @@
 //! mutation: surviving facts keep their order, inserts append.
 
 use pqe::automata::FprasConfig;
-use pqe::core::{Method, Revalidation, RoutedPlan};
+use pqe::core::{Method, Plan, Revalidation, Target};
 use pqe::db::io::{load_str, save_string};
 use pqe::db::ProbDatabase;
-use pqe::delta::{Delta, VersionedDb};
-use pqe::query::parse;
+use pqe::delta::{Delta, Epochs, VersionedDb};
+use pqe::query::{parse, ConjunctiveQuery};
 use pqe_testkit::prelude::*;
 use std::collections::HashSet;
 
@@ -75,8 +75,12 @@ fn random_delta(h: &ProbDatabase, picks: &[(u8, u8, u8)]) -> Delta {
     Delta::parse_str(&text).expect("generated delta parses")
 }
 
-fn digits(plan: &RoutedPlan, cfg: &FprasConfig) -> String {
-    format!("{:.15e}", plan.execute(cfg).to_f64())
+fn digits(plan: &Plan, cfg: &FprasConfig) -> String {
+    format!("{:.15e}", plan.execute(cfg).unwrap().to_f64())
+}
+
+fn query_plan(q: &ConjunctiveQuery, method: Method, h: &ProbDatabase, epochs: &Epochs) -> Plan {
+    Plan::compile_at(Target::Query { q: q.clone(), method }, h, epochs).unwrap()
 }
 
 #[test]
@@ -104,10 +108,8 @@ fn delta_equals_rebuild_bit_for_bit() {
             // Compile against the base, mutate, revalidate in place.
             let mut vdb = VersionedDb::new(base);
             let mut plans = [
-                RoutedPlan::compile_at(&safe_q, vdb.current(), Method::Auto, vdb.epochs())
-                    .unwrap(),
-                RoutedPlan::compile_at(&hard_q, vdb.current(), Method::Fpras, vdb.epochs())
-                    .unwrap(),
+                query_plan(&safe_q, Method::Auto, vdb.current(), vdb.epochs()),
+                query_plan(&hard_q, Method::Fpras, vdb.current(), vdb.epochs()),
             ];
             let report = vdb.apply(&delta);
             prop_assert!(report.is_ok(), "apply failed: {}", report.unwrap_err());
@@ -137,8 +139,8 @@ fn delta_equals_rebuild_bit_for_bit() {
             // canonical writer (preserves surviving-fact order).
             let rebuilt = load_str(&canonical).unwrap();
             let fresh = [
-                RoutedPlan::compile(&safe_q, &rebuilt, Method::Auto).unwrap(),
-                RoutedPlan::compile(&hard_q, &rebuilt, Method::Fpras).unwrap(),
+                query_plan(&safe_q, Method::Auto, &rebuilt, &Epochs::new()),
+                query_plan(&hard_q, Method::Fpras, &rebuilt, &Epochs::new()),
             ];
 
             let mut single_threaded: Vec<String> = Vec::new();
@@ -174,8 +176,7 @@ fn second_revalidate_is_a_noop() {
             let base = load_str(&db_text(*edge_bits, probs)).unwrap();
             let mut vdb = VersionedDb::new(base);
             let q = parse("R1(x,y), R2(y,z), R3(z,x)").unwrap();
-            let mut plan =
-                RoutedPlan::compile_at(&q, vdb.current(), Method::Fpras, vdb.epochs()).unwrap();
+            let mut plan = query_plan(&q, Method::Fpras, vdb.current(), vdb.epochs());
 
             let delta = Delta::parse_str("~ 1/3 R1(c0,c1)").unwrap();
             vdb.apply(&delta).unwrap();

@@ -62,7 +62,7 @@ fn path_ur_estimate_is_bit_identical_across_runs() {
     let a = path_ur_estimate(&q, &db, &cfg).unwrap();
     let b = path_ur_estimate(&q, &db, &cfg).unwrap();
     assert_eq!(a.reliability.to_string(), b.reliability.to_string());
-    assert_eq!(a.target_len, b.target_len);
+    assert_eq!(a.target_size, b.target_size);
 }
 
 #[test]
