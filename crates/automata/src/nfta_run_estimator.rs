@@ -96,7 +96,7 @@ struct Entry {
 /// a tree key, first-tree sizes for a forest key — so a draw does one
 /// hash-free key lookup and one `f64` bisection per node.
 ///
-/// Keys are found through [`KeyIndex`]es: tree keys per state, forest
+/// Keys are found through `KeyIndex`es: tree keys per state, forest
 /// keys per interned forest id (see `forest_reg`), so lookups never hash
 /// or allocate. Looking up a key outside the closure is a bug in the
 /// caller and **panics**; it never reads as a silent zero.

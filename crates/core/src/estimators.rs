@@ -1,11 +1,13 @@
 //! The three estimators of the paper: `PathEstimate` (Thm 2),
 //! `UREstimate` (Thm 3), and `PQEEstimate` (Thm 1).
 
-use crate::arity::ArityMismatch;
-use crate::plan::{compile_pqe_plan, compile_ur_plan};
-use crate::reductions::{build_path_nfa, build_path_pqe_nfa, ReductionError};
+use crate::arity::{check_arities, ArityMismatch};
+use crate::plan::compile_ur_plan;
+use crate::reductions::{
+    build_path_nfa, build_path_pqe_nfa, build_pqe_automaton, PqeAutomaton, ReductionError,
+};
 use pqe_arith::{BigFloat, BigUint};
-use pqe_automata::{count_nfa, FprasConfig};
+use pqe_automata::{count_nfa, count_nfta, FprasConfig};
 use pqe_db::{Database, ProbDatabase};
 use pqe_query::ConjunctiveQuery;
 use std::time::Instant;
@@ -62,6 +64,54 @@ pub struct PqeReport {
     pub elapsed: std::time::Duration,
 }
 
+impl PqeReport {
+    /// The report of one counting run that found `count` accepted words or
+    /// trees of size `target_size`: `Pr = count / denominator`. Every
+    /// FPRAS route (Thm 1, the path NFA, the RPQ product) reports here.
+    pub(crate) fn from_count(
+        count: BigFloat,
+        denominator: BigUint,
+        target_size: usize,
+        automaton_states: usize,
+        automaton_size: usize,
+        cfg: &FprasConfig,
+        start: Instant,
+    ) -> PqeReport {
+        PqeReport {
+            probability: count / BigFloat::from_biguint(&denominator),
+            target_size,
+            denominator,
+            automaton_states,
+            automaton_size,
+            threads: cfg.effective_threads(),
+            elapsed: start.elapsed(),
+        }
+    }
+}
+
+/// The Theorem 1 build step, under the `compile` span: everything
+/// `PQEEstimate` derives from `(Q, H)` alone, after checking the query's
+/// arities against the schema.
+pub(crate) fn compile_pqe(
+    q: &ConjunctiveQuery,
+    h: &ProbDatabase,
+) -> Result<PqeAutomaton, EstimateError> {
+    check_arities(q, h.database().schema())?;
+    let _span = pqe_obs::span::span("compile");
+    Ok(build_pqe_automaton(q, h)?)
+}
+
+/// The Theorem 1 count step, under the `execute` span: CountNFTA on the
+/// compiled automaton, divided by the denominator. `elapsed` covers only
+/// this step.
+pub(crate) fn count_pqe(pqe: &PqeAutomaton, cfg: &FprasConfig) -> PqeReport {
+    let _span = pqe_obs::span::span("execute");
+    let start = Instant::now();
+    let trees = count_nfta(&pqe.nfta, pqe.target_size, cfg);
+    let (states, size) = (pqe.nfta.num_states(), pqe.nfta.size());
+    PqeReport::from_count(trees, pqe.denominator.clone(), pqe.target_size, states, size, cfg, start)
+}
+
 /// `PQEEstimate(Q, H)` — Theorem 1: a `(1±ε)` approximation of `Pr_H(Q)`
 /// for self-join-free bounded-hypertree-width conjunctive queries, in time
 /// `poly(|Q|, |H|, ε⁻¹)`.
@@ -69,9 +119,9 @@ pub struct PqeReport {
 /// The empty query is certain (`Pr = 1`); a query over relations with no
 /// facts gets probability 0 — both handled by the construction itself.
 ///
-/// This is exactly [`compile_pqe_plan`] followed by
-/// [`PqePlan::execute`](crate::plan::PqePlan::execute); callers that
-/// evaluate the same `(Q, H)` repeatedly should compile once and execute
+/// It runs the same build and count steps as the FPRAS route of
+/// [`RoutedPlan`](crate::RoutedPlan); callers that evaluate the same
+/// `(Q, H)` repeatedly should compile a `RoutedPlan` once and execute it
 /// per request — the result is bit-identical either way.
 pub fn pqe_estimate(
     q: &ConjunctiveQuery,
@@ -79,8 +129,7 @@ pub fn pqe_estimate(
     cfg: &FprasConfig,
 ) -> Result<PqeReport, EstimateError> {
     let start = Instant::now();
-    let plan = compile_pqe_plan(q, h)?;
-    let mut report = plan.execute(cfg);
+    let mut report = count_pqe(&compile_pqe(q, h)?, cfg);
     report.elapsed = start.elapsed();
     Ok(report)
 }
@@ -107,10 +156,36 @@ pub struct UrReport {
     pub elapsed: std::time::Duration,
 }
 
+impl UrReport {
+    /// The report of one counting run that found `count` accepted words or
+    /// trees of size `target_size`, with the `2^dropped_facts` free facts
+    /// folded in. Both reliability routes (Thm 2, Thm 3) report here.
+    pub(crate) fn from_count(
+        count: BigFloat,
+        dropped_facts: usize,
+        target_size: usize,
+        automaton_states: usize,
+        automaton_size: usize,
+        cfg: &FprasConfig,
+        start: Instant,
+    ) -> UrReport {
+        UrReport {
+            reliability: count.scale_exp(dropped_facts as i64),
+            target_size,
+            dropped_facts,
+            automaton_states,
+            automaton_size,
+            threads: cfg.effective_threads(),
+            elapsed: start.elapsed(),
+        }
+    }
+}
+
 /// `UREstimate(Q, D)` — Theorem 3: a `(1±ε)` approximation of the uniform
 /// reliability `UR(Q, D)` (the number of satisfying subinstances).
 ///
-/// Like [`pqe_estimate`], this is [`compile_ur_plan`] followed by
+/// Like [`pqe_estimate`], a build step then a count step:
+/// [`compile_ur_plan`] followed by
 /// [`UrPlan::execute`](crate::plan::UrPlan::execute).
 pub fn ur_estimate(
     q: &ConjunctiveQuery,
@@ -133,17 +208,11 @@ pub fn path_ur_estimate(
     cfg: &FprasConfig,
 ) -> Result<UrReport, EstimateError> {
     let start = Instant::now();
+    check_arities(q, db.schema())?;
     let p = build_path_nfa(q, db)?;
     let strings = count_nfa(&p.nfa, p.target_len, cfg);
-    Ok(UrReport {
-        reliability: strings.scale_exp(p.dropped_facts as i64),
-        target_size: p.target_len,
-        dropped_facts: p.dropped_facts,
-        automaton_states: p.nfa.num_states(),
-        automaton_size: p.nfa.size(),
-        threads: cfg.effective_threads(),
-        elapsed: start.elapsed(),
-    })
+    let (states, size) = (p.nfa.num_states(), p.nfa.size());
+    Ok(UrReport::from_count(strings, p.dropped_facts, p.target_len, states, size, cfg, start))
 }
 
 /// `PathPQEEstimate(Q, H)` — the weighted extension of Theorem 2 (see
@@ -155,18 +224,11 @@ pub fn path_pqe_estimate(
     cfg: &FprasConfig,
 ) -> Result<PqeReport, EstimateError> {
     let start = Instant::now();
+    check_arities(q, h.database().schema())?;
     let p = build_path_pqe_nfa(q, h)?;
     let strings = count_nfa(&p.nfa, p.target_len, cfg);
-    let probability = strings / BigFloat::from_biguint(&p.denominator);
-    Ok(PqeReport {
-        probability,
-        target_size: p.target_len,
-        denominator: p.denominator,
-        automaton_states: p.nfa.num_states(),
-        automaton_size: p.nfa.size(),
-        threads: cfg.effective_threads(),
-        elapsed: start.elapsed(),
-    })
+    let (states, size) = (p.nfa.num_states(), p.nfa.size());
+    Ok(PqeReport::from_count(strings, p.denominator, p.target_len, states, size, cfg, start))
 }
 
 /// Sensitivity of the query probability to one fact: estimates the
@@ -357,5 +419,22 @@ mod tests {
         let h = ProbDatabase::uniform(db.clone(), Rational::from_ratio(1, 2));
         assert!(pqe_estimate(&shapes::self_join_path(2), &h, &cfg()).is_err());
         assert!(path_ur_estimate(&shapes::star_query(2), &db, &cfg()).is_err());
+
+        // Atoms whose arity disagrees with the schema are refused, never
+        // answered by pairing a prefix of the terms.
+        let arity = |r| matches!(r, Err(EstimateError::Arity(_)));
+        for q in ["R(x,y,z), S(z,w)", "R(x), S(x,w)"] {
+            let q = pqe_query::parse(q).unwrap();
+            assert!(arity(pqe_estimate(&q, &h, &cfg()).map(|_| ())), "{q}");
+        }
+        let mut db = pqe_db::Database::new(pqe_db::Schema::new([("R", 3), ("S", 2)]));
+        db.add_fact("R", &["a", "b", "c"]).unwrap();
+        db.add_fact("S", &["b", "c"]).unwrap();
+        let h = ProbDatabase::uniform(db.clone(), Rational::from_ratio(1, 2));
+        let q = pqe_query::parse("R(x,y), S(y,z)").unwrap();
+        assert!(arity(pqe_estimate(&q, &h, &cfg()).map(|_| ())));
+        assert!(arity(path_ur_estimate(&q, &db, &cfg()).map(|_| ())));
+        assert!(arity(path_pqe_estimate(&q, &h, &cfg()).map(|_| ())));
+        assert!(arity(fact_influence(&q, &h, pqe_db::FactId(0), &cfg()).map(|_| ())));
     }
 }

@@ -8,7 +8,7 @@
 //!   sums the probabilities of the `2^m` worlds by a pruned edge-factoring
 //!   search over integer weights — exact, exponential in the worst case,
 //!   and so only attempted up to [`pqe_graph::MAX_ENUM_EDGES`] edges;
-//! * **combined FPRAS** ([`pqe_graph::compile`] + [`count_nfa`]): the
+//! * **combined FPRAS** ([`pqe_graph::compile()`] + [`count_nfa`]): the
 //!   RPQ × graph layered product NFA, counted with the ACJR CountNFA
 //!   FPRAS. Sound only on **acyclic** graphs — no combined FPRAS is known
 //!   for RPQ reliability over cyclic probabilistic graphs (the DAG
@@ -26,7 +26,7 @@
 
 use crate::router::{closest, Route, RouteDecision, RoutedAnswer, RouterError};
 use crate::PqeReport;
-use pqe_arith::{BigFloat, Rational};
+use pqe_arith::Rational;
 use pqe_automata::{count_nfa, FprasConfig, Nfa};
 use pqe_graph::{CompileError, CompiledRpq, OracleError, ProbGraph, Rpq, MAX_ENUM_EDGES};
 use std::time::Instant;
@@ -193,16 +193,6 @@ impl GraphPlan {
         })
     }
 
-    /// Parses, routes, and compiles an RPQ given as text.
-    pub fn compile_str(
-        g: &ProbGraph,
-        rpq: &str,
-        method: GraphMethod,
-    ) -> Result<GraphPlan, RouterError> {
-        let rpq = pqe_graph::parse(rpq)?;
-        GraphPlan::compile(g, &rpq, method)
-    }
-
     /// Runs the routed engine. Pure function of `(plan, ε, seed,
     /// threads)`: the FPRAS path is `count_nfa` on the compiled product
     /// (bit-identical per seed at any thread count), reported as a
@@ -217,15 +207,9 @@ impl GraphPlan {
                     let _span = pqe_obs::span::span("graph.count");
                     count_nfa(&c.nfa, c.target_len, cfg)
                 };
-                RoutedAnswer::Estimate(PqeReport {
-                    probability: count / BigFloat::from_biguint(&c.denominator),
-                    target_size: c.target_len,
-                    denominator: c.denominator.clone(),
-                    automaton_states: c.nfa.num_states(),
-                    automaton_size: c.nfa.size(),
-                    threads: cfg.effective_threads(),
-                    elapsed: start.elapsed(),
-                })
+                let (d, k) = (c.denominator.clone(), c.target_len);
+                let (states, size) = (c.nfa.num_states(), c.nfa.size());
+                RoutedAnswer::Estimate(PqeReport::from_count(count, d, k, states, size, cfg, start))
             }
         }
     }
@@ -252,6 +236,10 @@ impl GraphPlan {
 mod tests {
     use super::*;
     use pqe_graph::load_str;
+
+    fn rpq(text: &str) -> Rpq {
+        pqe_graph::parse(text).unwrap()
+    }
 
     fn diamond() -> ProbGraph {
         load_str(
@@ -301,13 +289,13 @@ mod tests {
     fn both_routes_agree_on_the_diamond() {
         let g = diamond();
         let cfg = FprasConfig::with_epsilon(0.05).with_seed(7);
-        let exact = GraphPlan::compile_str(&g, "a -> r.r -> d", GraphMethod::Enum)
+        let exact = GraphPlan::compile(&g, &rpq("a -> r.r -> d"), GraphMethod::Enum)
             .unwrap()
             .execute(&cfg);
         // Two independent 2-hop routes of prob 1/4 each: 1 - (3/4)^2 = 7/16.
         assert_eq!(exact.exact().unwrap(), &Rational::from_ratio(7, 16));
 
-        let plan = GraphPlan::compile_str(&g, "a -> r.r -> d", GraphMethod::Fpras).unwrap();
+        let plan = GraphPlan::compile(&g, &rpq("a -> r.r -> d"), GraphMethod::Fpras).unwrap();
         assert_eq!(plan.decision.route, Route::Fpras);
         assert!(plan.automaton_states() > 0);
         assert!(plan.nfa().is_some());
@@ -319,12 +307,12 @@ mod tests {
     #[test]
     fn cyclic_graph_is_refused_by_the_fpras_route() {
         let g = load_str("1/2 a -r-> b\n1/2 b -r-> a\n").unwrap();
-        match GraphPlan::compile_str(&g, "a -> r* -> b", GraphMethod::Fpras) {
+        match GraphPlan::compile(&g, &rpq("a -> r* -> b"), GraphMethod::Fpras) {
             Err(RouterError::Graph(CompileError::CyclicGraph { .. })) => {}
             other => panic!("expected CyclicGraph, got {:?}", other.err()),
         }
         // ...but small cyclic instances still enumerate exactly.
-        let plan = GraphPlan::compile_str(&g, "a -> r* -> b", GraphMethod::Auto).unwrap();
+        let plan = GraphPlan::compile(&g, &rpq("a -> r* -> b"), GraphMethod::Auto).unwrap();
         assert_eq!(plan.decision.route, Route::Enum);
         let p = plan.execute(&FprasConfig::default());
         assert_eq!(p.exact().unwrap(), &Rational::from_ratio(1, 2));
@@ -335,15 +323,15 @@ mod tests {
         let g = diamond();
         let c = pqe_obs::metrics::counter("router.route.graph");
         let before = c.get();
-        GraphPlan::compile_str(&g, "a -> r.r -> d", GraphMethod::Auto).unwrap();
-        GraphPlan::compile_str(&g, "a -> r.r -> d", GraphMethod::Fpras).unwrap();
+        GraphPlan::compile(&g, &rpq("a -> r.r -> d"), GraphMethod::Auto).unwrap();
+        GraphPlan::compile(&g, &rpq("a -> r.r -> d"), GraphMethod::Fpras).unwrap();
         assert_eq!(c.get(), before + 2);
     }
 
     #[test]
     fn execution_is_deterministic_and_thread_invariant() {
         let g = diamond();
-        let plan = GraphPlan::compile_str(&g, "_ -> r.r -> _", GraphMethod::Fpras).unwrap();
+        let plan = GraphPlan::compile(&g, &rpq("_ -> r.r -> _"), GraphMethod::Fpras).unwrap();
         let base = FprasConfig::with_epsilon(0.1).with_seed(0xAB);
         let reference = plan.execute(&base.clone().with_threads(1)).to_bigfloat();
         for threads in [2usize, 4, 8] {

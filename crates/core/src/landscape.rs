@@ -29,6 +29,21 @@ pub enum Verdict {
     Open,
 }
 
+impl Verdict {
+    /// One line of advice on which algorithm to run, as `pqe classify`
+    /// and the `classify` wire op print it.
+    pub fn advice(self) -> &'static str {
+        match self {
+            Verdict::ExactAndFpras => {
+                "safe: exact lifted inference applies (and so does the FPRAS)"
+            }
+            Verdict::FprasOnly => "#P-hard exactly; the combined FPRAS is the guaranteed option",
+            Verdict::ExactOnly => "exact lifted inference only (width unbounded)",
+            Verdict::Open => "outside all positive cells of Table 1",
+        }
+    }
+}
+
 /// A query's position in the Table 1 landscape.
 #[derive(Debug, Clone)]
 pub struct Classification {

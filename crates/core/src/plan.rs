@@ -9,14 +9,15 @@
 //! it once, then every estimate at any `(ε, seed)` is just the
 //! `poly(|H|, ε⁻¹)` counting phase on the compiled automaton.
 //!
-//! [`PqePlan`] and [`UrPlan`] are those prefixes as first-class values.
-//! [`pqe_estimate`](crate::pqe_estimate) and
-//! [`ur_estimate`](crate::ur_estimate) are now thin wrappers — compile
-//! then execute — so an estimate produced through a cached plan is
-//! **bit-identical** to a one-shot call with the same config (asserted in
-//! the tests below and in `tests/determinism.rs`). Plans are `Send + Sync`
-//! (everything inside is plain owned data), so a service can share one
-//! plan across request threads behind an `Arc`.
+//! [`RoutedPlan`] (whose FPRAS route holds the Theorem 1 automaton) and
+//! [`UrPlan`] are those prefixes as first-class values.
+//! [`pqe_estimate`](crate::pqe_estimate) runs the same build and count
+//! steps as the routed FPRAS route, and [`ur_estimate`](crate::ur_estimate)
+//! is [`compile_ur_plan`] then [`UrPlan::execute`], so an estimate produced
+//! through a cached plan is **bit-identical** to a one-shot call with the
+//! same config (asserted in the tests below and in `tests/determinism.rs`).
+//! Plans are `Send + Sync` (everything inside is plain owned data), so a
+//! service can share one plan across request threads behind an `Arc`.
 //!
 //! [`Plan`] is the lifecycle on top: it compiles one [`Target`] (a routed
 //! CQ, a conditional, a reliability or an RPQ) at the database's current
@@ -24,15 +25,11 @@
 //! ([`Plan::revalidate`], the only freshness policy in the workspace), and
 //! runs it at any `(ε, seed)` ([`Plan::execute`]).
 
-use crate::landscape::{self, Classification};
-use crate::reductions::{
-    build_pqe_automaton, build_ur_automaton, PqeAutomaton, ReweightError,
-};
+use crate::reductions::build_ur_automaton;
 use crate::{
-    ConditionalPlan, ConditionalReport, EstimateError, GraphMethod, GraphPlan, Method, PqeReport,
+    ConditionalPlan, ConditionalReport, EstimateError, GraphMethod, GraphPlan, Method,
     RoutedAnswer, RoutedPlan, RouterError, UrReport,
 };
-use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{count_nfta, FprasConfig, Nfta};
 use pqe_db::{Database, ProbDatabase};
 use pqe_delta::{EpochStamp, Epochs, Freshness};
@@ -45,129 +42,16 @@ use std::time::Instant;
 // build, not the downstream service, if a field ever loses Sync.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<PqePlan>();
     assert_send_sync::<UrPlan>();
     assert_send_sync::<Plan>();
 };
 
-/// The cacheable prefix of `PQEEstimate`: everything derived from
-/// `(Q, H)` alone.
-pub struct PqePlan {
-    /// Where the query sits in the paper's Table 1.
-    pub classification: Classification,
-    kind: PqePlanKind,
-}
-
-enum PqePlanKind {
-    /// The empty query is certain; there is no automaton.
-    Certain,
-    /// The §5.2 automaton, ready for repeated counting runs.
-    Automaton(Box<PqeAutomaton>),
-}
-
-/// Compiles the `PQEEstimate` prefix for `(q, h)`: classification plus the
-/// Theorem 1 automaton. Fails exactly when [`pqe_estimate`] would
-/// (self-joins, unbounded width, …).
-///
-/// [`pqe_estimate`]: crate::pqe_estimate
-pub fn compile_pqe_plan(
-    q: &ConjunctiveQuery,
-    h: &ProbDatabase,
-) -> Result<PqePlan, EstimateError> {
-    let _span = pqe_obs::span::span("compile");
-    let classification = landscape::classify(q);
-    let kind = if q.is_empty() {
-        PqePlanKind::Certain
-    } else {
-        PqePlanKind::Automaton(Box::new(build_pqe_automaton(q, h)?))
-    };
-    Ok(PqePlan { classification, kind })
-}
-
-impl PqePlan {
-    /// Runs the counting phase on the compiled automaton. For a fixed
-    /// `cfg` the result is bit-identical to
-    /// [`pqe_estimate`](crate::pqe_estimate) on the original inputs
-    /// (`elapsed` covers only this execution, not compilation).
-    pub fn execute(&self, cfg: &FprasConfig) -> PqeReport {
-        let _span = pqe_obs::span::span("execute");
-        let start = Instant::now();
-        match &self.kind {
-            PqePlanKind::Certain => PqeReport {
-                probability: BigFloat::one(),
-                target_size: 0,
-                denominator: BigUint::one(),
-                automaton_states: 0,
-                automaton_size: 0,
-                threads: cfg.effective_threads(),
-                elapsed: start.elapsed(),
-            },
-            PqePlanKind::Automaton(pqe) => {
-                let trees = count_nfta(&pqe.nfta, pqe.target_size, cfg);
-                let probability = trees / BigFloat::from_biguint(&pqe.denominator);
-                PqeReport {
-                    probability,
-                    target_size: pqe.target_size,
-                    denominator: pqe.denominator.clone(),
-                    automaton_states: pqe.nfta.num_states(),
-                    automaton_size: pqe.nfta.size(),
-                    threads: cfg.effective_threads(),
-                    elapsed: start.elapsed(),
-                }
-            }
-        }
-    }
-
-    /// Recomputes the multiplier gadgets from `h`'s current probabilities
-    /// in place, reusing the compiled automaton structure — the incremental
-    /// refresh for probability-only deltas. Fails with
-    /// [`ReweightError::StructureChanged`] when the fact set differs, in
-    /// which case the caller should recompile. Subsequent
-    /// [`execute`](PqePlan::execute) calls are bit-identical to a freshly
-    /// compiled plan on the same `(q, h, cfg)`.
-    pub fn reweight(
-        &mut self,
-        q: &ConjunctiveQuery,
-        h: &ProbDatabase,
-    ) -> Result<(), ReweightError> {
-        match &mut self.kind {
-            PqePlanKind::Certain => Ok(()),
-            PqePlanKind::Automaton(pqe) => pqe.reweight(q, h),
-        }
-    }
-
-    /// States of the compiled automaton (0 for the trivial plan).
-    pub fn automaton_states(&self) -> usize {
-        match &self.kind {
-            PqePlanKind::Certain => 0,
-            PqePlanKind::Automaton(pqe) => pqe.nfta.num_states(),
-        }
-    }
-
-    /// The compiled NFTA, when one was built (`None` for the trivial
-    /// plan). `--dump-automaton` renders this as Graphviz DOT.
-    pub fn nfta(&self) -> Option<&Nfta> {
-        match &self.kind {
-            PqePlanKind::Certain => None,
-            PqePlanKind::Automaton(pqe) => Some(&pqe.nfta),
-        }
-    }
-}
-
 /// The cacheable prefix of `UREstimate`: the translated Proposition 1
 /// automaton for `(Q, D)`.
 pub struct UrPlan {
-    kind: UrPlanKind,
-}
-
-enum UrPlanKind {
-    /// Empty query: every one of the `2^|D|` subinstances satisfies it.
-    Certain { db_len: usize },
-    Automaton {
-        nfta: Nfta,
-        target_size: usize,
-        dropped_facts: usize,
-    },
+    nfta: Nfta,
+    target_size: usize,
+    dropped_facts: usize,
 }
 
 /// Compiles the `UREstimate` prefix for `(q, db)`, after checking the
@@ -175,21 +59,12 @@ enum UrPlanKind {
 pub fn compile_ur_plan(q: &ConjunctiveQuery, db: &Database) -> Result<UrPlan, EstimateError> {
     crate::check_arities(q, db.schema())?;
     let _span = pqe_obs::span::span("compile");
-    let kind = if q.is_empty() {
-        UrPlanKind::Certain { db_len: db.len() }
-    } else {
-        let ur = build_ur_automaton(q, db)?;
-        let (nfta, _) = {
-            let _t = pqe_obs::span::span("translate");
-            ur.aug.translate()
-        };
-        UrPlanKind::Automaton {
-            nfta,
-            target_size: ur.target_size,
-            dropped_facts: ur.dropped_facts,
-        }
+    let ur = build_ur_automaton(q, db)?;
+    let (nfta, _) = {
+        let _t = pqe_obs::span::span("translate");
+        ur.aug.translate()
     };
-    Ok(UrPlan { kind })
+    Ok(UrPlan { nfta, target_size: ur.target_size, dropped_facts: ur.dropped_facts })
 }
 
 impl UrPlan {
@@ -198,33 +73,9 @@ impl UrPlan {
     pub fn execute(&self, cfg: &FprasConfig) -> UrReport {
         let _span = pqe_obs::span::span("execute");
         let start = Instant::now();
-        match &self.kind {
-            UrPlanKind::Certain { db_len } => UrReport {
-                reliability: BigFloat::one().scale_exp(*db_len as i64),
-                target_size: 0,
-                dropped_facts: *db_len,
-                automaton_states: 0,
-                automaton_size: 0,
-                threads: cfg.effective_threads(),
-                elapsed: start.elapsed(),
-            },
-            UrPlanKind::Automaton {
-                nfta,
-                target_size,
-                dropped_facts,
-            } => {
-                let trees = count_nfta(nfta, *target_size, cfg);
-                UrReport {
-                    reliability: trees.scale_exp(*dropped_facts as i64),
-                    target_size: *target_size,
-                    dropped_facts: *dropped_facts,
-                    automaton_states: nfta.num_states(),
-                    automaton_size: nfta.size(),
-                    threads: cfg.effective_threads(),
-                    elapsed: start.elapsed(),
-                }
-            }
-        }
+        let trees = count_nfta(&self.nfta, self.target_size, cfg);
+        let (states, size) = (self.nfta.num_states(), self.nfta.size());
+        UrReport::from_count(trees, self.dropped_facts, self.target_size, states, size, cfg, start)
     }
 }
 
@@ -457,7 +308,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{pqe_estimate, ur_estimate};
+    use crate::{pqe_estimate, ur_estimate, PqeReport};
     use pqe_db::generators;
     use pqe_query::shapes;
     use pqe_rand::rngs::StdRng;
@@ -470,16 +321,27 @@ mod tests {
         (shapes::path_query(3), h)
     }
 
+    fn fpras_plan(q: &ConjunctiveQuery, h: &ProbDatabase) -> RoutedPlan {
+        RoutedPlan::compile(q, h, Method::Fpras).unwrap()
+    }
+
+    fn estimate(plan: &RoutedPlan, cfg: &FprasConfig) -> PqeReport {
+        match plan.execute(cfg) {
+            RoutedAnswer::Estimate(r) => r,
+            RoutedAnswer::Exact(_) => panic!("expected an FPRAS estimate"),
+        }
+    }
+
     #[test]
     fn cached_plan_reproduces_one_shot_estimate_bit_for_bit() {
         let (q, h) = fixture();
         let cfg = FprasConfig::with_epsilon(0.3).with_seed(0x1234);
-        let plan = compile_pqe_plan(&q, &h).unwrap();
+        let plan = fpras_plan(&q, &h);
         let direct = pqe_estimate(&q, &h, &cfg).unwrap();
         // Two executions of the same plan, interleaved with the one-shot
         // path: all three must agree to the last bit.
         for _ in 0..2 {
-            let via_plan = plan.execute(&cfg);
+            let via_plan = estimate(&plan, &cfg);
             assert_eq!(via_plan.probability.to_string(), direct.probability.to_string());
             assert_eq!(via_plan.target_size, direct.target_size);
             assert_eq!(via_plan.denominator, direct.denominator);
@@ -503,9 +365,9 @@ mod tests {
     #[test]
     fn plan_execution_varies_with_seed_but_not_repetition() {
         let (q, h) = fixture();
-        let plan = compile_pqe_plan(&q, &h).unwrap();
-        let a = plan.execute(&FprasConfig::with_epsilon(0.3).with_seed(1));
-        let a2 = plan.execute(&FprasConfig::with_epsilon(0.3).with_seed(1));
+        let plan = fpras_plan(&q, &h);
+        let a = estimate(&plan, &FprasConfig::with_epsilon(0.3).with_seed(1));
+        let a2 = estimate(&plan, &FprasConfig::with_epsilon(0.3).with_seed(1));
         assert_eq!(a.probability.to_string(), a2.probability.to_string());
     }
 
@@ -513,10 +375,9 @@ mod tests {
     fn empty_query_plan_is_certain() {
         let (_, h) = fixture();
         let q = shapes::path_query(1).restrict_atoms(&[]);
-        let plan = compile_pqe_plan(&q, &h).unwrap();
-        let r = plan.execute(&FprasConfig::default());
+        let plan = fpras_plan(&q, &h);
+        let r = estimate(&plan, &FprasConfig::default());
         assert_eq!(r.probability.to_f64(), 1.0);
-        assert_eq!(plan.automaton_states(), 0);
         let ur = compile_ur_plan(&q, h.database()).unwrap();
         let r = ur.execute(&FprasConfig::default());
         assert_eq!(r.dropped_facts, h.len());
@@ -525,14 +386,14 @@ mod tests {
     #[test]
     fn compile_fails_where_estimate_fails() {
         let (_, h) = fixture();
-        assert!(compile_pqe_plan(&shapes::self_join_path(2), &h).is_err());
+        assert!(RoutedPlan::compile(&shapes::self_join_path(2), &h, Method::Fpras).is_err());
         assert!(compile_ur_plan(&shapes::self_join_path(2), h.database()).is_err());
     }
 
     #[test]
     fn classification_is_attached() {
         let (q, h) = fixture();
-        let plan = compile_pqe_plan(&q, &h).unwrap();
+        let plan = fpras_plan(&q, &h);
         assert!(plan.classification.three_path);
         assert!(!plan.classification.safe);
         assert!(plan.automaton_states() > 0);

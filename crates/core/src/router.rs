@@ -1,7 +1,7 @@
 //! The query router: one audited dispatch point for every estimate.
 //!
 //! The Dalvi–Suciu dichotomy makes hierarchical self-join-free CQs PTIME
-//! *exact* (the safe-plan recursion of [`crate::baselines::lifted`]),
+//! *exact* (the safe-plan recursion of [`crate::baselines::lifted_pqe`]),
 //! while the paper's combined FPRAS covers the bounded-width unsafe cell.
 //! [`RoutedPlan::compile`] turns that Table 1 cell (computed by
 //! [`landscape::classify`]) into an engine choice — safe ⇒ exact lifted
@@ -10,6 +10,9 @@
 //! and bumping the `router.route.{lifted,fpras}` counters in the
 //! `pqe-obs` registry. The CLI and `pqe-serve` both dispatch through this
 //! module, so the two surfaces can no longer diverge on routing policy.
+//! The FPRAS route holds the Theorem 1 automaton itself, built and counted
+//! by the same two steps as [`crate::pqe_estimate`], so a routed estimate
+//! and a one-shot one are bit-identical by construction.
 //!
 //! On top of the router sits **conditional evaluation**
 //! ([`ConditionalPlan`]): `P(Q | E) = P(Q ∧ E) / P(E)` for evidence `E`
@@ -43,13 +46,14 @@
 //! reads and owns the one freshness policy (see [`crate::Plan::revalidate`]
 //! for the table). The only refresh a routed plan does itself is
 //! `RoutedPlan::reweight`: the in-place probability refresh of the
-//! lifted closed form or the compiled automaton.
+//! lifted closed form or of the automaton
+//! ([`PqeAutomaton::reweight`](crate::reductions::PqeAutomaton::reweight)).
 
 use crate::arity::{check_arities, ArityMismatch};
 use crate::baselines::{lifted_pqe, LiftedError};
+use crate::estimators::{compile_pqe, count_pqe};
 use crate::landscape::{self, Classification};
-use crate::plan::{compile_pqe_plan, PqePlan};
-use crate::reductions::ReweightError;
+use crate::reductions::{PqeAutomaton, ReweightError};
 use crate::{EstimateError, PqeReport};
 use pqe_arith::{BigFloat, Rational};
 use pqe_automata::FprasConfig;
@@ -210,8 +214,8 @@ pub fn decide(class: &Classification, method: Method) -> RouteDecision {
 }
 
 /// Routing/evaluation failure: an engine's compile error, zero-probability
-/// evidence in a conditional query, or an RPQ the graph router cannot
-/// answer.
+/// evidence in a conditional query, or a graph instance the graph router
+/// cannot answer.
 #[derive(Debug)]
 pub enum RouterError {
     /// A query atom's arity disagrees with the database schema.
@@ -225,8 +229,6 @@ pub enum RouterError {
         /// What made the evidence impossible.
         detail: String,
     },
-    /// The RPQ could not be parsed.
-    Rpq(pqe_graph::RpqParseError),
     /// The product construction refused the graph instance (cyclic graph
     /// or an unknown endpoint vertex).
     Graph(pqe_graph::CompileError),
@@ -249,7 +251,6 @@ impl std::fmt::Display for RouterError {
             RouterError::ZeroEvidence { detail } => {
                 write!(f, "P(E) = 0, conditional probability undefined: {detail}")
             }
-            RouterError::Rpq(e) => write!(f, "{e}"),
             RouterError::Graph(e) => write!(f, "{e}"),
             RouterError::EnumTooLarge { edges, bound } => write!(
                 f,
@@ -279,12 +280,6 @@ impl From<EstimateError> for RouterError {
     }
 }
 
-impl From<pqe_graph::RpqParseError> for RouterError {
-    fn from(e: pqe_graph::RpqParseError) -> Self {
-        RouterError::Rpq(e)
-    }
-}
-
 impl From<pqe_graph::CompileError> for RouterError {
     fn from(e: pqe_graph::CompileError) -> Self {
         RouterError::Graph(e)
@@ -305,7 +300,7 @@ pub struct RoutedPlan {
 
 enum RoutedKind {
     Lifted { exact: Rational },
-    Fpras(Box<PqePlan>),
+    Fpras(Box<PqeAutomaton>),
 }
 
 /// The answer a routed plan produces — a [`RoutedPlan`] or a
@@ -362,7 +357,7 @@ impl RoutedPlan {
             RoutedKind::Lifted { exact: lifted_pqe(q, h)? }
         } else {
             pqe_obs::metrics::counter("router.route.fpras").inc();
-            RoutedKind::Fpras(Box::new(compile_pqe_plan(q, h)?))
+            RoutedKind::Fpras(Box::new(compile_pqe(q, h)?))
         };
         Ok(RoutedPlan { classification, decision, kind })
     }
@@ -370,7 +365,7 @@ impl RoutedPlan {
     /// Refreshes the plan in place after a probability-only change to
     /// `h`, for the query `q` it was compiled from: the lifted route
     /// re-solves its closed form, the FPRAS route reweights its automaton
-    /// ([`PqePlan::reweight`]). Returns `false`, leaving the plan
+    /// ([`PqeAutomaton::reweight`]). Returns `false`, leaving the plan
     /// untouched, when the projected fact set moved after all (say, a
     /// caller-managed database that skipped a structural epoch): then
     /// only a recompile is sound.
@@ -386,7 +381,7 @@ impl RoutedPlan {
             // The safe route's artifact *is* the answer: re-solving the
             // closed form is the increment.
             RoutedKind::Lifted { exact } => *exact = lifted_pqe(q, h)?,
-            RoutedKind::Fpras(plan) => match plan.reweight(q, h) {
+            RoutedKind::Fpras(pqe) => match pqe.reweight(q, h) {
                 Ok(()) => {}
                 Err(ReweightError::StructureChanged) => return Ok(false),
             },
@@ -394,15 +389,14 @@ impl RoutedPlan {
         Ok(true)
     }
 
-    /// Runs the routed engine. The FPRAS path is exactly
-    /// [`PqePlan::execute`] — bit-identical to a one-shot
-    /// [`crate::pqe_estimate`] call with the same config — and the lifted
-    /// path returns the precomputed exact rational, so execution never
-    /// perturbs determinism golden digits.
+    /// Runs the routed engine. The FPRAS path runs the same count step as
+    /// a one-shot [`crate::pqe_estimate`] call — bit-identical with the
+    /// same config — and the lifted path returns the precomputed exact
+    /// rational, so execution never perturbs determinism golden digits.
     pub fn execute(&self, cfg: &FprasConfig) -> RoutedAnswer {
         match &self.kind {
             RoutedKind::Lifted { exact } => RoutedAnswer::Exact(exact.clone()),
-            RoutedKind::Fpras(plan) => RoutedAnswer::Estimate(plan.execute(cfg)),
+            RoutedKind::Fpras(pqe) => RoutedAnswer::Estimate(count_pqe(pqe, cfg)),
         }
     }
 
@@ -410,7 +404,7 @@ impl RoutedPlan {
     pub fn automaton_states(&self) -> usize {
         match &self.kind {
             RoutedKind::Lifted { .. } => 0,
-            RoutedKind::Fpras(plan) => plan.automaton_states(),
+            RoutedKind::Fpras(pqe) => pqe.nfta.num_states(),
         }
     }
 
@@ -419,7 +413,7 @@ impl RoutedPlan {
     pub fn nfta(&self) -> Option<&pqe_automata::Nfta> {
         match &self.kind {
             RoutedKind::Lifted { .. } => None,
-            RoutedKind::Fpras(plan) => plan.nfta(),
+            RoutedKind::Fpras(pqe) => Some(&pqe.nfta),
         }
     }
 }
@@ -795,7 +789,7 @@ mod tests {
         let cfg = FprasConfig::with_epsilon(0.3).with_seed(0x1234);
         let routed = RoutedPlan::compile(&q, &h, Method::Auto).unwrap();
         assert_eq!(routed.decision.route, Route::Fpras);
-        let direct = compile_pqe_plan(&q, &h).unwrap().execute(&cfg);
+        let direct = crate::pqe_estimate(&q, &h, &cfg).unwrap();
         let RoutedAnswer::Estimate(r) = routed.execute(&cfg) else {
             panic!("expected an estimate");
         };

@@ -18,7 +18,8 @@
 //! query is satisfied") and is intractable by rejection when `Pr_H(Q)` is
 //! small.
 
-use crate::reductions::{build_pqe_automaton, build_ur_automaton, ReductionError};
+use crate::reductions::{build_pqe_automaton, build_ur_automaton};
+use crate::{check_arities, EstimateError};
 use pqe_automata::{Ambiguity, FprasConfig, Nfta, NftaCounter, RunTables, SymbolId, Tree};
 use pqe_db::{Database, FactId, ProbDatabase};
 use pqe_query::ConjunctiveQuery;
@@ -73,13 +74,15 @@ pub struct UniformWorldSampler<'a> {
 }
 
 impl<'a> UniformWorldSampler<'a> {
-    /// Builds the sampler (runs the Proposition 1 reduction and builds the
-    /// exact run tables and ambiguity analysis once).
+    /// Builds the sampler (checks the query's arities against the schema,
+    /// runs the Proposition 1 reduction and builds the exact run tables and
+    /// ambiguity analysis once).
     pub fn new(
         q: &ConjunctiveQuery,
         db: &'a Database,
         cfg: FprasConfig,
-    ) -> Result<Self, ReductionError> {
+    ) -> Result<Self, EstimateError> {
+        check_arities(q, db.schema())?;
         let ur = build_ur_automaton(q, db)?;
         let (nfta, _) = ur.aug.translate();
         let back = back_map(db, &ur.projected);
@@ -166,13 +169,15 @@ pub struct WeightedWorldSampler<'a> {
 }
 
 impl<'a> WeightedWorldSampler<'a> {
-    /// Builds the sampler (runs the Theorem 1 reduction and builds the
-    /// exact run tables and ambiguity analysis once).
+    /// Builds the sampler (checks the query's arities against the schema,
+    /// runs the Theorem 1 reduction and builds the exact run tables and
+    /// ambiguity analysis once).
     pub fn new(
         q: &ConjunctiveQuery,
         h: &'a ProbDatabase,
         cfg: FprasConfig,
-    ) -> Result<Self, ReductionError> {
+    ) -> Result<Self, EstimateError> {
+        check_arities(q, h.database().schema())?;
         let pqe = build_pqe_automaton(q, h)?;
         let back = back_map(h.database(), &pqe.ur.projected);
         let by_symbol: HashMap<SymbolId, FactId> = pqe
@@ -413,5 +418,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         assert!(sampler.sample(&mut rng).is_none());
         assert!(sampler.sample_batch(10, &mut rng).is_empty());
+    }
+
+    #[test]
+    fn arity_mismatched_query_is_refused() {
+        let mut db = Database::new(Schema::new([("R", 3), ("S", 2)]));
+        db.add_fact("R", &["a", "b", "c"]).unwrap();
+        db.add_fact("S", &["b", "c"]).unwrap();
+        let h = ProbDatabase::uniform(db.clone(), Rational::from_ratio(1, 2));
+        let q = pqe_query::parse("R(x,y), S(y,z)").unwrap();
+        let cfg = FprasConfig::with_epsilon(0.2).with_seed(1);
+        assert!(matches!(
+            UniformWorldSampler::new(&q, &db, cfg.clone()),
+            Err(EstimateError::Arity(_))
+        ));
+        assert!(matches!(WeightedWorldSampler::new(&q, &h, cfg), Err(EstimateError::Arity(_))));
     }
 }

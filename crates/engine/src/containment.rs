@@ -1,5 +1,5 @@
 //! Conjunctive-query containment and minimization (Chandra & Merlin,
-//! STOC '77 — the paper's reference [7]).
+//! STOC '77 — the paper's reference \[7\]).
 //!
 //! `Q₁ ⊑ Q₂` (every database satisfying `Q₁` satisfies `Q₂`) holds iff
 //! `Q₂` has a homomorphism into the *canonical database* of `Q₁` — its

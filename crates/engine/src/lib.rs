@@ -15,7 +15,7 @@
 //!    reproduction), and computes the weighted clause mass the Karp–Luby
 //!    baseline needs (`Rational`).
 //! 3. **Witness enumeration and sampling** ([`enumerate_witnesses`],
-//!    [`sample::sample_witness`]) — witnesses are the DNF lineage clauses of
+//!    [`sample::WitnessSampler`]) — witnesses are the DNF lineage clauses of
 //!    the intensional approach.
 //!
 //! ```

@@ -8,14 +8,14 @@
 //! queries ([`Rpq`]: `source -> regex -> target`). The probability that a
 //! random world contains a matching path is the graph analogue of
 //! probabilistic query evaluation — #P-hard exactly, approximable on DAGs
-//! by compiling to a `#NFA` instance ([`compile`]) and counting with the
+//! by compiling to a `#NFA` instance ([`compile()`]) and counting with the
 //! CountNFA FPRAS of `pqe-automata`, exactly as the paper's §3 path-query
 //! reduction does for databases. This is the workload of the paper's two
 //! direct sequels (Amarilli–van Bremen–Gaspard–Meel;
 //! Amarilli–Monet–Senellart).
 //!
 //! Modules: [`model`] (graph), [`io`] (text format), [`rpq`] (query AST +
-//! parser + label NFA), [`compile`] (the layered world-scan product
+//! parser + label NFA), [`mod@compile`] (the layered world-scan product
 //! construction), [`oracle`] (exact world enumeration for small graphs),
 //! [`generators`] (deterministic workload shapes). Routing between the
 //! compiled FPRAS and the oracle lives in `pqe_core::router`.

@@ -23,9 +23,9 @@
 //! [`RpqParseError`]. Every recursive pass over a [`Regex`] (parser,
 //! printer, NFA builder, `Drop`) then stays far inside a thread's stack.
 //!
-//! [`Rpq::label_nfa`] compiles the regex into an ε-free NFA over label
+//! [`Regex::to_label_nfa`] compiles the regex into an ε-free NFA over label
 //! names (Thompson construction followed by ε-closure elimination) — the
-//! query-side factor of the product construction in [`crate::compile`] and
+//! query-side factor of the product construction in [`crate::compile()`] and
 //! the world-walk oracle in [`crate::oracle`].
 
 use std::fmt;

@@ -5,7 +5,7 @@
 //! **connection-multiplexing I/O loop** owns every socket (non-blocking
 //! accept + per-connection read/write buffers over `std::net`, zero
 //! dependencies; between passes it sleeps in `poll(2)` until a socket is
-//! ready or a worker delivers a response, see [`crate::poll`]), decodes
+//! ready or a worker delivers a response, see `poll.rs`), decodes
 //! complete request lines, answers light ops
 //! (`classify`/`update`/`stats`/`metrics`/`shutdown`) inline, and feeds
 //! heavy ops (`estimate`/`reliability`/`graph_estimate`) into a bounded
@@ -1142,12 +1142,6 @@ fn eval_error(e: impl std::fmt::Display) -> ReqError {
 fn classify_response(query: &str) -> Result<Json, ReqError> {
     let q = parse_cq(query, "query")?;
     let c = landscape::classify(&q);
-    let advice = match c.verdict {
-        Verdict::ExactAndFpras => "safe: exact lifted inference applies (and so does the FPRAS)",
-        Verdict::FprasOnly => "#P-hard exactly; the combined FPRAS is the guaranteed option",
-        Verdict::ExactOnly => "exact lifted inference only (width unbounded)",
-        Verdict::Open => "outside all positive cells of Table 1",
-    };
     Ok(Json::obj([
         ("ok", Json::Bool(true)),
         ("op", Json::str("classify")),
@@ -1158,7 +1152,7 @@ fn classify_response(query: &str) -> Result<Json, ReqError> {
         ("safe", Json::from(c.safe)),
         ("three_path", Json::from(c.three_path)),
         ("verdict", Json::str(verdict_tag(c.verdict))),
-        ("advice", Json::str(advice)),
+        ("advice", Json::str(c.verdict.advice())),
     ]))
 }
 

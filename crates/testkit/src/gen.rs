@@ -272,7 +272,7 @@ impl_tuple_gen!(A, B, C, D);
 impl_tuple_gen!(A, B, C, D, E);
 impl_tuple_gen!(A, B, C, D, E, F);
 
-/// Length bound for [`vec`] and the string generators.
+/// Length bound for [`vec()`] and the string generators.
 #[derive(Debug, Clone, Copy)]
 pub struct LenRange {
     lo: usize,

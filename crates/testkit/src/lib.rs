@@ -1,7 +1,7 @@
 //! In-tree property-based testing for the PQE workspace.
 //!
 //! Replaces `proptest` (and the `criterion` bench harness — see
-//! [`bench`]) with a small, hermetic harness in the style of
+//! [`mod@bench`]) with a small, hermetic harness in the style of
 //! Hypothesis/`cargo-fuzz`: every generated value is a deterministic
 //! function of a finite **byte stream**. That single design decision buys
 //! the three features a property harness needs:

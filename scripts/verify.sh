@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# Every intra-doc link resolves: a link to a deleted, renamed or private
+# item fails here instead of going stale unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the
 # env knob to prove the override path as well as the invariance — and once

@@ -465,7 +465,8 @@ fn cmd_graph_estimate(args: &Args) -> Result<(), String> {
     let cfg = FprasConfig::with_epsilon(eps)
         .with_seed(args.seed()?)
         .with_threads(args.threads()?);
-    let plan = GraphPlan::compile_str(&g, rpq_text, method).map_err(|e| e.to_string())?;
+    let rpq = pqe::graph::parse(rpq_text).map_err(|e| e.to_string())?;
+    let plan = GraphPlan::compile(&g, &rpq, method).map_err(|e| e.to_string())?;
     if let Some(path) = args.opt("dump-automaton") {
         match plan.nfa() {
             Some(nfa) => dump_automaton(path, pqe::automata::nfa_to_dot(nfa))?,
@@ -525,17 +526,7 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
     let c = landscape::classify(&q);
     println!("query    : {q}");
     println!("landscape: {c}");
-    let advice = match c.verdict {
-        landscape::Verdict::ExactAndFpras => {
-            "safe: exact lifted inference applies (and so does the FPRAS)"
-        }
-        landscape::Verdict::FprasOnly => {
-            "#P-hard exactly; the combined FPRAS is the guaranteed option"
-        }
-        landscape::Verdict::ExactOnly => "exact lifted inference only (width unbounded)",
-        landscape::Verdict::Open => "outside all positive cells of Table 1",
-    };
-    println!("advice   : {advice}");
+    println!("advice   : {}", c.verdict.advice());
     Ok(())
 }
 
