@@ -622,8 +622,7 @@ impl IndexedTree {
         let id = self.labels.len() as u32;
         self.labels.push(label);
         self.spans.push((self.child_ids.len() as u32, arity as u32));
-        self.child_ids
-            .extend(std::iter::repeat(UNSET_CHILD).take(arity));
+        self.child_ids.extend(std::iter::repeat_n(UNSET_CHILD, arity));
         self.run_states.push(state);
         id
     }

@@ -114,6 +114,8 @@ impl Scratch {
 }
 
 thread_local! {
+    // Boxed so a pop or push moves one pointer, not the whole arena struct.
+    #[allow(clippy::vec_box)]
     static POOL: RefCell<Vec<Box<Scratch>>> = const { RefCell::new(Vec::new()) };
 }
 

@@ -233,10 +233,10 @@ mod tests {
             let u: f64 = rng.random();
             (u > 0.1).then_some(1.0 / (1.0 + (u * 3.0) as u64 as f64))
         };
-        let baseline = adaptive_mean(1, 500, 24, 0.05, 0x1234, &sample);
+        let baseline = adaptive_mean(1, 500, 24, 0.05, 0x1234, sample);
         for threads in [2, 4, 8] {
             assert_eq!(
-                adaptive_mean(threads, 500, 24, 0.05, 0x1234, &sample),
+                adaptive_mean(threads, 500, 24, 0.05, 0x1234, sample),
                 baseline,
                 "threads={threads}"
             );
@@ -256,8 +256,8 @@ mod tests {
         for (cap, floor, eps) in [(500, 24, 0.05), (64, 64, 0.0), (37, 8, 0.2)] {
             for threads in [1usize, 2, 4, 8] {
                 for seed in [0x1234u64, 7, 0xDEAD] {
-                    let got = adaptive_mean(threads, cap, floor, eps, seed, &sample);
-                    let want = adaptive_mean_reference(threads, cap, floor, eps, seed, &sample);
+                    let got = adaptive_mean(threads, cap, floor, eps, seed, sample);
+                    let want = adaptive_mean_reference(threads, cap, floor, eps, seed, sample);
                     assert_eq!(
                         got, want,
                         "threads={threads} cap={cap} floor={floor} eps={eps} seed={seed:#x}"
@@ -284,7 +284,7 @@ mod tests {
             (u > 0.25).then_some(1.0 / (1.0 + (u * 4.0) as u64 as f64))
         };
         for threads in [1usize, 2, 4, 8] {
-            let (taken, mean) = adaptive_mean(threads, 200, 16, 0.08, 0xFEED_5EED, &sample);
+            let (taken, mean) = adaptive_mean(threads, 200, 16, 0.08, 0xFEED_5EED, sample);
             assert_eq!(taken, 16, "threads={threads}");
             assert_eq!(
                 mean.to_bits(),
@@ -298,8 +298,8 @@ mod tests {
     #[test]
     fn distinct_union_seeds_give_distinct_streams() {
         let sample = |rng: &mut StdRng| Some(rng.random::<f64>());
-        let a = adaptive_mean(1, 64, 64, 0.0, 1, &sample);
-        let b = adaptive_mean(1, 64, 64, 0.0, 2, &sample);
+        let a = adaptive_mean(1, 64, 64, 0.0, 1, sample);
+        let b = adaptive_mean(1, 64, 64, 0.0, 2, sample);
         assert_eq!(a.0, 64);
         assert_ne!(a.1, b.1);
     }

@@ -6,7 +6,7 @@ use crate::plan::compile_ur_plan;
 use crate::reductions::{
     build_path_nfa, build_path_pqe_nfa, build_pqe_automaton, PqeAutomaton, ReductionError,
 };
-use pqe_arith::{BigFloat, BigUint};
+use pqe_arith::{BigFloat, BigUint, Rational};
 use pqe_automata::{count_nfa, count_nfta, FprasConfig};
 use pqe_db::{Database, ProbDatabase};
 use pqe_query::ConjunctiveQuery;
@@ -184,9 +184,9 @@ impl UrReport {
 /// `UREstimate(Q, D)` — Theorem 3: a `(1±ε)` approximation of the uniform
 /// reliability `UR(Q, D)` (the number of satisfying subinstances).
 ///
-/// Like [`pqe_estimate`], a build step then a count step:
-/// [`compile_ur_plan`] followed by
-/// [`UrPlan::execute`](crate::plan::UrPlan::execute).
+/// Like [`pqe_estimate`], a build step then a count step: the
+/// [`UrPlan`](crate::plan::UrPlan) a reliability [`Target`](crate::Target)
+/// compiles to, then [`UrPlan::execute`](crate::plan::UrPlan::execute).
 pub fn ur_estimate(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -231,36 +231,46 @@ pub fn path_pqe_estimate(
     Ok(PqeReport::from_count(strings, p.denominator, p.target_len, states, size, cfg, start))
 }
 
-/// Sensitivity of the query probability to one fact: estimates the
+/// Sensitivity of the query probability to each fact: estimates the
 /// *influence* `∂Pr_H(Q)/∂π(f) = Pr(Q | f present) − Pr(Q | f absent)`
-/// (by multilinearity of `Pr_H(Q)` in the fact probabilities) with two
-/// FPRAS runs on modified instances.
+/// (by multilinearity of `Pr_H(Q)` in the fact probabilities) of every
+/// fact of `h`, in fact-id order.
+///
+/// The Theorem 1 automaton is compiled once. Each of the `2·|H|` terms
+/// reweights it to `π(f) = 1` or `π(f) = 0` ([`PqeAutomaton::reweight`],
+/// which redoes only the multiplier gadgets) and counts it; a reweighted
+/// automaton equals a fresh compile, so each term is bit-identical to
+/// [`pqe_estimate`] on the modified instance.
 ///
 /// Both terms carry `(1±ε)` *relative* error, so the difference carries
 /// **additive** error up to `ε·(Pr(Q|f=1) + Pr(Q|f=0))`; choose ε
 /// accordingly. Influence ranks facts by how much cleaning/verifying them
 /// would change the query answer — the sensitivity analysis use-case of
 /// probabilistic databases.
-pub fn fact_influence(
+pub fn fact_influences(
     q: &ConjunctiveQuery,
     h: &ProbDatabase,
-    fact: pqe_db::FactId,
     cfg: &FprasConfig,
-) -> Result<f64, EstimateError> {
-    let mut with = h.clone();
-    with.set_prob(fact, pqe_arith::Rational::one());
-    let mut without = h.clone();
-    without.set_prob(fact, pqe_arith::Rational::zero());
-    let p1 = pqe_estimate(q, &with, cfg)?.probability;
-    let p0 = pqe_estimate(q, &without, cfg)?.probability;
-    Ok(p1.to_f64() - p0.to_f64())
+) -> Result<Vec<f64>, EstimateError> {
+    let mut pqe = compile_pqe(q, h)?;
+    let mut edited = h.clone();
+    let mut influences = Vec::with_capacity(h.len());
+    for f in h.database().fact_ids() {
+        let mut term = |p: Rational| {
+            edited.set_prob(f, p);
+            pqe.reweight(q, &edited).expect("a probability edit keeps the fact set");
+            count_pqe(&pqe, cfg).probability.to_f64()
+        };
+        influences.push(term(Rational::one()) - term(Rational::zero()));
+        edited.set_prob(f, h.prob(f).clone());
+    }
+    Ok(influences)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::{brute_force_pqe, brute_force_ur};
-    use pqe_arith::Rational;
     use pqe_db::generators;
     use pqe_query::shapes;
     use pqe_rand::rngs::StdRng;
@@ -401,16 +411,26 @@ mod tests {
         let db = generators::layered_graph_connected(2, 2, 0.7, &mut rng);
         let h = generators::with_random_probs(db, 5, &mut rng);
         let q = shapes::path_query(2);
-        let f = pqe_db::FactId(0);
-        let est = fact_influence(&q, &h, f, &cfg()).unwrap();
-        let mut with = h.clone();
-        with.set_prob(f, Rational::one());
-        let mut without = h.clone();
-        without.set_prob(f, Rational::zero());
-        let exact = brute_force_pqe(&q, &with).to_f64() - brute_force_pqe(&q, &without).to_f64();
-        assert!((est - exact).abs() <= 0.1, "est {est}, exact {exact}");
-        // Influence of a fact is non-negative for monotone queries.
-        assert!(est >= -0.05);
+        let influences = fact_influences(&q, &h, &cfg()).unwrap();
+        assert_eq!(influences.len(), h.len());
+        for (f, &est) in h.database().fact_ids().zip(&influences) {
+            let with_prob = |p: Rational| {
+                let mut edited = h.clone();
+                edited.set_prob(f, p);
+                edited
+            };
+            let (with, without) = (with_prob(Rational::one()), with_prob(Rational::zero()));
+            // One reweighted automaton gives the digits of two fresh
+            // compiles on the modified instances, bit for bit.
+            let p1 = pqe_estimate(&q, &with, &cfg()).unwrap().probability;
+            let p0 = pqe_estimate(&q, &without, &cfg()).unwrap().probability;
+            assert_eq!(est.to_bits(), (p1.to_f64() - p0.to_f64()).to_bits(), "{f:?}");
+            let exact =
+                brute_force_pqe(&q, &with).to_f64() - brute_force_pqe(&q, &without).to_f64();
+            assert!((est - exact).abs() <= 0.1, "{f:?}: est {est}, exact {exact}");
+            // Influence of a fact is non-negative for monotone queries.
+            assert!(est >= -0.05, "{f:?}: {est}");
+        }
     }
 
     #[test]
@@ -435,6 +455,6 @@ mod tests {
         assert!(arity(pqe_estimate(&q, &h, &cfg()).map(|_| ())));
         assert!(arity(path_ur_estimate(&q, &db, &cfg()).map(|_| ())));
         assert!(arity(path_pqe_estimate(&q, &h, &cfg()).map(|_| ())));
-        assert!(arity(fact_influence(&q, &h, pqe_db::FactId(0), &cfg()).map(|_| ())));
+        assert!(arity(fact_influences(&q, &h, &cfg()).map(|_| ())));
     }
 }

@@ -14,15 +14,16 @@
 //!   for RPQ reliability over cyclic probabilistic graphs (the DAG
 //!   restriction of Amarilli, van Bremen, Gaspard & Meel).
 //!
-//! The auto policy mirrors [`crate::router::decide`]: small instances get
+//! The auto policy mirrors the relational router's: small instances get
 //! the exact engine, large acyclic instances the FPRAS, and large cyclic
 //! instances a structured error rather than a silently wrong number. The
-//! CLI and `pqe-serve` both dispatch through [`GraphPlan`], and each
-//! compilation bumps the `router.route.graph` counter next to its
-//! relational siblings. The two policies share one vocabulary: a graph
-//! plan records a [`RouteDecision`] ([`Route::Enum`] or [`Route::Fpras`]),
-//! answers with a [`RoutedAnswer`] and fails with a [`RouterError`]; only
-//! the accepted method set, [`GraphMethod`], is graph-specific.
+//! CLI and `pqe-serve` both compile a [`crate::Target::Graph`] through
+//! [`crate::Plan`] into a [`GraphPlan`], and each compilation bumps the
+//! `router.route.graph` counter next to its relational siblings. The two
+//! policies share one vocabulary: a graph plan records a
+//! [`RouteDecision`] ([`Route::Enum`] or [`Route::Fpras`]), answers with a
+//! [`RoutedAnswer`] and fails with a [`RouterError`]; only the accepted
+//! method set, [`GraphMethod`], is graph-specific.
 
 use crate::router::{closest, Route, RouteDecision, RoutedAnswer, RouterError};
 use crate::PqeReport;
@@ -89,7 +90,7 @@ pub type GraphAnswer = RoutedAnswer;
 /// Pure graph routing policy: instance size/shape + requested method ⇒
 /// engine ([`Route::Enum`] or [`Route::Fpras`]) or a structured refusal.
 /// The **only** place the auto rule lives.
-pub fn decide_graph(
+fn decide_graph(
     num_edges: usize,
     acyclic: bool,
     method: GraphMethod,
@@ -139,8 +140,6 @@ pub fn decide_graph(
 
 /// A routed, compiled plan for one `(graph, RPQ, method)`.
 pub struct GraphPlan {
-    /// Normalized RPQ text (parse → print).
-    pub rpq: String,
     /// The route taken and why.
     pub decision: RouteDecision,
     /// Edges in the graph instance.
@@ -185,12 +184,7 @@ impl GraphPlan {
         } else {
             GraphKind::Fpras(Box::new(pqe_graph::compile(g, rpq)?))
         };
-        Ok(GraphPlan {
-            rpq: rpq.to_string(),
-            decision,
-            num_edges: g.num_edges(),
-            kind,
-        })
+        Ok(GraphPlan { decision, num_edges: g.num_edges(), kind })
     }
 
     /// Runs the routed engine. Pure function of `(plan, ε, seed,

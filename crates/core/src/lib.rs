@@ -55,11 +55,11 @@ pub mod worlds;
 
 pub use arity::{check_arities, ArityMismatch};
 pub use estimators::{
-    fact_influence, path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, EstimateError,
+    fact_influences, path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, EstimateError,
     PqeReport, UrReport,
 };
-pub use plan::{compile_ur_plan, Answer, Compiled, Plan, Revalidation, Target, UrPlan};
-pub use graph_router::{decide_graph, GraphAnswer, GraphMethod, GraphPlan};
+pub use plan::{Answer, Compiled, Plan, Revalidation, Target, UrPlan};
+pub use graph_router::{GraphAnswer, GraphMethod, GraphPlan};
 pub use router::{
     ConditionalPlan, ConditionalReport, Method, Route, RouteDecision, RoutedAnswer, RoutedPlan,
     RouterError,

@@ -13,17 +13,23 @@
 //! [`UrPlan`] are those prefixes as first-class values.
 //! [`pqe_estimate`](crate::pqe_estimate) runs the same build and count
 //! steps as the routed FPRAS route, and [`ur_estimate`](crate::ur_estimate)
-//! is [`compile_ur_plan`] then [`UrPlan::execute`], so an estimate produced
-//! through a cached plan is **bit-identical** to a one-shot call with the
-//! same config (asserted in the tests below and in `tests/determinism.rs`).
-//! Plans are `Send + Sync` (everything inside is plain owned data), so a
-//! service can share one plan across request threads behind an `Arc`.
+//! compiles a [`UrPlan`] then runs [`UrPlan::execute`], so an estimate
+//! produced through a cached plan is **bit-identical** to a one-shot call
+//! with the same config (asserted in the tests below and in
+//! `tests/determinism.rs`). Plans are `Send + Sync` (everything inside is
+//! plain owned data), so a service can share one plan across request
+//! threads behind an `Arc`.
 //!
 //! [`Plan`] is the lifecycle on top: it compiles one [`Target`] (a routed
 //! CQ, a conditional, a reliability or an RPQ) at the database's current
 //! epochs ([`Plan::compile_at`]), keeps it current after deltas
 //! ([`Plan::revalidate`], the only freshness policy in the workspace), and
-//! runs it at any `(ε, seed)` ([`Plan::execute`]).
+//! runs it at any `(ε, seed)` ([`Plan::execute`]). Both surfaces compile
+//! through it: the `pqe` CLI's `estimate`, `reliability` and
+//! `graph-estimate` build one `Target`, compile it at all-zero epochs and
+//! print the [`Answer`]; `pqe-serve` caches one `Plan` per target key and
+//! revalidates it after each delta. So the CLI and the server print the
+//! same digits for the same `(target, ε, seed)` by construction.
 
 use crate::reductions::build_ur_automaton;
 use crate::{
@@ -56,7 +62,10 @@ pub struct UrPlan {
 
 /// Compiles the `UREstimate` prefix for `(q, db)`, after checking the
 /// query's arities against the schema ([`crate::check_arities`]).
-pub fn compile_ur_plan(q: &ConjunctiveQuery, db: &Database) -> Result<UrPlan, EstimateError> {
+pub(crate) fn compile_ur_plan(
+    q: &ConjunctiveQuery,
+    db: &Database,
+) -> Result<UrPlan, EstimateError> {
     crate::check_arities(q, db.schema())?;
     let _span = pqe_obs::span::span("compile");
     let ur = build_ur_automaton(q, db)?;

@@ -8,8 +8,10 @@
 //! inference, else FPRAS — recording the chosen [`Route`], the
 //! classification, and a human-readable rationale in the compiled plan,
 //! and bumping the `router.route.{lifted,fpras}` counters in the
-//! `pqe-obs` registry. The CLI and `pqe-serve` both dispatch through this
-//! module, so the two surfaces can no longer diverge on routing policy.
+//! `pqe-obs` registry. The CLI and `pqe-serve` both reach this module
+//! through [`crate::Plan`] (a [`crate::Target::Query`] or
+//! [`crate::Target::Conditional`] compiles here), so the two surfaces
+//! cannot diverge on routing policy.
 //! The FPRAS route holds the Theorem 1 automaton itself, built and counted
 //! by the same two steps as [`crate::pqe_estimate`], so a routed estimate
 //! and a one-shot one are bit-identical by construction.
@@ -138,8 +140,8 @@ fn edit_distance(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// The engine a query was dispatched to — by [`decide`] for conjunctive
-/// queries, by [`crate::graph_router::decide_graph`] for RPQs.
+/// The engine a query was dispatched to — by [`RoutedPlan::compile`] for
+/// conjunctive queries, by [`crate::GraphPlan::compile`] for RPQs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// Exact lifted inference (safe-plan recursion).
@@ -175,9 +177,9 @@ pub struct RouteDecision {
 }
 
 /// Pure routing policy: Table 1 cell + requested method ⇒ engine.
-/// This is the **only** place the auto rule lives; the CLI and serve both
-/// call it (directly or through [`RoutedPlan::compile`]).
-pub fn decide(class: &Classification, method: Method) -> RouteDecision {
+/// This is the **only** place the auto rule lives; every caller reaches it
+/// through [`RoutedPlan::compile`].
+fn decide(class: &Classification, method: Method) -> RouteDecision {
     match method {
         Method::Lifted => RouteDecision {
             route: Route::Lifted,
@@ -326,7 +328,7 @@ impl RoutedAnswer {
     pub fn to_bigfloat(&self) -> BigFloat {
         match self {
             RoutedAnswer::Exact(p) => BigFloat::from_rational(p),
-            RoutedAnswer::Estimate(r) => r.probability.clone(),
+            RoutedAnswer::Estimate(r) => r.probability,
         }
     }
 
@@ -437,8 +439,8 @@ pub fn split_epsilon(eps: f64, fpras_terms: usize) -> f64 {
 }
 
 /// Domain-separation tags for the per-term seeds of the ratio strategy.
-const SEED_TAG_JOINT: u64 = 0x51_4A4F_494E54; // "Q JOINT"
-const SEED_TAG_EVIDENCE: u64 = 0x45_5649_44; // "EVID"
+const SEED_TAG_JOINT: u64 = 0x51_4A_4F_49_4E_54; // "QJOINT"
+const SEED_TAG_EVIDENCE: u64 = 0x45_56_49_44; // "EVID"
 
 /// A compiled conditional query `P(Q | E)`.
 pub struct ConditionalPlan {
@@ -621,7 +623,7 @@ impl ConditionalPlan {
                 };
                 let conditional = match &exact {
                     Some(r) => BigFloat::from_rational(r),
-                    None => joint_answer.to_bigfloat() / ev_float.clone(),
+                    None => joint_answer.to_bigfloat() / ev_float,
                 };
                 Ok(ConditionalReport {
                     conditional,

@@ -44,6 +44,7 @@ use crate::model::{EdgeId, ProbGraph, VertexId};
 use crate::rpq::{Endpoint, Rpq};
 use pqe_arith::BigUint;
 use pqe_automata::{required_bits, Alphabet, MulNfaTransition, MultiplierNfa, Nfa};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Why compilation refused the input.
@@ -131,7 +132,7 @@ pub fn compile(g: &ProbGraph, rpq: &Rpq) -> Result<CompiledRpq, CompileError> {
     let m = order.len();
 
     let accepting_cfg =
-        |v: VertexId, q: usize| -> bool { query.accepting[q] && target.map_or(true, |t| t == v) };
+        |v: VertexId, q: usize| -> bool { query.accepting[q] && target.is_none_or(|t| t == v) };
 
     // Layer 0: the initial configurations. If any is already accepting
     // (ε ∈ L(R) with compatible endpoints), every world is accepted and
@@ -165,8 +166,8 @@ pub fn compile(g: &ProbGraph, rpq: &Rpq) -> Result<CompiledRpq, CompileError> {
     let mut first = HashMap::new();
     let mut first_v = Vec::new();
     for c in init {
-        if !first.contains_key(&c) {
-            first.insert(c, first_v.len());
+        if let Entry::Vacant(slot) = first.entry(c) {
+            slot.insert(first_v.len());
             first_v.push(c);
         }
     }
@@ -271,10 +272,8 @@ pub fn compile(g: &ProbGraph, rpq: &Rpq) -> Result<CompiledRpq, CompileError> {
         let s = nfa.add_state();
         nfa.set_initial(s);
     } else {
-        for idx in 0..layers[0].len() {
-            if let Some(s) = ids[0][idx] {
-                nfa.set_initial(s);
-            }
+        for &s in ids[0].iter().flatten() {
+            nfa.set_initial(s);
         }
         if let Some(&d) = index[m].get(&Cfg::Done) {
             if let Some(s) = ids[m][d] {

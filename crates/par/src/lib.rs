@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn map_chunks_empty_and_tiny() {
-        assert!(map_chunks(4, 0, 8, |r| r.map(|i| i).collect::<Vec<_>>()).is_empty());
+        assert!(map_chunks(4, 0, 8, |r| r.collect::<Vec<_>>()).is_empty());
         assert_eq!(map_chunks(4, 1, 8, |r| r.map(|i| i + 1).collect()), vec![1]);
     }
 

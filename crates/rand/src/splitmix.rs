@@ -22,15 +22,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// The next mixed 64-bit value (the reference `next()` routine).
-    #[inline]
-    pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 /// Folds a sequence of words into one well-mixed 64-bit seed.
@@ -41,17 +32,22 @@ impl SplitMix64 {
 /// of the output bits. Deterministic and order-sensitive —
 /// `mix_seed(&[a, b]) != mix_seed(&[b, a])` in general.
 pub fn mix_seed(words: &[u64]) -> u64 {
-    let mut acc = SplitMix64::new(0x243f_6a88_85a3_08d3).next(); // π digits tag
+    let mut acc = SplitMix64::new(0x243f_6a88_85a3_08d3).next_u64(); // π digits tag
     for &w in words {
-        acc = SplitMix64::new(acc ^ w).next();
+        acc = SplitMix64::new(acc ^ w).next_u64();
     }
     acc
 }
 
 impl RngCore for SplitMix64 {
+    /// The next mixed 64-bit value (the reference `next()` routine).
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        self.next()
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
@@ -75,9 +71,9 @@ mod tests {
     fn matches_reference_vector_for_seed_zero() {
         // First outputs of the reference C implementation with x = 0.
         let mut sm = SplitMix64::new(0);
-        assert_eq!(sm.next(), 0xe220_a839_7b1d_cdaf);
-        assert_eq!(sm.next(), 0x6e78_9e6a_a1b9_65f4);
-        assert_eq!(sm.next(), 0x06c4_5d18_8009_454f);
+        assert_eq!(sm.next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(sm.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(sm.next_u64(), 0x06c4_5d18_8009_454f);
     }
 
     #[test]
@@ -92,8 +88,8 @@ mod tests {
 
     #[test]
     fn consecutive_seeds_decorrelate() {
-        let a = SplitMix64::new(1).next();
-        let b = SplitMix64::new(2).next();
+        let a = SplitMix64::new(1).next_u64();
+        let b = SplitMix64::new(2).next_u64();
         // Outputs of adjacent seeds differ in roughly half their bits.
         let differing = (a ^ b).count_ones();
         assert!((16..=48).contains(&differing), "only {differing} bits differ");

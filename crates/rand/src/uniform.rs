@@ -96,7 +96,6 @@ impl_sample_range! {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::rngs::StdRng;
     use crate::{Rng, SeedableRng};
 

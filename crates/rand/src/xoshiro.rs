@@ -148,7 +148,7 @@ impl SeedableRng for Xoshiro256PlusPlus {
         // outputs. Never produces the all-zero state.
         let mut sm = SplitMix64::new(state);
         Xoshiro256PlusPlus {
-            s: [sm.next(), sm.next(), sm.next(), sm.next()],
+            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
     }
 }

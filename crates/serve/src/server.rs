@@ -259,8 +259,9 @@ impl Default for ServeConfig {
 /// recounting, and turns a repeat request into a hash lookup instead of
 /// a full sampling run. Plans are worker-owned: no lock, plain fields.
 pub struct ServedPlan {
-    /// The compiled target. It wraps the artifacts the CLI runs, so
-    /// served digits are bit-identical to `pqe estimate`.
+    /// The compiled target. The CLI compiles the same `Plan` for the same
+    /// target, so served digits are bit-identical to `pqe estimate`,
+    /// `pqe reliability` and `pqe graph-estimate`.
     plan: Plan,
     memo: Memo,
     /// Database generation the plan (and its memo) was last validated
@@ -546,7 +547,7 @@ impl Conn {
     }
 
     fn alive(&self) -> bool {
-        !self.dead && !(self.eof && self.flushed())
+        !(self.dead || (self.eof && self.flushed()))
     }
 
     /// Reads whatever the socket has, splits complete lines, dispatches

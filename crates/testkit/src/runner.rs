@@ -357,7 +357,7 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if s == "(empty)" {
         return Some(Vec::new());
     }
-    if s.len() % 2 != 0 {
+    if !s.len().is_multiple_of(2) {
         return None;
     }
     (0..s.len())

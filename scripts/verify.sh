@@ -12,6 +12,10 @@ cargo test -q --offline --workspace
 # item fails here instead of going stale unnoticed.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 
+# Lint gate: every workspace target is clippy-clean. Where a flagged form
+# is deliberate, a scoped #[allow] at the site says why.
+cargo clippy -q --offline --workspace --all-targets -- -D warnings
+
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the
 # env knob to prove the override path as well as the invariance — and once

@@ -13,23 +13,25 @@
 //! per line). Methods: `auto` (lifted when safe, else FPRAS), `fpras`,
 //! `lifted`, `brute`, `karp-luby`, `mc`.
 
+use pqe::arith::Rational;
 use pqe::automata::config::MIN_EPSILON;
 use pqe::automata::FprasConfig;
 use pqe::core::baselines::{brute_force_pqe, karp_luby_pqe, naive_monte_carlo_pqe, Lineage};
 use pqe::core::worlds::WeightedWorldSampler;
 use pqe::core::router::closest;
 use pqe::core::{
-    landscape, ur_estimate, ConditionalPlan, GraphMethod, GraphPlan, Method, RoutedAnswer,
-    RoutedPlan,
+    landscape, Answer, Compiled, GraphMethod, GraphPlan, Method, Plan, Route, RoutedAnswer,
+    RoutedPlan, Target,
 };
-use pqe::db::{io as dbio, ProbDatabase};
-use pqe::delta::{Delta, VersionedDb};
+use pqe::db::{io as dbio, Database, ProbDatabase};
+use pqe::delta::{Delta, Epochs, VersionedDb};
 use pqe::graph::ProbGraph;
 use pqe::query::{parse, ConjunctiveQuery};
 use pqe::serve::{ServeConfig, Server};
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const USAGE: &str = "\
 pqe — probabilistic query evaluation (van Bremen & Meel, PODS 2023)
@@ -289,15 +291,86 @@ fn load_graph(args: &Args) -> Result<ProbGraph, String> {
     pqe::graph::load_str(&src).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Writes a compiled automaton rendered as Graphviz DOT.
-fn dump_automaton(path: &str, dot: String) -> Result<(), String> {
-    std::fs::write(path, dot).map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("automaton: wrote {path}");
+/// Compiles `target` through the one [`Plan`] path `pqe serve` also
+/// uses, writes `--dump-automaton` when asked, runs the plan at `cfg` and
+/// prints its answer. `h` is the database the target reads (empty for a
+/// graph target, which never reads it).
+fn answer(args: &Args, target: Target, h: &ProbDatabase, cfg: &FprasConfig) -> Result<(), String> {
+    let plan = Plan::compile_at(target, h, &Epochs::new()).map_err(|e| e.to_string())?;
+    if let Some(path) = args.opt("dump-automaton") {
+        let (dot, decision) = match plan.compiled() {
+            Compiled::Query(p) => (p.nfta().map(pqe::automata::nfta_to_dot), &p.decision),
+            Compiled::Graph(p) => (p.nfa().map(pqe::automata::nfa_to_dot), &p.decision),
+            Compiled::Conditional(_) | Compiled::Reliability(_) => {
+                unreachable!("--dump-automaton is refused before compiling these")
+            }
+        };
+        match dot {
+            Some(dot) => {
+                std::fs::write(path, dot).map_err(|e| format!("writing {path}: {e}"))?;
+                eprintln!("automaton: wrote {path}");
+            }
+            None => eprintln!("automaton: none compiled ({} route)", decision.route.name()),
+        }
+    }
+    let answer = plan.execute(cfg).map_err(|e| e.to_string())?;
+    let (value, eps) = (answer.to_f64(), cfg.epsilon);
+    match (&answer, plan.compiled()) {
+        (
+            Answer::Routed(a),
+            Compiled::Query(RoutedPlan { decision: d, .. })
+            | Compiled::Graph(GraphPlan { decision: d, .. }),
+        ) => {
+            let subject = match plan.target() {
+                Target::Graph { rpq, .. } => rpq.to_string(),
+                _ => "Q".to_owned(),
+            };
+            match a {
+                RoutedAnswer::Exact(p) => {
+                    let label = match d.route {
+                        Route::Enum => "world enumeration",
+                        _ => "lifted inference",
+                    };
+                    println!("Pr({subject}) = {p} ≈ {value:.6}   [{label}, exact]");
+                }
+                RoutedAnswer::Estimate(r) => println!(
+                    "Pr({subject}) ≈ {value:.6}   [FPRAS, ε = {eps}, {} states, {:.1?}]",
+                    r.automaton_states, r.elapsed
+                ),
+            }
+            println!("route    : {} [{}]", d.route.name(), d.rationale);
+        }
+        (Answer::Conditional(r), Compiled::Conditional(p)) => {
+            let pe = r.prob_evidence.to_f64();
+            match &r.exact {
+                Some(x) => println!("Pr(Q|E) = {x} ≈ {:.6}   [exact, P(E) = {pe:.6}]", x.to_f64()),
+                None => println!(
+                    "Pr(Q|E) ≈ {value:.6}   [ε = {eps}, per-term ε = {}, P(E) = {pe:.6}, {} states, {:.1?}]",
+                    r.split_epsilon.unwrap_or(eps),
+                    r.automaton_states,
+                    r.elapsed
+                ),
+            }
+            let jd = p.joint_decision();
+            println!("route    : {} [{}]", jd.route.name(), jd.rationale);
+            match p.evidence_decision() {
+                Some(ed) => println!("route(E) : {} [{}]", ed.route.name(), ed.rationale),
+                None => println!("route(E) : exact product (ground evidence)"),
+            }
+        }
+        (Answer::Reliability(r), _) => println!(
+            "UR(Q, D) ≈ {}   of 2^{} subinstances   [UREstimate, {:.1?}]",
+            r.reliability,
+            h.len(),
+            r.elapsed
+        ),
+        _ => unreachable!("a plan answers in the shape it compiled to"),
+    }
     Ok(())
 }
 
 /// Every `--method` the estimate command accepts: the three routed
-/// methods (dispatched through `pqe_core::router`) plus the CLI-only
+/// methods (dispatched through `pqe_core::Plan`) plus the CLI-only
 /// reference baselines.
 const ESTIMATE_METHODS: &[&str] = &["auto", "lifted", "fpras", "brute", "karp-luby", "mc"];
 
@@ -334,72 +407,24 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         ));
     }
 
-    // The routed methods go through the shared core router — the same
-    // dispatch `pqe-serve` uses, so CLI and server cannot diverge.
-    if let Ok(routed_method) = Method::parse(method) {
-        let cfg = FprasConfig::with_epsilon(eps)
-            .with_seed(seed)
-            .with_threads(threads);
-        if let Some(ev_text) = args.opt("evidence") {
-            if args.opt("dump-automaton").is_some() {
+    // The routed methods compile through `Plan`, as `pqe serve` does, so
+    // the CLI and the server print the same digits by construction.
+    if let Ok(method) = Method::parse(method) {
+        let target = match args.opt("evidence") {
+            Some(_) if args.opt("dump-automaton").is_some() => {
                 return Err(
                     "--dump-automaton is not supported with --evidence (two plans, no single automaton)"
                         .to_owned(),
                 );
             }
-            let e = parse(ev_text).map_err(|e| format!("--evidence: {e}"))?;
-            let plan =
-                ConditionalPlan::compile(&q, &e, &h, routed_method).map_err(|e| e.to_string())?;
-            let r = plan.execute(&cfg).map_err(|e| e.to_string())?;
-            match &r.exact {
-                Some(p) => println!(
-                    "Pr(Q|E) = {} ≈ {:.6}   [exact, P(E) = {:.6}]",
-                    p,
-                    p.to_f64(),
-                    r.prob_evidence.to_f64()
-                ),
-                None => println!(
-                    "Pr(Q|E) ≈ {:.6}   [ε = {eps}, per-term ε = {}, P(E) = {:.6}, {} states, {:.1?}]",
-                    r.conditional.to_f64(),
-                    r.split_epsilon.unwrap_or(eps),
-                    r.prob_evidence.to_f64(),
-                    r.automaton_states,
-                    r.elapsed
-                ),
+            Some(ev_text) => {
+                let evidence = parse(ev_text).map_err(|e| format!("--evidence: {e}"))?;
+                Target::Conditional { q, evidence, method }
             }
-            let jd = plan.joint_decision();
-            println!("route    : {} [{}]", jd.route.name(), jd.rationale);
-            match plan.evidence_decision() {
-                Some(ed) => println!("route(E) : {} [{}]", ed.route.name(), ed.rationale),
-                None => println!("route(E) : exact product (ground evidence)"),
-            }
-        } else {
-            let plan = RoutedPlan::compile(&q, &h, routed_method).map_err(|e| e.to_string())?;
-            if let Some(path) = args.opt("dump-automaton") {
-                match plan.nfta() {
-                    Some(nfta) => dump_automaton(path, pqe::automata::nfta_to_dot(nfta))?,
-                    None => eprintln!(
-                        "automaton: none compiled ({} route)",
-                        plan.decision.route.name()
-                    ),
-                }
-            }
-            match plan.execute(&cfg) {
-                RoutedAnswer::Exact(p) => println!(
-                    "Pr(Q) = {} ≈ {:.6}   [lifted inference, exact]",
-                    p,
-                    p.to_f64()
-                ),
-                RoutedAnswer::Estimate(r) => println!(
-                    "Pr(Q) ≈ {:.6}   [FPRAS, ε = {eps}, {} states, {:.1?}]",
-                    r.probability.to_f64(),
-                    r.automaton_states,
-                    r.elapsed
-                ),
-            }
-            let d = &plan.decision;
-            println!("route    : {} [{}]", d.route.name(), d.rationale);
-        }
+            None => Target::Query { q, method },
+        };
+        let cfg = FprasConfig::with_epsilon(eps).with_seed(seed).with_threads(threads);
+        answer(args, target, &h, &cfg)?;
         eprintln!("landscape: {class}");
         return Ok(());
     }
@@ -458,7 +483,7 @@ fn cmd_graph_estimate(args: &Args) -> Result<(), String> {
         "dump-automaton",
     ])?;
     let _profile = ProfileGuard::start(args.profile(), "graph-estimate");
-    let g = load_graph(args)?;
+    let g = Arc::new(load_graph(args)?);
     let rpq_text = args.require("rpq")?;
     let eps = args.epsilon()?;
     let method = GraphMethod::parse(args.opt("method").unwrap_or("auto"))?;
@@ -466,33 +491,10 @@ fn cmd_graph_estimate(args: &Args) -> Result<(), String> {
         .with_seed(args.seed()?)
         .with_threads(args.threads()?);
     let rpq = pqe::graph::parse(rpq_text).map_err(|e| e.to_string())?;
-    let plan = GraphPlan::compile(&g, &rpq, method).map_err(|e| e.to_string())?;
-    if let Some(path) = args.opt("dump-automaton") {
-        match plan.nfa() {
-            Some(nfa) => dump_automaton(path, pqe::automata::nfa_to_dot(nfa))?,
-            None => eprintln!(
-                "automaton: none compiled ({} route)",
-                plan.decision.route.name()
-            ),
-        }
-    }
-    match plan.execute(&cfg) {
-        RoutedAnswer::Exact(p) => println!(
-            "Pr({}) = {} ≈ {:.6}   [world enumeration, exact]",
-            plan.rpq,
-            p,
-            p.to_f64()
-        ),
-        RoutedAnswer::Estimate(r) => println!(
-            "Pr({}) ≈ {:.6}   [FPRAS, ε = {eps}, {} states, {:.1?}]",
-            plan.rpq,
-            r.probability.to_f64(),
-            r.automaton_states,
-            r.elapsed
-        ),
-    }
-    let d = &plan.decision;
-    println!("route    : {} [{}]", d.route.name(), d.rationale);
+    let target = Target::Graph { graph: Arc::clone(&g), rpq, method };
+    // A graph target never reads the database.
+    let empty = ProbDatabase::uniform(Database::default(), Rational::one());
+    answer(args, target, &empty, &cfg)?;
     eprintln!(
         "graph    : {} vertices, {} edges, {}",
         g.num_vertices(),
@@ -510,14 +512,7 @@ fn cmd_reliability(args: &Args) -> Result<(), String> {
     let cfg = FprasConfig::with_epsilon(args.epsilon()?)
         .with_seed(args.seed()?)
         .with_threads(args.threads()?);
-    let r = ur_estimate(&q, h.database(), &cfg).map_err(|e| e.to_string())?;
-    println!(
-        "UR(Q, D) ≈ {}   of 2^{} subinstances   [UREstimate, {:.1?}]",
-        r.reliability,
-        h.len(),
-        r.elapsed
-    );
-    Ok(())
+    answer(args, Target::Reliability(q), &h, &cfg)
 }
 
 fn cmd_classify(args: &Args) -> Result<(), String> {
@@ -586,11 +581,9 @@ fn cmd_influence(args: &Args) -> Result<(), String> {
     let q = load_query_for(args, &h)?;
     let cfg = FprasConfig::with_epsilon(args.epsilon()?).with_seed(args.seed()?);
     println!("influence ∂Pr(Q)/∂π(f) = Pr(Q|f=1) − Pr(Q|f=0):");
-    let mut rows: Vec<(f64, String)> = Vec::new();
-    for f in h.database().fact_ids() {
-        let inf = pqe::core::fact_influence(&q, &h, f, &cfg).map_err(|e| e.to_string())?;
-        rows.push((inf, h.database().display_fact(f)));
-    }
+    let influences = pqe::core::fact_influences(&q, &h, &cfg).map_err(|e| e.to_string())?;
+    let facts = h.database().fact_ids().map(|f| h.database().display_fact(f));
+    let mut rows: Vec<(f64, String)> = influences.into_iter().zip(facts).collect();
     rows.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
     for (inf, fact) in rows {
         println!("  {inf:+.4}  {fact}");

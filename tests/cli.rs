@@ -191,6 +191,47 @@ fn reliability_counts_subinstances() {
 }
 
 #[test]
+fn graph_estimate_answers_the_diamond_on_both_routes() {
+    // Two independent 2-hop routes of probability 1/4: 1 − (3/4)² = 7/16.
+    let graph = write_db("1/2 a -r-> b\n1/2 a -r-> c\n1/2 b -r-> d\n1/2 c -r-> d\n");
+    let run = |extra: &[&str]| {
+        pqe()
+            .args(["graph-estimate", "--graph"])
+            .arg(&graph.0)
+            .args(["--rpq", "a -> r r -> d"])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+
+    let out = run(&[]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("Pr(a -> r.r -> d) = 7/16 ≈ 0.437500   [world enumeration, exact]"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("route    : enum [auto: 4 edges <= 16"), "{stdout}");
+
+    // Forced FPRAS: seed-pinned digits, and the product NFA as DOT.
+    let dot = write_db("");
+    let dot_path = dot.0.to_str().unwrap();
+    let out = run(&[
+        "--method", "fpras", "--epsilon", "0.2", "--seed", "7", "--dump-automaton", dot_path,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Pr(a -> r.r -> d) ≈ 0.441406"), "{stdout}");
+    assert!(std::fs::read_to_string(&dot.0).unwrap().starts_with("digraph nfa"));
+
+    // A typo'd method is refused with a hint, never silently routed.
+    let out = run(&["--method", "enm"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("did you mean \"enum\"?"), "stderr: {stderr}");
+}
+
+#[test]
 fn sample_prints_satisfying_worlds() {
     let db = write_db(TWO_PATH_DB);
     let out = pqe()

@@ -131,7 +131,7 @@ fn slow_and_fast_paths_agree_on_random_instances() {
         &(2usize..4, any::<u64>(), any::<u64>()),
         |&(len, edge_bits, seed)| {
             let db = tiny_instance(len, edge_bits, 2);
-            prop_assume!(db.len() >= 1 && db.len() <= 10);
+            prop_assume!(!db.is_empty() && db.len() <= 10);
             let mut rng = StdRng::seed_from_u64(seed);
             let h = generators::with_random_probs(db, 4, &mut rng);
             let q = shapes::path_query(len);

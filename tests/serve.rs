@@ -149,6 +149,25 @@ fn served_estimate_is_byte_identical_to_cli_at_any_shard_count() {
         r#"{{"op":"estimate","query":"{query}","method":"fpras","epsilon":0.25,"seed":99}}"#
     );
 
+    // The reliability count at the same (ε, seed): the CLI prints it
+    // between `≈` and the subinstance count.
+    let out = pqe()
+        .args(["reliability", "--db"])
+        .arg(&db)
+        .args(["--query", query, "--epsilon", "0.25", "--seed", "99", "--threads", "1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let cli_reliability = stdout
+        .split('≈')
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .expect("count in CLI reliability output")
+        .to_owned();
+    let rel_req =
+        format!(r#"{{"op":"reliability","query":"{query}","epsilon":0.25,"seed":99}}"#);
+
     // One worker shard: cache/memo tags are deterministic (every request
     // lands on the same private cache), digits must match the CLI.
     let server = ServerProc::start(&db, &["--workers", "1", "--threads", "4"]);
@@ -157,6 +176,9 @@ fn served_estimate_is_byte_identical_to_cli_at_any_shard_count() {
     assert!(resp.contains("\"ok\":true"), "response: {resp}");
     assert_eq!(json_str_field(&resp, "cache"), "miss");
     assert_eq!(json_str_field(&resp, "probability"), cli_digits);
+    let resp = roundtrip(&mut c, &rel_req);
+    assert!(resp.contains("\"ok\":true"), "response: {resp}");
+    assert_eq!(json_str_field(&resp, "reliability"), cli_reliability);
 
     // Again: now a plan hit and a result-memo hit, same digits.
     let resp = roundtrip(&mut c, &req);
@@ -179,6 +201,9 @@ fn served_estimate_is_byte_identical_to_cli_at_any_shard_count() {
         let resp = roundtrip(&mut c, &req);
         assert!(resp.contains("\"ok\":true"), "response: {resp}");
         assert_eq!(json_str_field(&resp, "probability"), cli_digits);
+        let resp = roundtrip(&mut c, &rel_req);
+        assert!(resp.contains("\"ok\":true"), "response: {resp}");
+        assert_eq!(json_str_field(&resp, "reliability"), cli_reliability);
     }
     server.shutdown();
     let _ = std::fs::remove_file(&db);
