@@ -66,7 +66,13 @@ impl Ambiguity {
                 .iter()
                 .flat_map(|tr| tr.children.iter().map(|&c| (tr.src, c))),
         );
-        Ambiguity { naive_unions, transitions, group_ends, state_groups, below }
+        Ambiguity {
+            naive_unions,
+            transitions,
+            group_ends,
+            state_groups,
+            below,
+        }
     }
 
     /// Whether the groups were built under `naive_unions`.
@@ -81,9 +87,16 @@ impl Ambiguity {
 
     /// `q`'s transition groups, in symbol order (see the type docs).
     pub(crate) fn groups(&self, q: StateId) -> impl Iterator<Item = &[usize]> {
-        let (first, last) = (self.state_groups[q.index()], self.state_groups[q.index() + 1]);
+        let (first, last) = (
+            self.state_groups[q.index()],
+            self.state_groups[q.index() + 1],
+        );
         (first as usize..last as usize).map(move |g| {
-            let start = if g == 0 { 0 } else { self.group_ends[g - 1] as usize };
+            let start = if g == 0 {
+                0
+            } else {
+                self.group_ends[g - 1] as usize
+            };
             &self.transitions[start..self.group_ends[g] as usize]
         })
     }
@@ -144,7 +157,10 @@ mod tests {
             let mut changed = false;
             for q in 0..n {
                 let reaches = nfta.transitions_from(StateId(q as u32)).iter().any(|&ti| {
-                    nfta.transitions()[ti].children.iter().any(|c| below[c.index()])
+                    nfta.transitions()[ti]
+                        .children
+                        .iter()
+                        .any(|c| below[c.index()])
                 });
                 if !below[q] && reaches {
                     below[q] = true;
@@ -196,9 +212,21 @@ mod tests {
         let mut t = Nfta::new(alpha);
         let q = t.initial();
         let r = t.add_state();
-        t.add_transition(Transition { src: q, symbol: a, children: vec![r] });
-        t.add_transition(Transition { src: q, symbol: b, children: vec![r] });
-        t.add_transition(Transition { src: r, symbol: a, children: vec![] });
+        t.add_transition(Transition {
+            src: q,
+            symbol: a,
+            children: vec![r],
+        });
+        t.add_transition(Transition {
+            src: q,
+            symbol: b,
+            children: vec![r],
+        });
+        t.add_transition(Transition {
+            src: r,
+            symbol: a,
+            children: vec![],
+        });
         let grouped = Ambiguity::new(&t, false);
         assert_eq!(grouped.groups(q).collect::<Vec<_>>(), [[0], [1]]);
         assert!(!grouped.is_ambiguous_below(q));

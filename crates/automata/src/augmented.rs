@@ -269,10 +269,7 @@ mod tests {
             children: vec![],
         });
         let (nfta, _) = aug.translate();
-        let t = Tree::node(
-            a,
-            vec![Tree::node(b, vec![Tree::leaf(l), Tree::leaf(l)])],
-        );
+        let t = Tree::node(a, vec![Tree::node(b, vec![Tree::leaf(l), Tree::leaf(l)])]);
         assert!(nfta.accepts(&t));
         assert_eq!(count_trees_exact(&nfta, 4).to_u64(), Some(1));
     }

@@ -98,7 +98,10 @@ mod tests {
         assert!(dot.starts_with("digraph nfa {"), "{dot}");
         assert!(dot.contains("q0 [style=bold];"), "{dot}");
         assert!(dot.contains("q1 [shape=doublecircle];"), "{dot}");
-        assert!(dot.contains("q0 -> q1 [label=\"a \\\"quoted\\\"\"];"), "{dot}");
+        assert!(
+            dot.contains("q0 -> q1 [label=\"a \\\"quoted\\\"\"];"),
+            "{dot}"
+        );
         // Deterministic output.
         assert_eq!(dot, nfa_to_dot(&m));
     }
@@ -112,8 +115,16 @@ mod tests {
         let q0 = crate::StateId(0); // `Nfta::new` pre-creates state 0
         let q1 = m.add_state();
         m.set_initial(q0);
-        m.add_transition(Transition { src: q0, symbol: f, children: vec![q1, q1] });
-        m.add_transition(Transition { src: q1, symbol: x, children: vec![] });
+        m.add_transition(Transition {
+            src: q0,
+            symbol: f,
+            children: vec![q1, q1],
+        });
+        m.add_transition(Transition {
+            src: q1,
+            symbol: x,
+            children: vec![],
+        });
         let dot = nfta_to_dot(&m);
         assert!(dot.contains("q0 [style=bold];"), "{dot}");
         assert!(dot.contains("q0 -> t0 [label=\"f\"];"), "{dot}");

@@ -113,9 +113,21 @@ mod tests {
         let mut t = Nfta::new(alpha);
         let q = t.initial();
         let r = t.add_state();
-        t.add_transition(Transition { src: q, symbol: a, children: vec![q, r] });
-        t.add_transition(Transition { src: q, symbol: b, children: vec![r] });
-        t.add_transition(Transition { src: r, symbol: b, children: vec![] });
+        t.add_transition(Transition {
+            src: q,
+            symbol: a,
+            children: vec![q, r],
+        });
+        t.add_transition(Transition {
+            src: q,
+            symbol: b,
+            children: vec![r],
+        });
+        t.add_transition(Transition {
+            src: r,
+            symbol: b,
+            children: vec![],
+        });
         let reg = ForestReg::new(&t);
         // [q, r]'s tail is the same id as transition 1's forest [r].
         let f0 = reg.transition_forest(0);

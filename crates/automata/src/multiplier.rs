@@ -22,7 +22,10 @@ use pqe_arith::BigUint;
 /// The paper's `u(n)`: bits needed by the minimal-width gadget —
 /// `0` if `n = 1`, else `⌊log₂(n−1)⌋ + 1`.
 pub fn required_bits(n: &BigUint) -> u64 {
-    assert!(!n.is_zero(), "multiplier must be ≥ 1 (0 deletes the transition)");
+    assert!(
+        !n.is_zero(),
+        "multiplier must be ≥ 1 (0 deletes the transition)"
+    );
     if n.is_one() {
         0
     } else {
@@ -50,7 +53,12 @@ pub struct MulTransition {
 
 impl MulTransition {
     /// A transition with the paper-minimal width `u(n)`.
-    pub fn minimal(src: StateId, symbol: SymbolId, multiplier: BigUint, children: Vec<StateId>) -> Self {
+    pub fn minimal(
+        src: StateId,
+        symbol: SymbolId,
+        multiplier: BigUint,
+        children: Vec<StateId>,
+    ) -> Self {
         let bit_width = required_bits(&multiplier);
         MulTransition {
             src,
@@ -104,7 +112,10 @@ impl MultiplierNfta {
     /// Adds a multiplier transition. Panics if the multiplier is zero or
     /// exceeds `2^bit_width`.
     pub fn add_transition(&mut self, t: MulTransition) {
-        assert!(!t.multiplier.is_zero(), "zero multiplier: omit the transition");
+        assert!(
+            !t.multiplier.is_zero(),
+            "zero multiplier: omit the transition"
+        );
         assert!(
             required_bits(&t.multiplier) <= t.bit_width,
             "multiplier {} does not fit in {} bits",

@@ -85,7 +85,10 @@ impl MultiplierNfa {
     /// Adds a multiplier transition. Panics on zero multiplier or a
     /// multiplier exceeding `2^bit_width`.
     pub fn add_transition(&mut self, t: MulNfaTransition) {
-        assert!(!t.multiplier.is_zero(), "zero multiplier: omit the transition");
+        assert!(
+            !t.multiplier.is_zero(),
+            "zero multiplier: omit the transition"
+        );
         assert!(
             crate::required_bits(&t.multiplier) <= t.bit_width,
             "multiplier {} does not fit in {} bits",

@@ -269,9 +269,10 @@ impl Nfa {
         }
         let mut seen = frontier.clone();
         for _ in 0..n {
-            if frontier.iter().any(|&(p, q, d)| {
-                d && self.accepting.contains(&p) && self.accepting.contains(&q)
-            }) {
+            if frontier
+                .iter()
+                .any(|&(p, q, d)| d && self.accepting.contains(&p) && self.accepting.contains(&q))
+            {
                 return true;
             }
             let mut next = BTreeSet::new();

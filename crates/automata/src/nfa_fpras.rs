@@ -90,8 +90,13 @@ impl PathTables {
             })
             .collect();
         let ambiguous_below = mark_ancestors(
-            groups.iter().map(|gs| gs.iter().any(|(_, ts)| ts.len() > 1)).collect(),
-            nfa.all_transitions().iter().map(|&(src, _, dst)| (src, dst)),
+            groups
+                .iter()
+                .map(|gs| gs.iter().any(|(_, ts)| ts.len() > 1))
+                .collect(),
+            nfa.all_transitions()
+                .iter()
+                .map(|&(src, _, dst)| (src, dst)),
         );
         // levels[i]: the states reached with i symbols still to read.
         let mut levels: Vec<Vec<StateId>> = vec![Vec::new(); n + 1];
@@ -346,8 +351,13 @@ impl<'a> NfaCounter<'a> {
                         with_scratch(|s| {
                             s.begin_sample();
                             let (start, end) = self.sample_string_into(t, len, rng, s)?;
-                            let Scratch { syms, path_states, member_cur, member_next, .. } =
-                                &mut *s;
+                            let Scratch {
+                                syms,
+                                path_states,
+                                member_cur,
+                                member_next,
+                                ..
+                            } = &mut *s;
                             let span = start as usize..end as usize;
                             let (x, run) = (&syms[span.clone()], &path_states[span]);
                             let n_holding = p_states
@@ -408,9 +418,21 @@ impl<'a> NfaCounter<'a> {
             }
             let end = s.syms.len() as u32;
             let m = {
-                let Scratch { syms, path_states, runs_cur, runs_next, .. } = &mut *s;
+                let Scratch {
+                    syms,
+                    path_states,
+                    runs_cur,
+                    runs_next,
+                    ..
+                } = &mut *s;
                 let span = start as usize..end as usize;
-                self.runs_of_string(q, &syms[span.clone()], &path_states[span], runs_cur, runs_next)
+                self.runs_of_string(
+                    q,
+                    &syms[span.clone()],
+                    &path_states[span],
+                    runs_cur,
+                    runs_next,
+                )
             };
             s.str_spans.push((start, end));
             s.str_weights.push(1.0 / m.to_f64().max(1.0));
@@ -733,7 +755,11 @@ mod tests {
             |&(trans_bits, sparse_bits, accept_bits, n)| {
                 // Half the cases sparse: states that are not ambiguous
                 // below, where the shortcuts fire, are common then.
-                let sparse = if sparse_bits & 1 == 1 { sparse_bits } else { u32::MAX };
+                let sparse = if sparse_bits & 1 == 1 {
+                    sparse_bits
+                } else {
+                    u32::MAX
+                };
                 let m = bits_nfa(trans_bits & sparse, accept_bits);
                 let tables = PathTables::new(&m, n);
                 let counter = NfaCounter::new(&m, &tables, FprasConfig::default(), 1);
@@ -742,11 +768,20 @@ mod tests {
                     s.begin_sample();
                     for _ in 0..3 {
                         let start = s.syms.len();
-                        if counter.sample_path_into(StateId(0), n, &mut rng, s).is_none() {
+                        if counter
+                            .sample_path_into(StateId(0), n, &mut rng, s)
+                            .is_none()
+                        {
                             break;
                         }
                         let Scratch {
-                            syms, path_states, runs_cur, runs_next, member_cur, member_next, ..
+                            syms,
+                            path_states,
+                            runs_cur,
+                            runs_next,
+                            member_cur,
+                            member_next,
+                            ..
                         } = &mut *s;
                         let (x, run) = (&syms[start..], &path_states[start..]);
                         prop_assert_eq!(run.len(), x.len());

@@ -50,7 +50,11 @@ fn forest_runs(
     forest_memo: &mut HashMap<(Vec<StateId>, usize), BigUint>,
 ) -> BigUint {
     if states.is_empty() {
-        return if m == 0 { BigUint::one() } else { BigUint::zero() };
+        return if m == 0 {
+            BigUint::one()
+        } else {
+            BigUint::zero()
+        };
     }
     if m < states.len() {
         return BigUint::zero(); // every tree needs ≥ 1 node
@@ -152,11 +156,7 @@ fn result_set(nfta: &Nfta, sym: crate::SymbolId, child_sets: &[&[StateId]]) -> V
     result_set_multi(nfta, sym, child_sets)
 }
 
-fn result_set_multi(
-    nfta: &Nfta,
-    sym: crate::SymbolId,
-    child_sets: &[&[StateId]],
-) -> Vec<StateId> {
+fn result_set_multi(nfta: &Nfta, sym: crate::SymbolId, child_sets: &[&[StateId]]) -> Vec<StateId> {
     let mut out: Vec<StateId> = nfta
         .transitions()
         .iter()
@@ -187,8 +187,16 @@ mod tests {
         let b = alpha.intern("b");
         let mut t = Nfta::new(alpha);
         let q = t.initial();
-        t.add_transition(Transition { src: q, symbol: a, children: vec![q, q] });
-        t.add_transition(Transition { src: q, symbol: b, children: vec![] });
+        t.add_transition(Transition {
+            src: q,
+            symbol: a,
+            children: vec![q, q],
+        });
+        t.add_transition(Transition {
+            src: q,
+            symbol: b,
+            children: vec![],
+        });
         t
     }
 
@@ -218,10 +226,26 @@ mod tests {
         let q = t.initial();
         let r1 = t.add_state();
         let r2 = t.add_state();
-        t.add_transition(Transition { src: q, symbol: a, children: vec![r1] });
-        t.add_transition(Transition { src: q, symbol: a, children: vec![r2] });
-        t.add_transition(Transition { src: r1, symbol: a, children: vec![] });
-        t.add_transition(Transition { src: r2, symbol: a, children: vec![] });
+        t.add_transition(Transition {
+            src: q,
+            symbol: a,
+            children: vec![r1],
+        });
+        t.add_transition(Transition {
+            src: q,
+            symbol: a,
+            children: vec![r2],
+        });
+        t.add_transition(Transition {
+            src: r1,
+            symbol: a,
+            children: vec![],
+        });
+        t.add_transition(Transition {
+            src: r2,
+            symbol: a,
+            children: vec![],
+        });
         t
     }
 
@@ -248,7 +272,13 @@ mod tests {
         let alpha = aut.alphabet();
         let a = alpha.get("a").unwrap();
         let b = alpha.get("b").unwrap();
-        let t5 = Tree::node(a, vec![Tree::leaf(b), Tree::node(a, vec![Tree::leaf(b), Tree::leaf(b)])]);
+        let t5 = Tree::node(
+            a,
+            vec![
+                Tree::leaf(b),
+                Tree::node(a, vec![Tree::leaf(b), Tree::leaf(b)]),
+            ],
+        );
         assert!(aut.accepts(&t5));
         assert_eq!(t5.size(), 5);
         assert_eq!(count_trees_exact(&aut, 5).to_u64(), Some(2));
@@ -263,8 +293,16 @@ mod tests {
         let mut t = Nfta::new(alpha);
         let q = t.initial();
         let ql = t.add_state();
-        t.add_transition(Transition { src: q, symbol: r, children: vec![ql, ql, ql] });
-        t.add_transition(Transition { src: ql, symbol: l, children: vec![] });
+        t.add_transition(Transition {
+            src: q,
+            symbol: r,
+            children: vec![ql, ql, ql],
+        });
+        t.add_transition(Transition {
+            src: ql,
+            symbol: l,
+            children: vec![],
+        });
         assert_eq!(count_trees_exact(&t, 4).to_u64(), Some(1));
         assert_eq!(count_runs(&t, 4).to_u64(), Some(1));
         assert!(count_trees_exact(&t, 3).is_zero());

@@ -66,7 +66,13 @@ pub(crate) struct WelfordFold {
 
 impl WelfordFold {
     pub(crate) fn new(floor: usize, eps_loc: f64) -> Self {
-        WelfordFold { floor, eps_loc, taken: 0, mean: 0.0, m2: 0.0 }
+        WelfordFold {
+            floor,
+            eps_loc,
+            taken: 0,
+            mean: 0.0,
+            m2: 0.0,
+        }
     }
 
     /// Folds one per-index result; returns the final `(taken, mean)` when
