@@ -16,6 +16,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 # is deliberate, a scoped #[allow] at the site says why.
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+# Format gate, one crate at a time as each is brought under rustfmt:
+# pqe-automata is formatted, the rest of the workspace is not yet.
+cargo fmt -p pqe-automata -- --check
+
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the
 # env knob to prove the override path as well as the invariance — and once
