@@ -4,7 +4,10 @@
 //! PRNG a reproducibility story rather than a convenience.
 
 use pqe::automata::FprasConfig;
-use pqe::core::{path_ur_estimate, pqe_estimate, ur_estimate};
+use pqe::core::{
+    path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, GraphMethod, GraphPlan,
+    RoutedAnswer,
+};
 use pqe::db::generators;
 use pqe::query::shapes;
 use pqe_rand::rngs::StdRng;
@@ -244,4 +247,54 @@ fn different_seeds_are_actually_different_streams() {
             || a.elapsed != b.elapsed,
         "seeds 1 and 2 produced identical outputs"
     );
+}
+
+#[test]
+fn weighted_path_nfa_estimate_is_pinned() {
+    // The §3 string route weighs each fact with a multiplier gadget. The
+    // fixture's denominators go up to 6, so gadgets are up to 3 bits wide.
+    // The automaton's shape and the digits pin the weighing step: any change
+    // to gadget state allocation or transition order moves them.
+    let (q, h) = fixture();
+    let cfg = FprasConfig::with_epsilon(0.3).with_seed(0xFACE).with_threads(1);
+    let r = path_pqe_estimate(&q, &h, &cfg).unwrap();
+    assert_eq!(r.probability.to_string(), "9.186181e-1");
+    assert_eq!(r.target_size, 36);
+    assert_eq!((r.automaton_states, r.automaton_size), (599, 1010));
+}
+
+/// A chain of four diamonds `d_j → {a_j, b_j} → d_{j+1}` whose edge
+/// probabilities differ from 1/2, so every edge carries a gadget.
+fn weighted_diamond_chain() -> pqe::graph::ProbGraph {
+    let probs = ["1/3", "2/5", "3/4", "5/7"];
+    let text: String = (0..4)
+        .map(|j| {
+            let n = j + 1;
+            let p = |i: usize| probs[(j + i) % probs.len()];
+            format!(
+                "{} d{j} -r-> a{j}\n{} d{j} -r-> b{j}\n{} a{j} -r-> d{n}\n{} b{j} -r-> d{n}\n",
+                p(0),
+                p(1),
+                p(2),
+                p(3)
+            )
+        })
+        .collect();
+    pqe::graph::load_str(&text).unwrap()
+}
+
+#[test]
+fn weighted_graph_fpras_estimate_is_pinned() {
+    // The RPQ product route weighs each edge position with a multiplier
+    // gadget; forcing the FPRAS route pins the weighed product NFA.
+    let g = weighted_diamond_chain();
+    let rpq = pqe::graph::parse("d0 -> r* -> d4").unwrap();
+    let plan = GraphPlan::compile(&g, &rpq, GraphMethod::Fpras).unwrap();
+    let cfg = FprasConfig::with_epsilon(0.3).with_seed(0xD1A).with_threads(1);
+    let RoutedAnswer::Estimate(r) = plan.execute(&cfg) else {
+        panic!("forced FPRAS route returned an exact answer");
+    };
+    assert_eq!(r.probability.to_string(), "4.778273e-2");
+    assert_eq!(r.target_size, 48);
+    assert_eq!((r.automaton_states, r.automaton_size), (221, 372));
 }
