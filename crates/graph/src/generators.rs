@@ -36,10 +36,20 @@ pub fn road_grid<R: Rng + ?Sized>(
         for c in 0..cols {
             g.add_vertex(&name(r, c));
             if c + 1 < cols {
-                g.add_edge(&name(r, c), "road", &name(r, c + 1), random_prob(max_den, rng));
+                g.add_edge(
+                    &name(r, c),
+                    "road",
+                    &name(r, c + 1),
+                    random_prob(max_den, rng),
+                );
             }
             if r + 1 < rows {
-                g.add_edge(&name(r, c), "road", &name(r + 1, c), random_prob(max_den, rng));
+                g.add_edge(
+                    &name(r, c),
+                    "road",
+                    &name(r + 1, c),
+                    random_prob(max_den, rng),
+                );
             }
         }
     }

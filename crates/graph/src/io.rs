@@ -37,7 +37,11 @@ impl std::fmt::Display for GraphLoadError {
         if self.text.is_empty() {
             write!(f, "line {}: {}", self.line, self.message)
         } else {
-            write!(f, "line {}: {}\n  {} | {}", self.line, self.message, self.line, self.text)
+            write!(
+                f,
+                "line {}: {}\n  {} | {}",
+                self.line, self.message, self.line, self.text
+            )
         }
     }
 }
@@ -79,7 +83,11 @@ pub fn load_str(src: &str) -> Result<ProbGraph, GraphLoadError> {
         }
         let (prob, edge_src) = split_probability(line).map_err(|m| err(lineno, raw, m))?;
         if !prob.is_probability() {
-            return Err(err(lineno, raw, format!("probability {prob} outside [0, 1]")));
+            return Err(err(
+                lineno,
+                raw,
+                format!("probability {prob} outside [0, 1]"),
+            ));
         }
         let (s, label, t) = parse_edge(edge_src).map_err(|m| err(lineno, raw, m))?;
         g.add_edge(s, label, t, prob);
@@ -150,7 +158,10 @@ pub fn save_string(g: &ProbGraph) -> String {
     }
     for (v, lonely) in isolated.iter().enumerate() {
         if *lonely {
-            out.push_str(&format!("node {}\n", g.vertex_name(crate::VertexId(v as u32))));
+            out.push_str(&format!(
+                "node {}\n",
+                g.vertex_name(crate::VertexId(v as u32))
+            ));
         }
     }
     out

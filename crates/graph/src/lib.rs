@@ -31,9 +31,7 @@ pub use compile::{compile, CompileError, CompiledRpq};
 pub use io::{load_str, save_string, GraphLoadError};
 pub use model::{Edge, EdgeId, LabelId, ProbGraph, VertexId};
 pub use oracle::{enumerate_probability, OracleError, MAX_ENUM_EDGES};
-pub use rpq::{
-    parse, parse_regex, Endpoint, LabelNfa, Regex, Rpq, RpqParseError, MAX_REGEX_DEPTH,
-};
+pub use rpq::{parse, parse_regex, Endpoint, LabelNfa, Regex, Rpq, RpqParseError, MAX_REGEX_DEPTH};
 
 // Graphs and compiled instances are shared across serve worker threads;
 // keep them plain owned data.

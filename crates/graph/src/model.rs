@@ -133,12 +133,20 @@ impl ProbGraph {
     /// allowed (each is an independent event). Panics if `prob` lies
     /// outside `[0, 1]` — loaders validate before calling.
     pub fn add_edge(&mut self, src: &str, label: &str, dst: &str, prob: Rational) -> EdgeId {
-        assert!(prob.is_probability(), "edge probability {prob} outside [0, 1]");
+        assert!(
+            prob.is_probability(),
+            "edge probability {prob} outside [0, 1]"
+        );
         let src = self.add_vertex(src);
         let label = self.add_label(label);
         let dst = self.add_vertex(dst);
         let e = EdgeId(self.edges.len() as u32);
-        self.edges.push(Edge { src, label, dst, prob });
+        self.edges.push(Edge {
+            src,
+            label,
+            dst,
+            prob,
+        });
         e
     }
 
@@ -251,7 +259,12 @@ mod tests {
         g.add_edge("b", "r", "c", half());
         g.add_edge("a", "r", "c", half());
         let order = g.topo_order().unwrap();
-        let pos = |name: &str| order.iter().position(|&v| g.vertex_name(v) == name).unwrap();
+        let pos = |name: &str| {
+            order
+                .iter()
+                .position(|&v| g.vertex_name(v) == name)
+                .unwrap()
+        };
         assert!(pos("a") < pos("b"));
         assert!(pos("b") < pos("c"));
         assert!(g.is_acyclic());

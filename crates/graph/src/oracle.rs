@@ -63,7 +63,10 @@ impl std::error::Error for OracleError {}
 pub fn enumerate_probability(g: &ProbGraph, rpq: &Rpq) -> Result<Rational, OracleError> {
     let m = g.num_edges();
     if m > MAX_ENUM_EDGES {
-        return Err(OracleError::TooLarge { edges: m, bound: MAX_ENUM_EDGES });
+        return Err(OracleError::TooLarge {
+            edges: m,
+            bound: MAX_ENUM_EDGES,
+        });
     }
     let source = resolve(g, &rpq.source)?;
     let target = resolve(g, &rpq.target)?;
@@ -283,7 +286,10 @@ mod tests {
     fn mask_loop(g: &ProbGraph, rpq: &Rpq) -> Result<Rational, OracleError> {
         let m = g.num_edges();
         if m > MAX_ENUM_EDGES {
-            return Err(OracleError::TooLarge { edges: m, bound: MAX_ENUM_EDGES });
+            return Err(OracleError::TooLarge {
+                edges: m,
+                bound: MAX_ENUM_EDGES,
+            });
         }
         let source = resolve(g, &rpq.source)?;
         let target = resolve(g, &rpq.target)?;
@@ -340,7 +346,9 @@ mod tests {
                 if mask >> i & 1 == 0 || e.src.index() != v {
                     continue;
                 }
-                let Some(l) = label_map[e.label.index()] else { continue };
+                let Some(l) = label_map[e.label.index()] else {
+                    continue;
+                };
                 for &(lab, q2) in &query.trans[q] {
                     if lab == l && !seen[e.dst.index() * qn + q2] {
                         seen[e.dst.index() * qn + q2] = true;
@@ -362,10 +370,19 @@ mod tests {
         const VERTICES: [&str; 4] = ["a", "b", "c", "d"];
         // `t` is read by no query below.
         const LABELS: [&str; 3] = ["r", "s", "t"];
-        const PROBS: [(i64, u64); 8] =
-            [(1, 2), (0, 1), (1, 1), (1, 3), (2, 3), (3, 4), (2, 5), (5, 7)];
-        const REGEXES: [&str; 9] =
-            ["r*", "r?", "r", "r.s", "(r|s)*", "r*.s", "s?.r", "(r.s)*", "r.r"];
+        const PROBS: [(i64, u64); 8] = [
+            (1, 2),
+            (0, 1),
+            (1, 1),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (2, 5),
+            (5, 7),
+        ];
+        const REGEXES: [&str; 9] = [
+            "r*", "r?", "r", "r.s", "(r|s)*", "r*.s", "s?.r", "(r.s)*", "r.r",
+        ];
         const ENDPOINTS: [&str; 5] = ["a", "b", "c", "_", "d"];
         let edge = (0usize..4, 0usize..3, 0usize..4, 0usize..8);
         let gen = (
@@ -423,7 +440,10 @@ mod tests {
 
     #[test]
     fn zero_probability_edges_never_help() {
-        assert_eq!(prob("0/1 a -r-> b\n1/2 a -s-> b\n", "a -> r|s -> b").to_string(), "1/2");
+        assert_eq!(
+            prob("0/1 a -r-> b\n1/2 a -s-> b\n", "a -> r|s -> b").to_string(),
+            "1/2"
+        );
     }
 
     #[test]

@@ -152,7 +152,9 @@ fn parse_endpoint(s: &str) -> Result<Endpoint, RpqParseError> {
     if is_identifier(s) {
         Ok(Endpoint::Vertex(s.to_owned()))
     } else {
-        Err(bad(format!("endpoint {s:?} is neither an identifier nor `_`")))
+        Err(bad(format!(
+            "endpoint {s:?} is neither an identifier nor `_`"
+        )))
     }
 }
 
@@ -168,12 +170,20 @@ pub fn parse(src: &str) -> Result<Rpq, RpqParseError> {
     let source = parse_endpoint(&src[..first])?;
     let target = parse_endpoint(&src[last + 2..])?;
     let regex = parse_regex(&src[first + 2..last])?;
-    Ok(Rpq { source, regex, target })
+    Ok(Rpq {
+        source,
+        regex,
+        target,
+    })
 }
 
 /// Parses a bare regular expression over labels.
 pub fn parse_regex(src: &str) -> Result<Regex, RpqParseError> {
-    let mut p = Parser { chars: src.char_indices().peekable(), src, depth: 0 };
+    let mut p = Parser {
+        chars: src.char_indices().peekable(),
+        src,
+        depth: 0,
+    };
     let r = p.alternation()?;
     p.skip_ws();
     match p.chars.peek() {
@@ -209,7 +219,11 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        Ok(if parts.len() == 1 { parts.pop().expect("one part") } else { Regex::Alt(parts) })
+        Ok(if parts.len() == 1 {
+            parts.pop().expect("one part")
+        } else {
+            Regex::Alt(parts)
+        })
     }
 
     fn concat(&mut self) -> Result<Regex, RpqParseError> {
@@ -228,7 +242,11 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        Ok(if parts.len() == 1 { parts.pop().expect("one part") } else { Regex::Concat(parts) })
+        Ok(if parts.len() == 1 {
+            parts.pop().expect("one part")
+        } else {
+            Regex::Concat(parts)
+        })
     }
 
     fn postfix(&mut self) -> Result<Regex, RpqParseError> {
@@ -425,7 +443,11 @@ impl EpsNfa {
 impl Regex {
     /// Compiles into an ε-free [`LabelNfa`].
     pub fn to_label_nfa(&self) -> LabelNfa {
-        let mut eps = EpsNfa { labels: Vec::new(), eps: Vec::new(), trans: Vec::new() };
+        let mut eps = EpsNfa {
+            labels: Vec::new(),
+            eps: Vec::new(),
+            trans: Vec::new(),
+        };
         let (start, end) = eps.fragment(self);
         let n = eps.eps.len();
         // ε-elimination: q keeps the label transitions of its closure;
@@ -471,7 +493,10 @@ mod tests {
             "_ -> (road|ferry).road? -> sink"
         );
         // Juxtaposition and explicit dots normalize identically.
-        assert_eq!(roundtrip("a -> x y* z -> b"), roundtrip("a -> x . y* . z -> b"));
+        assert_eq!(
+            roundtrip("a -> x y* z -> b"),
+            roundtrip("a -> x . y* . z -> b")
+        );
         // Nested postfix needs parens only around composites.
         assert_eq!(roundtrip("a -> (x y)* -> b"), "a -> (x.y)* -> b");
         assert_eq!(roundtrip("a -> (x|y)? -> b"), "a -> (x|y)? -> b");
@@ -507,17 +532,27 @@ mod tests {
         let nested = |d: usize| format!("a -> {}x{} -> b", "(".repeat(d), ")".repeat(d));
         assert_eq!(roundtrip(&nested(MAX_REGEX_DEPTH)), "a -> x -> b");
         let e = parse(&nested(MAX_REGEX_DEPTH + 1)).unwrap_err();
-        assert!(e.to_string().contains(&format!("deeper than {MAX_REGEX_DEPTH}")), "{e}");
+        assert!(
+            e.to_string()
+                .contains(&format!("deeper than {MAX_REGEX_DEPTH}")),
+            "{e}"
+        );
         // 20 000 unclosed `(`s: rejected at the bound, not a stack overflow.
         let e = parse(&format!("a -> {}r -> b", "(".repeat(20_000))).unwrap_err();
-        assert!(e.to_string().contains(&format!("deeper than {MAX_REGEX_DEPTH}")), "{e}");
+        assert!(
+            e.to_string()
+                .contains(&format!("deeper than {MAX_REGEX_DEPTH}")),
+            "{e}"
+        );
     }
 
     /// Membership in the compiled NFA, by direct subset simulation.
     fn accepts(nfa: &LabelNfa, word: &[&str]) -> bool {
         let mut cur: Vec<usize> = nfa.initial.clone();
         for w in word {
-            let Some(l) = nfa.label_index(w) else { return false };
+            let Some(l) = nfa.label_index(w) else {
+                return false;
+            };
             let mut next: Vec<usize> = Vec::new();
             for &q in &cur {
                 for &(lab, t) in &nfa.trans[q] {
