@@ -29,6 +29,9 @@
 //! * **NFTAs with multipliers** (§5.1): transitions that multiply the
 //!   number of accepted trees by an integer `n`, realized by a binary
 //!   comparator gadget of `Θ(log n)` states — [`MultiplierNfta::translate`].
+//!   The reductions weigh by symbol instead: a [`SymbolWeights`] table and
+//!   one splice of that same comparator into an NFA ([`weigh_nfa`]) or an
+//!   NFTA ([`weigh_nfta`]).
 //!
 //! Exact (exponential-time) counters — subset-determinization string/tree
 //! counting and run counting — serve as test oracles.
@@ -40,7 +43,6 @@ pub mod config;
 mod dot;
 mod forest_reg;
 mod multiplier;
-mod multiplier_nfa;
 mod nfa;
 mod nfa_fpras;
 mod nfta;
@@ -55,8 +57,9 @@ pub use ambiguity::Ambiguity;
 pub use augmented::{AugSymbol, AugTransition, AugmentedNfta};
 pub use config::FprasConfig;
 pub use dot::{nfa_to_dot, nfta_to_dot};
-pub use multiplier::{required_bits, MulTransition, MultiplierNfta};
-pub use multiplier_nfa::{MulNfaTransition, MultiplierNfa};
+pub use multiplier::{
+    required_bits, weigh_nfa, weigh_nfta, MulTransition, MultiplierNfta, SymbolWeights,
+};
 pub use nfa::{Nfa, StateId};
 pub use nfa_fpras::count_nfa;
 pub use nfta::{IndexedTree, Nfta, NodeMemo, Transition, Tree};

@@ -18,35 +18,6 @@ pub mod ur_nfta;
 
 pub use path_nfa::{build_path_nfa, PathNfa};
 
-use pqe_arith::BigUint;
-use pqe_automata::required_bits;
-use pqe_db::{FactId, ProbDatabase};
-
-/// Per-fact multiplier data for the §5.2 weighting: positive multiplier
-/// `w_f`, negated multiplier `d_f − w_f` (each `None` when zero — the
-/// transition is deleted), and the **common** gadget bit-width `K_f` that
-/// keeps every accepted tree/string at one target size (DESIGN.md §2.2).
-pub(crate) struct FactMultipliers {
-    pub(crate) positive: Option<BigUint>,
-    pub(crate) negated: Option<BigUint>,
-    pub(crate) width: u64,
-}
-
-pub(crate) fn fact_multipliers(h: &ProbDatabase, f: FactId) -> FactMultipliers {
-    let w = h.weight_numerator(f);
-    let c = h.weight_conumerator(f);
-    let width = match (w.is_zero(), c.is_zero()) {
-        (false, false) => required_bits(&w).max(required_bits(&c)),
-        (false, true) => required_bits(&w),
-        (true, false) => required_bits(&c),
-        (true, true) => unreachable!("w + (d − w) = d_f ≥ 1"),
-    };
-    FactMultipliers {
-        positive: (!w.is_zero()).then_some(w),
-        negated: (!c.is_zero()).then_some(c),
-        width,
-    }
-}
 pub use path_pqe::{build_path_pqe_nfa, PathPqeAutomaton};
 pub use pqe_nfta::{build_pqe_automaton, PqeAutomaton, ReweightError};
 pub use ur_nfta::{build_ur_automaton, ReductionError, UrAutomaton};

@@ -13,12 +13,11 @@
 //! This gives a second, independent PQE pipeline for the `3Path` class —
 //! used by the experiment suite as a cross-check against the NFTA route.
 
-use super::{build_path_nfa, fact_multipliers, ReductionError};
+use super::{build_path_nfa, ReductionError};
 use pqe_arith::BigUint;
-use pqe_automata::{MulNfaTransition, MultiplierNfa, Nfa, SymbolId};
+use pqe_automata::{weigh_nfa, Nfa, SymbolWeights};
 use pqe_db::ProbDatabase;
 use pqe_query::ConjunctiveQuery;
-use std::collections::HashMap;
 
 /// Output of the weighted path reduction.
 pub struct PathPqeAutomaton {
@@ -45,36 +44,17 @@ pub fn build_path_pqe_nfa(
     let p = build_path_nfa(q, hproj.database())?;
     debug_assert_eq!(p.dropped_facts, 0);
 
-    // Per fact: (multiplier, width) for the positive and negated symbols.
-    let mut by_symbol: HashMap<SymbolId, (BigUint, u64)> = HashMap::new();
+    // Per fact: w_f on the positive symbol, d_f − w_f on the negated one.
+    let mut weights = SymbolWeights::new();
     let mut extra = 0usize;
     for f in p.projected.fact_ids() {
-        let m = fact_multipliers(&hproj, f);
-        extra += m.width as usize;
-        if let Some(w) = m.positive {
-            by_symbol.insert(p.pos_symbols[f.index()], (w, m.width));
-        }
-        if let Some(c) = m.negated {
-            by_symbol.insert(p.neg_symbols[f.index()], (c, m.width));
-        }
-    }
-
-    let mut mul = MultiplierNfa::from_nfa_shell(&p.nfa);
-    for &(src, sym, dst) in p.nfa.all_transitions() {
-        if let Some((m, width)) = by_symbol.get(&sym) {
-            mul.add_transition(MulNfaTransition {
-                src,
-                symbol: sym,
-                multiplier: m.clone(),
-                bit_width: *width,
-                dst,
-            });
-        }
-        // Symbols absent from the map carry multiplier 0: dropped.
+        let (w, c) = (hproj.weight_numerator(f), hproj.weight_conumerator(f));
+        let (pos, neg) = (p.pos_symbols[f.index()], p.neg_symbols[f.index()]);
+        extra += weights.set_pair(pos, neg, w, c) as usize;
     }
 
     Ok(PathPqeAutomaton {
-        nfa: mul.translate(),
+        nfa: weigh_nfa(&p.nfa, &weights),
         target_len: p.target_len + extra,
         denominator: hproj.denominator_product(),
     })

@@ -23,12 +23,11 @@
 //! deltas: it re-runs just the attachment against the retained pre-multiplier
 //! automaton, skipping the decomposition and both structural translations.
 
-use super::{build_ur_automaton, fact_multipliers, ReductionError, UrAutomaton};
+use super::{build_ur_automaton, ReductionError, UrAutomaton};
 use pqe_arith::BigUint;
-use pqe_automata::{MulTransition, MultiplierNfta, Nfta, SymbolId};
+use pqe_automata::{weigh_nfta, Nfta, SymbolId, SymbolWeights};
 use pqe_db::{ProbDatabase, RelId};
 use pqe_query::ConjunctiveQuery;
-use std::collections::HashMap;
 
 /// Output of the Theorem 1 construction.
 pub struct PqeAutomaton {
@@ -90,52 +89,21 @@ fn attach_multipliers(
     neg_map: &[SymbolId],
     hproj: &ProbDatabase,
 ) -> (Nfta, usize) {
-    // Per fact: positive multiplier w_f, negated multiplier d_f − w_f,
-    // common gadget width K_f.
-    let mut by_symbol: HashMap<SymbolId, (BigUint, u64)> = HashMap::new();
+    let mul_span = pqe_obs::span::span("multipliers");
+    // Per fact: positive multiplier w_f, negated multiplier d_f − w_f, one
+    // common gadget width K_f. The padding symbol passes through as is.
+    let mut weights = SymbolWeights::new();
+    weights.set(ur.padding, BigUint::one(), 0);
     let mut extra_nodes: usize = 0;
     for f in ur.projected.fact_ids() {
-        let m = fact_multipliers(hproj, f);
-        extra_nodes += m.width as usize;
         let sym = ur.fact_symbols[f.index()];
-        if let Some(w) = m.positive {
-            by_symbol.insert(sym, (w, m.width));
-        }
-        if let Some(c) = m.negated {
-            by_symbol.insert(neg_map[sym.index()], (c, m.width));
-        }
+        let (w, c) = (hproj.weight_numerator(f), hproj.weight_conumerator(f));
+        extra_nodes += weights.set_pair(sym, neg_map[sym.index()], w, c) as usize;
     }
-
-    let _mul_span = pqe_obs::span::span("multipliers");
-    let mut mul = MultiplierNfta::from_nfta_shell(nfta0);
-    for t in nfta0.transitions() {
-        if t.symbol == ur.padding {
-            mul.add_transition(MulTransition {
-                src: t.src,
-                symbol: t.symbol,
-                multiplier: BigUint::one(),
-                bit_width: 0,
-                children: t.children.clone(),
-            });
-            continue;
-        }
-        // Symbols absent from the map carry multiplier 0 (probability-0
-        // positive / probability-1 negated occurrence): deleted.
-        if let Some((m, width)) = by_symbol.get(&t.symbol) {
-            mul.add_transition(MulTransition {
-                src: t.src,
-                symbol: t.symbol,
-                multiplier: m.clone(),
-                bit_width: *width,
-                children: t.children.clone(),
-            });
-        }
-    }
-
-    drop(_mul_span);
+    drop(mul_span);
     let nfta = {
         let _s = pqe_obs::span::span("translate_gadgets");
-        mul.translate()
+        weigh_nfta(nfta0, &weights)
     };
     (nfta, extra_nodes)
 }
