@@ -17,8 +17,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 # Format gate, one crate at a time as each is brought under rustfmt:
-# pqe-automata is formatted, the rest of the workspace is not yet.
+# pqe-automata and pqe-graph are formatted, the rest of the workspace is
+# not yet.
 cargo fmt -p pqe-automata -- --check
+cargo fmt -p pqe-graph -- --check
 
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the
@@ -150,25 +152,31 @@ arity_status=0
 rm -rf "$COND_DIR"
 echo "  ok: route line, ground P(Q|E), zero-evidence error, method hint, arity error"
 
+# Starts `pqe serve` on an ephemeral port with the given options, logging
+# to $1, and waits for its announce line. Sets SERVE_PID and port.
+start_server() {
+    local log=$1 addr=""
+    shift
+    ./target/release/pqe serve --addr 127.0.0.1:0 "$@" > "$log" &
+    SERVE_PID=$!
+    for _ in $(seq 1 200); do
+        addr=$(sed -n 's/^pqe-serve listening on //p' "$log")
+        [ -n "$addr" ] && break
+        sleep 0.05
+    done
+    if [ -z "$addr" ]; then
+        echo "  FAIL: server never announced its address" >&2
+        kill "$SERVE_PID" 2>/dev/null || true
+        exit 1
+    fi
+    port=${addr##*:}
+}
+
 echo "serve smoke test:"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 printf '1/2 R1(a,b)\n1/3 R2(b,c)\n2/3 R2(b,d)\n1/5 R3(c,e)\n' > "$SMOKE_DIR/smoke.pdb"
-./target/release/pqe serve --db "$SMOKE_DIR/smoke.pdb" --addr 127.0.0.1:0 \
-    > "$SMOKE_DIR/serve.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$SMOKE_DIR/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-if [ -z "$addr" ]; then
-    echo "  FAIL: server never announced its address" >&2
-    kill "$SERVE_PID" 2>/dev/null || true
-    exit 1
-fi
-port=${addr##*:}
+start_server "$SMOKE_DIR/serve.log" --db "$SMOKE_DIR/smoke.pdb"
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 send() { printf '%s\n' "$1" >&3; IFS= read -r resp <&3; }
 send '{"op":"classify","query":"R1(x,y), R2(y,z), R3(z,w)"}'
@@ -214,17 +222,7 @@ echo "  ok: classify/estimate/stats/metrics/arity error/shutdown round-tripped, 
 # connections (distinct seeds — no single-flight sharing), still offline
 # over bash's /dev/tcp.
 echo "serve concurrency smoke test:"
-./target/release/pqe serve --db "$SMOKE_DIR/smoke.pdb" --addr 127.0.0.1:0 \
-    --workers 4 > "$SMOKE_DIR/serve2.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$SMOKE_DIR/serve2.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "  FAIL: no announce" >&2; kill "$SERVE_PID"; exit 1; }
-port=${addr##*:}
+start_server "$SMOKE_DIR/serve2.log" --db "$SMOKE_DIR/smoke.pdb" --workers 4
 for fd in 4 5 6 7; do
     eval "exec $fd<>'/dev/tcp/127.0.0.1/$port'"
     printf '{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","method":"fpras","epsilon":0.3,"seed":%d}\n' "$fd" >&"$fd"
@@ -246,17 +244,7 @@ echo "  ok: 4 concurrent connections served, clean exit"
 # Backpressure smoke: one worker, queue depth 1 — a third concurrent
 # request must be rejected with a structured overloaded error.
 echo "serve overload smoke test:"
-./target/release/pqe serve --db "$SMOKE_DIR/smoke.pdb" --addr 127.0.0.1:0 \
-    --workers 1 --queue-depth 1 > "$SMOKE_DIR/serve3.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$SMOKE_DIR/serve3.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "  FAIL: no announce" >&2; kill "$SERVE_PID"; exit 1; }
-port=${addr##*:}
+start_server "$SMOKE_DIR/serve3.log" --db "$SMOKE_DIR/smoke.pdb" --workers 1 --queue-depth 1
 exec 4<>"/dev/tcp/127.0.0.1/$port"
 exec 5<>"/dev/tcp/127.0.0.1/$port"
 exec 6<>"/dev/tcp/127.0.0.1/$port"
@@ -329,18 +317,7 @@ echo "  ok: enum 7/16, fpras pinned digits, DOT dump, cyclic refusal"
 # Serve graph round-trip: the served estimate must be byte-identical to
 # the CLI digits for the same (rpq, ε, seed).
 echo "serve graph smoke test:"
-./target/release/pqe serve --db "$SMOKE_DIR/smoke.pdb" \
-    --graph "$GRAPH_DIR/diamond.graph" --addr 127.0.0.1:0 \
-    > "$SMOKE_DIR/serve4.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$SMOKE_DIR/serve4.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "  FAIL: no announce" >&2; kill "$SERVE_PID"; exit 1; }
-port=${addr##*:}
+start_server "$SMOKE_DIR/serve4.log" --db "$SMOKE_DIR/smoke.pdb" --graph "$GRAPH_DIR/diamond.graph"
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 send '{"op":"graph_estimate","rpq":"a -> r r -> d"}'
 echo "$resp" | grep -q '"ok":true'
@@ -389,17 +366,7 @@ grep -q 'applied 1 op(s): 0 inserted, 0 deleted, 1 reprobed' "$DELTA_DIR/apply.l
 grep -q 'probability-only' "$DELTA_DIR/apply.log"
 grep -q '^2/5 R3(c,e)$' "$DELTA_DIR/after.pdb"
 
-./target/release/pqe serve --db "$DELTA_DIR/live.pdb" --addr 127.0.0.1:0 \
-    --workers 1 > "$DELTA_DIR/serve.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$DELTA_DIR/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "  FAIL: no announce" >&2; kill "$SERVE_PID"; exit 1; }
-port=${addr##*:}
+start_server "$DELTA_DIR/serve.log" --db "$DELTA_DIR/live.pdb" --workers 1
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 # Warm two plans: A touches R3 (FPRAS route), B does not (lifted route).
 send '{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","method":"fpras","epsilon":0.3,"seed":7}'
@@ -430,17 +397,7 @@ wait "$SERVE_PID"
 
 # Cold replica: a fresh server on the apply-delta output must print the
 # same digits for the same (query, ε, seed) — reweighting is exact.
-./target/release/pqe serve --db "$DELTA_DIR/after.pdb" --addr 127.0.0.1:0 \
-    --workers 1 > "$DELTA_DIR/serve2.log" &
-SERVE_PID=$!
-addr=""
-for _ in $(seq 1 200); do
-    addr=$(sed -n 's/^pqe-serve listening on //p' "$DELTA_DIR/serve2.log")
-    [ -n "$addr" ] && break
-    sleep 0.05
-done
-[ -n "$addr" ] || { echo "  FAIL: no announce" >&2; kill "$SERVE_PID"; exit 1; }
-port=${addr##*:}
+start_server "$DELTA_DIR/serve2.log" --db "$DELTA_DIR/after.pdb" --workers 1
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 send '{"op":"estimate","query":"R1(x,y), R2(y,z), R3(z,w)","method":"fpras","epsilon":0.3,"seed":7}'
 echo "$resp" | grep -q "\"probability\":\"$live_digits\"" || {
