@@ -85,8 +85,7 @@ impl BagPlan {
             } else {
                 for sel in join_atoms(q, db, &xi) {
                     let assignment = assignment_of(q, db, &xi, &sel);
-                    let proj: Vec<Const> =
-                        chi.iter().map(|v| assignment[v]).collect();
+                    let proj: Vec<Const> = chi.iter().map(|v| assignment[v]).collect();
                     seen.entry(proj.clone()).or_insert_with(|| {
                         let assigned_facts = own_atoms
                             .iter()
@@ -160,8 +159,7 @@ impl BagPlan {
                 }
                 if !v.is_zero() {
                     for (parent_pos, index) in &child_indexes {
-                        let key: Vec<Const> =
-                            parent_pos.iter().map(|&pi| t.chi_vals[pi]).collect();
+                        let key: Vec<Const> = parent_pos.iter().map(|&pi| t.chi_vals[pi]).collect();
                         match index.get(&key) {
                             Some(s) => v = v.mul(s),
                             None => {
@@ -178,9 +176,7 @@ impl BagPlan {
             values[id.0] = vals;
         }
         let root = self.tree.root();
-        values[root.0]
-            .iter()
-            .fold(S::zero(), |acc, v| acc.add(v))
+        values[root.0].iter().fold(S::zero(), |acc, v| acc.add(v))
     }
 }
 

@@ -85,7 +85,11 @@ mod tests {
 
     #[test]
     fn reflexive_containment() {
-        for q in [shapes::path_query(3), shapes::star_query(2), shapes::cycle_query(3)] {
+        for q in [
+            shapes::path_query(3),
+            shapes::star_query(2),
+            shapes::cycle_query(3),
+        ] {
             assert!(is_contained_in(&q, &q));
             assert!(is_equivalent(&q, &q));
         }
@@ -127,7 +131,11 @@ mod tests {
 
     #[test]
     fn sjf_queries_are_already_minimal() {
-        for q in [shapes::path_query(4), shapes::star_query(3), shapes::h0_query()] {
+        for q in [
+            shapes::path_query(4),
+            shapes::star_query(3),
+            shapes::h0_query(),
+        ] {
             assert_eq!(minimize(&q).len(), q.len());
         }
     }

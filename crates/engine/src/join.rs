@@ -56,10 +56,7 @@ fn atom_order(q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
             .iter()
             .enumerate()
             .max_by_key(|(_, &i)| {
-                let shared = q.atoms()[i]
-                    .vars()
-                    .intersection(&placed_vars)
-                    .count();
+                let shared = q.atoms()[i].vars().intersection(&placed_vars).count();
                 // Prefer many shared vars, then small relations.
                 (shared, usize::MAX - rel_size(i))
             })

@@ -18,17 +18,12 @@ use std::collections::HashMap;
 /// (up to the 2⁻¹²⁸ granularity of the uniform draw). Panics if all weights
 /// are zero.
 pub fn pick_weighted<R: Rng + ?Sized>(weights: &[Rational], rng: &mut R) -> usize {
-    let total = weights
-        .iter()
-        .fold(Rational::zero(), |acc, w| &acc + w);
+    let total = weights.iter().fold(Rational::zero(), |acc, w| &acc + w);
     assert!(!total.is_zero(), "cannot sample from all-zero weights");
     // threshold = total * r / 2^128 for uniform r.
     let r: u128 = rng.random();
-    let threshold = &total
-        * &Rational::new(
-            BigUint::from(r).into(),
-            (&BigUint::one() << 128).clone(),
-        );
+    let threshold =
+        &total * &Rational::new(BigUint::from(r).into(), (&BigUint::one() << 128).clone());
     let mut acc = Rational::zero();
     for (i, w) in weights.iter().enumerate() {
         acc = &acc + w;
@@ -84,17 +79,14 @@ impl WitnessSampler {
                 let shared: Vec<(usize, usize)> = parent_chi
                     .iter()
                     .enumerate()
-                    .filter_map(|(i, v)| {
-                        child_chi.iter().position(|w| w == v).map(|j| (i, j))
-                    })
+                    .filter_map(|(i, v)| child_chi.iter().position(|w| w == v).map(|j| (i, j)))
                     .collect();
                 let mut by_key: HashMap<Vec<Const>, Vec<usize>> = HashMap::new();
                 for (ti, t) in plan.bags[c.0].iter().enumerate() {
                     if values[c.0][ti].is_zero() {
                         continue;
                     }
-                    let key: Vec<Const> =
-                        shared.iter().map(|&(_, j)| t.chi_vals[j]).collect();
+                    let key: Vec<Const> = shared.iter().map(|&(_, j)| t.chi_vals[j]).collect();
                     by_key.entry(key).or_default().push(ti);
                 }
                 indexes.push(ChildIndex {
@@ -114,15 +106,13 @@ impl WitnessSampler {
                         break;
                     }
                     let c = node.children[slot];
-                    let key: Vec<Const> =
-                        idx.parent_pos.iter().map(|&i| t.chi_vals[i]).collect();
+                    let key: Vec<Const> = idx.parent_pos.iter().map(|&i| t.chi_vals[i]).collect();
                     let sum = idx
                         .by_key
                         .get(&key)
                         .map(|tis| {
-                            tis.iter().fold(Rational::zero(), |acc, &ti| {
-                                &acc + &values[c.0][ti]
-                            })
+                            tis.iter()
+                                .fold(Rational::zero(), |acc, &ti| &acc + &values[c.0][ti])
                         })
                         .unwrap_or_else(Rational::zero);
                     v = &v * &sum;
@@ -153,7 +143,10 @@ impl WitnessSampler {
     /// Samples a witness (one fact per atom, atom order). Panics if the
     /// total mass is zero.
     pub fn sample<R: Rng + ?Sized>(&self, q: &ConjunctiveQuery, rng: &mut R) -> Vec<FactId> {
-        assert!(!self.total.is_zero(), "query unsatisfiable: nothing to sample");
+        assert!(
+            !self.total.is_zero(),
+            "query unsatisfiable: nothing to sample"
+        );
         let mut facts: Vec<Option<FactId>> = vec![None; q.len()];
         let root = self.plan.tree.root();
         let ti = pick_weighted(&self.values[root.0], rng);

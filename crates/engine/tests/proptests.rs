@@ -34,36 +34,54 @@ fn db_from_bits(len: usize, bits: u64) -> Database {
 
 #[test]
 fn dp_count_equals_enumeration() {
-    check("dp_count_equals_enumeration", &cfg(), &(1usize..5, any::<u64>()), |&(len, bits)| {
-        let db = db_from_bits(len, bits);
-        let q = shapes::path_query(len);
-        let fast = count_homomorphisms(&q, &db);
-        let slow = enumerate_witnesses(&q, &db, None).len() as u64;
-        prop_assert_eq!(fast.to_u64(), Some(slow));
-        Ok(())
-    });
+    check(
+        "dp_count_equals_enumeration",
+        &cfg(),
+        &(1usize..5, any::<u64>()),
+        |&(len, bits)| {
+            let db = db_from_bits(len, bits);
+            let q = shapes::path_query(len);
+            let fast = count_homomorphisms(&q, &db);
+            let slow = enumerate_witnesses(&q, &db, None).len() as u64;
+            prop_assert_eq!(fast.to_u64(), Some(slow));
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn boolean_eval_agrees_with_count() {
-    check("boolean_eval_agrees_with_count", &cfg(), &(1usize..5, any::<u64>()), |&(len, bits)| {
-        let db = db_from_bits(len, bits);
-        let q = shapes::path_query(len);
-        prop_assert_eq!(eval_boolean(&q, &db), !count_homomorphisms(&q, &db).is_zero());
-        Ok(())
-    });
+    check(
+        "boolean_eval_agrees_with_count",
+        &cfg(),
+        &(1usize..5, any::<u64>()),
+        |&(len, bits)| {
+            let db = db_from_bits(len, bits);
+            let q = shapes::path_query(len);
+            prop_assert_eq!(
+                eval_boolean(&q, &db),
+                !count_homomorphisms(&q, &db).is_zero()
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn unit_weights_reduce_to_counting() {
-    check("unit_weights_reduce_to_counting", &cfg(), &(1usize..4, any::<u64>()), |&(len, bits)| {
-        let db = db_from_bits(len, bits);
-        let q = shapes::path_query(len);
-        let weighted = weighted_hom_count::<Rational>(&q, &db, &|_, _| Rational::one());
-        let count = count_homomorphisms(&q, &db);
-        prop_assert_eq!(weighted, Rational::from(count));
-        Ok(())
-    });
+    check(
+        "unit_weights_reduce_to_counting",
+        &cfg(),
+        &(1usize..4, any::<u64>()),
+        |&(len, bits)| {
+            let db = db_from_bits(len, bits);
+            let q = shapes::path_query(len);
+            let weighted = weighted_hom_count::<Rational>(&q, &db, &|_, _| Rational::one());
+            let count = count_homomorphisms(&q, &db);
+            prop_assert_eq!(weighted, Rational::from(count));
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -85,17 +103,22 @@ fn weighted_count_is_monotone_in_weights() {
 
 #[test]
 fn subinstance_counts_are_monotone() {
-    check("subinstance_counts_are_monotone", &cfg(), &(1usize..4, any::<u64>()), |&(len, bits)| {
-        // Removing facts can only lose witnesses.
-        let db = db_from_bits(len, bits);
-        let q = shapes::path_query(len);
-        let full = count_homomorphisms(&q, &db);
-        if !db.is_empty() {
-            let mut mask = vec![true; db.len()];
-            mask[0] = false;
-            let sub = db.subinstance(&mask);
-            prop_assert!(count_homomorphisms(&q, &sub) <= full);
-        }
-        Ok(())
-    });
+    check(
+        "subinstance_counts_are_monotone",
+        &cfg(),
+        &(1usize..4, any::<u64>()),
+        |&(len, bits)| {
+            // Removing facts can only lose witnesses.
+            let db = db_from_bits(len, bits);
+            let q = shapes::path_query(len);
+            let full = count_homomorphisms(&q, &db);
+            if !db.is_empty() {
+                let mut mask = vec![true; db.len()];
+                mask[0] = false;
+                let sub = db.subinstance(&mask);
+                prop_assert!(count_homomorphisms(&q, &sub) <= full);
+            }
+            Ok(())
+        },
+    );
 }
