@@ -17,8 +17,8 @@
 
 use pqe_arith::{BigFloat, BigUint, Rational};
 use pqe_db::{worlds, ProbDatabase};
-use pqe_engine::sample::WitnessSampler;
 use pqe_engine::count_homomorphisms;
+use pqe_engine::sample::WitnessSampler;
 use pqe_query::ConjunctiveQuery;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
@@ -225,7 +225,11 @@ mod tests {
         let rel = report
             .estimate
             .relative_error_to(&BigFloat::from_rational(&exact));
-        assert!(rel < 0.1, "exact {exact}, estimate {}, rel {rel}", report.estimate);
+        assert!(
+            rel < 0.1,
+            "exact {exact}, estimate {}, rel {rel}",
+            report.estimate
+        );
     }
 
     #[test]
@@ -258,7 +262,12 @@ mod tests {
         let hd = generators::with_uniform_probs(dense, Rational::from_ratio(9, 10));
         let rs = karp_luby_pqe_guaranteed(&q, &hs, 0.2, 0.1, 5);
         let rd = karp_luby_pqe_guaranteed(&q, &hd, 0.2, 0.1, 5);
-        assert!(rd.samples > rs.samples, "dense {} vs sparse {}", rd.samples, rs.samples);
+        assert!(
+            rd.samples > rs.samples,
+            "dense {} vs sparse {}",
+            rd.samples,
+            rs.samples
+        );
     }
 
     #[test]

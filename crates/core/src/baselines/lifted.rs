@@ -61,7 +61,10 @@ impl std::fmt::Display for LiftedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LiftedError::Unsafe { subquery } => {
-                write!(f, "query is unsafe (no root variable in component {subquery:?})")
+                write!(
+                    f,
+                    "query is unsafe (no root variable in component {subquery:?})"
+                )
             }
             LiftedError::NotSelfJoinFree => write!(f, "query contains self-joins"),
         }

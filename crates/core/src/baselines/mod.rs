@@ -16,7 +16,9 @@ mod montecarlo;
 mod wmc;
 
 pub use brute::{brute_force_pqe, brute_force_ur};
-pub use klm::{clause_mass, karp_luby_pqe, karp_luby_pqe_guaranteed, witness_count, KarpLubyReport};
+pub use klm::{
+    clause_mass, karp_luby_pqe, karp_luby_pqe_guaranteed, witness_count, KarpLubyReport,
+};
 pub use lifted::{lifted_pqe, LiftedError};
 pub use lineage::Lineage;
 pub use montecarlo::naive_monte_carlo_pqe;

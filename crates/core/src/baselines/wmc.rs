@@ -135,7 +135,10 @@ fn components(clauses: &[BTreeSet<FactId>]) -> Vec<Vec<BTreeSet<FactId>>> {
     }
     let mut groups: HashMap<usize, Vec<BTreeSet<FactId>>> = HashMap::new();
     for (i, c) in clauses.iter().enumerate() {
-        groups.entry(find(&mut parent, i)).or_default().push(c.clone());
+        groups
+            .entry(find(&mut parent, i))
+            .or_default()
+            .push(c.clone());
     }
     groups.into_values().collect()
 }
@@ -222,9 +225,6 @@ mod tests {
         let h = generators::with_random_probs(db, 7, &mut rng);
         let q = shapes::h0_query();
         let lin = Lineage::build(&q, h.database(), 1_000_000);
-        assert_eq!(
-            dnf_probability(lin.clauses(), &h),
-            brute_force_pqe(&q, &h)
-        );
+        assert_eq!(dnf_probability(lin.clauses(), &h), brute_force_pqe(&q, &h));
     }
 }

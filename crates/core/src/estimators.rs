@@ -109,7 +109,15 @@ pub(crate) fn count_pqe(pqe: &PqeAutomaton, cfg: &FprasConfig) -> PqeReport {
     let start = Instant::now();
     let trees = count_nfta(&pqe.nfta, pqe.target_size, cfg);
     let (states, size) = (pqe.nfta.num_states(), pqe.nfta.size());
-    PqeReport::from_count(trees, pqe.denominator.clone(), pqe.target_size, states, size, cfg, start)
+    PqeReport::from_count(
+        trees,
+        pqe.denominator.clone(),
+        pqe.target_size,
+        states,
+        size,
+        cfg,
+        start,
+    )
 }
 
 /// `PQEEstimate(Q, H)` — Theorem 1: a `(1±ε)` approximation of `Pr_H(Q)`
@@ -212,7 +220,15 @@ pub fn path_ur_estimate(
     let p = build_path_nfa(q, db)?;
     let strings = count_nfa(&p.nfa, p.target_len, cfg);
     let (states, size) = (p.nfa.num_states(), p.nfa.size());
-    Ok(UrReport::from_count(strings, p.dropped_facts, p.target_len, states, size, cfg, start))
+    Ok(UrReport::from_count(
+        strings,
+        p.dropped_facts,
+        p.target_len,
+        states,
+        size,
+        cfg,
+        start,
+    ))
 }
 
 /// `PathPQEEstimate(Q, H)` — the weighted extension of Theorem 2 (see
@@ -228,7 +244,15 @@ pub fn path_pqe_estimate(
     let p = build_path_pqe_nfa(q, h)?;
     let strings = count_nfa(&p.nfa, p.target_len, cfg);
     let (states, size) = (p.nfa.num_states(), p.nfa.size());
-    Ok(PqeReport::from_count(strings, p.denominator, p.target_len, states, size, cfg, start))
+    Ok(PqeReport::from_count(
+        strings,
+        p.denominator,
+        p.target_len,
+        states,
+        size,
+        cfg,
+        start,
+    ))
 }
 
 /// Sensitivity of the query probability to each fact: estimates the
@@ -258,7 +282,8 @@ pub fn fact_influences(
     for f in h.database().fact_ids() {
         let mut term = |p: Rational| {
             edited.set_prob(f, p);
-            pqe.reweight(q, &edited).expect("a probability edit keeps the fact set");
+            pqe.reweight(q, &edited)
+                .expect("a probability edit keeps the fact set");
             count_pqe(&pqe, cfg).probability.to_f64()
         };
         influences.push(term(Rational::one()) - term(Rational::zero()));
@@ -376,11 +401,7 @@ mod tests {
     #[test]
     fn cyclic_width2_query_end_to_end() {
         let mut rng = StdRng::seed_from_u64(67);
-        let mut db = pqe_db::Database::new(pqe_db::Schema::new([
-            ("R1", 2),
-            ("R2", 2),
-            ("R3", 2),
-        ]));
+        let mut db = pqe_db::Database::new(pqe_db::Schema::new([("R1", 2), ("R2", 2), ("R3", 2)]));
         db.add_fact("R1", &["a", "b"]).unwrap();
         db.add_fact("R1", &["a", "c"]).unwrap();
         db.add_fact("R2", &["b", "c"]).unwrap();
@@ -424,10 +445,17 @@ mod tests {
             // compiles on the modified instances, bit for bit.
             let p1 = pqe_estimate(&q, &with, &cfg()).unwrap().probability;
             let p0 = pqe_estimate(&q, &without, &cfg()).unwrap().probability;
-            assert_eq!(est.to_bits(), (p1.to_f64() - p0.to_f64()).to_bits(), "{f:?}");
+            assert_eq!(
+                est.to_bits(),
+                (p1.to_f64() - p0.to_f64()).to_bits(),
+                "{f:?}"
+            );
             let exact =
                 brute_force_pqe(&q, &with).to_f64() - brute_force_pqe(&q, &without).to_f64();
-            assert!((est - exact).abs() <= 0.1, "{f:?}: est {est}, exact {exact}");
+            assert!(
+                (est - exact).abs() <= 0.1,
+                "{f:?}: est {est}, exact {exact}"
+            );
             // Influence of a fact is non-negative for monotone queries.
             assert!(est >= -0.05, "{f:?}: {est}");
         }

@@ -99,7 +99,10 @@ fn decide_graph(
     match method {
         GraphMethod::Enum => {
             if num_edges > bound {
-                return Err(RouterError::EnumTooLarge { edges: num_edges, bound });
+                return Err(RouterError::EnumTooLarge {
+                    edges: num_edges,
+                    bound,
+                });
             }
             Ok(RouteDecision {
                 route: Route::Enum,
@@ -132,7 +135,10 @@ fn decide_graph(
             } else {
                 // Neither engine is sound/feasible: surface the landscape
                 // gap instead of guessing.
-                Err(RouterError::EnumTooLarge { edges: num_edges, bound })
+                Err(RouterError::EnumTooLarge {
+                    edges: num_edges,
+                    bound,
+                })
             }
         }
     }
@@ -150,7 +156,9 @@ pub struct GraphPlan {
 enum GraphKind {
     /// Exact probability, computed at compile time (it depends only on
     /// the instance, like the lifted route of [`crate::RoutedPlan`]).
-    Enum { exact: Rational },
+    Enum {
+        exact: Rational,
+    },
     Fpras(Box<CompiledRpq>),
 }
 
@@ -176,15 +184,17 @@ impl GraphPlan {
                 OracleError::TooLarge { edges, bound } => {
                     RouterError::EnumTooLarge { edges, bound }
                 }
-                OracleError::UnknownVertex(v) => {
-                    RouterError::Graph(CompileError::UnknownVertex(v))
-                }
+                OracleError::UnknownVertex(v) => RouterError::Graph(CompileError::UnknownVertex(v)),
             })?;
             GraphKind::Enum { exact }
         } else {
             GraphKind::Fpras(Box::new(pqe_graph::compile(g, rpq)?))
         };
-        Ok(GraphPlan { decision, num_edges: g.num_edges(), kind })
+        Ok(GraphPlan {
+            decision,
+            num_edges: g.num_edges(),
+            kind,
+        })
     }
 
     /// Runs the routed engine. Pure function of `(plan, ε, seed,
@@ -329,7 +339,9 @@ mod tests {
         let base = FprasConfig::with_epsilon(0.1).with_seed(0xAB);
         let reference = plan.execute(&base.clone().with_threads(1)).to_bigfloat();
         for threads in [2usize, 4, 8] {
-            let got = plan.execute(&base.clone().with_threads(threads)).to_bigfloat();
+            let got = plan
+                .execute(&base.clone().with_threads(threads))
+                .to_bigfloat();
             assert_eq!(got, reference, "threads={threads}");
         }
     }

@@ -58,8 +58,8 @@ pub use estimators::{
     fact_influences, path_pqe_estimate, path_ur_estimate, pqe_estimate, ur_estimate, EstimateError,
     PqeReport, UrReport,
 };
-pub use plan::{Answer, Compiled, Plan, Revalidation, Target, UrPlan};
 pub use graph_router::{GraphAnswer, GraphMethod, GraphPlan};
+pub use plan::{Answer, Compiled, Plan, Revalidation, Target, UrPlan};
 pub use router::{
     ConditionalPlan, ConditionalReport, Method, Route, RouteDecision, RoutedAnswer, RoutedPlan,
     RouterError,

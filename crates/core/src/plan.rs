@@ -73,7 +73,11 @@ pub(crate) fn compile_ur_plan(
         let _t = pqe_obs::span::span("translate");
         ur.aug.translate()
     };
-    Ok(UrPlan { nfta, target_size: ur.target_size, dropped_facts: ur.dropped_facts })
+    Ok(UrPlan {
+        nfta,
+        target_size: ur.target_size,
+        dropped_facts: ur.dropped_facts,
+    })
 }
 
 impl UrPlan {
@@ -84,7 +88,15 @@ impl UrPlan {
         let start = Instant::now();
         let trees = count_nfta(&self.nfta, self.target_size, cfg);
         let (states, size) = (self.nfta.num_states(), self.nfta.size());
-        UrReport::from_count(trees, self.dropped_facts, self.target_size, states, size, cfg, start)
+        UrReport::from_count(
+            trees,
+            self.dropped_facts,
+            self.target_size,
+            states,
+            size,
+            cfg,
+            start,
+        )
     }
 }
 
@@ -141,7 +153,11 @@ impl Target {
         let op = self.op();
         match self {
             Target::Query { q, method } => format!("{op}|{}|{q}", method.name()),
-            Target::Conditional { q, evidence, method } => {
+            Target::Conditional {
+                q,
+                evidence,
+                method,
+            } => {
                 format!("{op}|{}|{q}|evidence|{evidence}", method.name())
             }
             Target::Reliability(q) => format!("{op}|{q}"),
@@ -163,9 +179,11 @@ impl Target {
     fn compile(&self, h: &ProbDatabase) -> Result<Compiled, RouterError> {
         Ok(match self {
             Target::Query { q, method } => Compiled::Query(RoutedPlan::compile(q, h, *method)?),
-            Target::Conditional { q, evidence, method } => {
-                Compiled::Conditional(ConditionalPlan::compile(q, evidence, h, *method)?)
-            }
+            Target::Conditional {
+                q,
+                evidence,
+                method,
+            } => Compiled::Conditional(ConditionalPlan::compile(q, evidence, h, *method)?),
             Target::Reliability(q) => Compiled::Reliability(compile_ur_plan(q, h.database())?),
             Target::Graph { graph, rpq, method } => {
                 Compiled::Graph(GraphPlan::compile(graph, rpq, *method)?)
@@ -245,7 +263,11 @@ impl Plan {
     ) -> Result<Plan, RouterError> {
         let compiled = target.compile(h)?;
         let stamp = target.stamp(epochs);
-        Ok(Plan { target, compiled, stamp })
+        Ok(Plan {
+            target,
+            compiled,
+            stamp,
+        })
     }
 
     /// Brings the plan up to date with a mutated database, doing the least
@@ -269,7 +291,11 @@ impl Plan {
         h: &ProbDatabase,
         epochs: &Epochs,
     ) -> Result<Revalidation, RouterError> {
-        let incremental = match (epochs.freshness(&self.stamp), &mut self.compiled, &self.target) {
+        let incremental = match (
+            epochs.freshness(&self.stamp),
+            &mut self.compiled,
+            &self.target,
+        ) {
             (Freshness::Current, ..) => return Ok(Revalidation::Current),
             // A reliability counts subinstances: probabilities never move it.
             (Freshness::ProbsChanged, Compiled::Reliability(_), _) => {
@@ -351,7 +377,10 @@ mod tests {
         // path: all three must agree to the last bit.
         for _ in 0..2 {
             let via_plan = estimate(&plan, &cfg);
-            assert_eq!(via_plan.probability.to_string(), direct.probability.to_string());
+            assert_eq!(
+                via_plan.probability.to_string(),
+                direct.probability.to_string()
+            );
             assert_eq!(via_plan.target_size, direct.target_size);
             assert_eq!(via_plan.denominator, direct.denominator);
             assert_eq!(via_plan.automaton_states, direct.automaton_states);
@@ -366,7 +395,10 @@ mod tests {
         let plan = compile_ur_plan(&q, &db).unwrap();
         let direct = ur_estimate(&q, &db, &cfg).unwrap();
         let via_plan = plan.execute(&cfg);
-        assert_eq!(via_plan.reliability.to_string(), direct.reliability.to_string());
+        assert_eq!(
+            via_plan.reliability.to_string(),
+            direct.reliability.to_string()
+        );
         assert_eq!(via_plan.target_size, direct.target_size);
         assert_eq!(via_plan.dropped_facts, direct.dropped_facts);
     }

@@ -104,7 +104,11 @@ mod tests {
         db.add_fact("R2", &["b", "d"]).unwrap();
         let h = ProbDatabase::with_probs(
             db,
-            vec![Rational::one(), Rational::zero(), Rational::from_ratio(2, 3)],
+            vec![
+                Rational::one(),
+                Rational::zero(),
+                Rational::from_ratio(2, 3),
+            ],
         )
         .unwrap();
         let q = shapes::path_query(2);

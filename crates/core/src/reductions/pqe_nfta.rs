@@ -70,10 +70,7 @@ impl std::fmt::Display for ReweightError {
 impl std::error::Error for ReweightError {}
 
 /// The relations of `Q` resolved against `h`'s schema.
-fn query_relations(
-    q: &ConjunctiveQuery,
-    h: &ProbDatabase,
-) -> std::collections::BTreeSet<RelId> {
+fn query_relations(q: &ConjunctiveQuery, h: &ProbDatabase) -> std::collections::BTreeSet<RelId> {
     q.atoms()
         .iter()
         .filter_map(|a| h.database().schema().relation(&a.relation))
@@ -159,14 +156,11 @@ impl PqeAutomaton {
         let hproj = h.project(|r| keep.contains(&r));
         let old = &self.ur.projected;
         let new_db = hproj.database();
-        if new_db.len() != old.len()
-            || old.fact_ids().any(|id| old.fact(id) != new_db.fact(id))
-        {
+        if new_db.len() != old.len() || old.fact_ids().any(|id| old.fact(id) != new_db.fact(id)) {
             return Err(ReweightError::StructureChanged);
         }
         let _s = pqe_obs::span::span("reweight");
-        let (nfta, extra_nodes) =
-            attach_multipliers(&self.ur, &self.nfta0, &self.neg_map, &hproj);
+        let (nfta, extra_nodes) = attach_multipliers(&self.ur, &self.nfta0, &self.neg_map, &hproj);
         self.nfta = nfta;
         self.target_size = self.ur.target_size + extra_nodes;
         self.denominator = hproj.denominator_product();
@@ -227,9 +221,9 @@ mod tests {
     fn probability_zero_and_one_facts() {
         let db = two_path_db();
         let probs = vec![
-            Rational::one(),             // R1(a,b) certain
-            Rational::zero(),            // R2(b,c) impossible
-            Rational::from_ratio(1, 2),  // R2(b,d) fair
+            Rational::one(),            // R1(a,b) certain
+            Rational::zero(),           // R2(b,c) impossible
+            Rational::from_ratio(1, 2), // R2(b,d) fair
         ];
         let h = ProbDatabase::with_probs(db, probs).unwrap();
         let q = shapes::path_query(2);
@@ -316,7 +310,10 @@ mod tests {
         assert_eq!(pqe.target_size, fresh.target_size);
         assert_eq!(pqe.denominator, fresh.denominator);
         let reweighted = count_trees_exact(&pqe.nfta, pqe.target_size);
-        assert_eq!(reweighted, count_trees_exact(&fresh.nfta, fresh.target_size));
+        assert_eq!(
+            reweighted,
+            count_trees_exact(&fresh.nfta, fresh.target_size)
+        );
         assert_eq!(
             Rational::new(reweighted.into(), pqe.denominator.clone()),
             brute_force_pqe(&q, &h2)
@@ -334,10 +331,7 @@ mod tests {
         let mut db2 = two_path_db();
         db2.add_fact("R1", &["a", "z"]).unwrap();
         let h2 = ProbDatabase::uniform(db2, Rational::from_ratio(1, 2));
-        assert_eq!(
-            pqe.reweight(&q, &h2),
-            Err(ReweightError::StructureChanged)
-        );
+        assert_eq!(pqe.reweight(&q, &h2), Err(ReweightError::StructureChanged));
 
         // But extra facts in relations outside Q project away: reweight ok.
         let mut db3 = Database::new(Schema::new([("R1", 2), ("R2", 2), ("Z", 1)]));

@@ -43,7 +43,10 @@ impl std::fmt::Display for ReductionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReductionError::NotSelfJoinFree => {
-                write!(f, "query contains self-joins; the FPRAS requires self-join-freeness")
+                write!(
+                    f,
+                    "query contains self-joins; the FPRAS requires self-join-freeness"
+                )
             }
             ReductionError::NotAPathQuery => write!(f, "query is not a path query"),
             ReductionError::Decomposition(msg) => write!(f, "decomposition failed: {msg}"),
@@ -103,8 +106,7 @@ pub fn build_ur_automaton(
     let dropped_facts = db.len() - proj.len();
 
     // Complete, binarized decomposition with BFS vertex order.
-    let mut tree =
-        decompose(q).map_err(|e| ReductionError::Decomposition(e.to_string()))?;
+    let mut tree = decompose(q).map_err(|e| ReductionError::Decomposition(e.to_string()))?;
     complete(q, &mut tree);
     binarize(&mut tree);
     let order = tree.bfs_order();

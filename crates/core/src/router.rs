@@ -196,8 +196,9 @@ fn decide(class: &Classification, method: Method) -> RouteDecision {
                 RouteDecision {
                     route: Route::Lifted,
                     forced: false,
-                    rationale: "auto: safe (hierarchical, self-join-free) => exact lifted inference"
-                        .to_owned(),
+                    rationale:
+                        "auto: safe (hierarchical, self-join-free) => exact lifted inference"
+                            .to_owned(),
                 }
             } else {
                 let why = if !class.self_join_free {
@@ -356,12 +357,18 @@ impl RoutedPlan {
         // `decide` picks lifted or FPRAS; enumeration is graph-only.
         let kind = if decision.route == Route::Lifted {
             pqe_obs::metrics::counter("router.route.lifted").inc();
-            RoutedKind::Lifted { exact: lifted_pqe(q, h)? }
+            RoutedKind::Lifted {
+                exact: lifted_pqe(q, h)?,
+            }
         } else {
             pqe_obs::metrics::counter("router.route.fpras").inc();
             RoutedKind::Fpras(Box::new(compile_pqe(q, h)?))
         };
-        Ok(RoutedPlan { classification, decision, kind })
+        Ok(RoutedPlan {
+            classification,
+            decision,
+            kind,
+        })
     }
 
     /// Refreshes the plan in place after a probability-only change to
@@ -456,10 +463,7 @@ enum ConditionalKind {
         routed: RoutedPlan,
     },
     /// Evidence with variables: the ε-split ratio `P(Q∧E)/P(E)`.
-    Ratio {
-        joint: RoutedPlan,
-        ev: RoutedPlan,
-    },
+    Ratio { joint: RoutedPlan, ev: RoutedPlan },
 }
 
 /// One conditional answer with full provenance.
@@ -507,13 +511,11 @@ impl ConditionalPlan {
             let mut prob_e = Rational::one();
             let db = h.database();
             for atom in e.atoms() {
-                let fact_id = ground_fact_id(h, atom).ok_or_else(|| {
-                    RouterError::ZeroEvidence {
-                        detail: format!(
-                            "evidence fact {} is not in the database",
-                            render_ground_atom(atom)
-                        ),
-                    }
+                let fact_id = ground_fact_id(h, atom).ok_or_else(|| RouterError::ZeroEvidence {
+                    detail: format!(
+                        "evidence fact {} is not in the database",
+                        render_ground_atom(atom)
+                    ),
                 })?;
                 if h.prob(fact_id).is_zero() {
                     return Err(RouterError::ZeroEvidence {
@@ -545,7 +547,10 @@ impl ConditionalPlan {
                 ev: RoutedPlan::compile(e, h, method)?,
             }
         };
-        Ok(ConditionalPlan { evidence: e.to_string(), kind })
+        Ok(ConditionalPlan {
+            evidence: e.to_string(),
+            kind,
+        })
     }
 
     /// The route decision for the numerator term.
@@ -612,7 +617,11 @@ impl ConditionalPlan {
                         detail: format!(
                             "P({}) {} to 0",
                             self.evidence,
-                            if ev_answer.exact().is_some() { "evaluates" } else { "estimates" }
+                            if ev_answer.exact().is_some() {
+                                "evaluates"
+                            } else {
+                                "estimates"
+                            }
                         ),
                     });
                 }
@@ -831,7 +840,11 @@ mod tests {
         // a self-join; the ground path must handle it exactly.
         let h = two_path_db();
         let q = parse("R(x,y), S(y,z)").unwrap();
-        for etext in ["S('b','c')", "S('b','c'), S('b','d')", "R('a','b'), S('b','d')"] {
+        for etext in [
+            "S('b','c')",
+            "S('b','c'), S('b','d')",
+            "R('a','b'), S('b','d')",
+        ] {
             let e = parse(etext).unwrap();
             let plan = ConditionalPlan::compile(&q, &e, &h, Method::Auto).unwrap();
             let r = plan.execute(&FprasConfig::with_epsilon(0.2)).unwrap();
@@ -854,7 +867,9 @@ mod tests {
         let e = parse("T(w)").unwrap();
         let plan = ConditionalPlan::compile(&q, &e, &h, Method::Auto).unwrap();
         assert!(plan.evidence_decision().is_some(), "ratio path expected");
-        let r = plan.execute(&FprasConfig::with_epsilon(0.2).with_seed(3)).unwrap();
+        let r = plan
+            .execute(&FprasConfig::with_epsilon(0.2).with_seed(3))
+            .unwrap();
         let brute = brute_conditional(&q, &e, &h).unwrap();
         // Both terms are safe here, so the ratio is exact.
         assert_eq!(r.exact.as_ref().unwrap(), &brute);
@@ -885,13 +900,20 @@ mod tests {
         let e = parse("E(v)").unwrap();
         let eps = 0.25;
         let plan = ConditionalPlan::compile(&q, &e, &h, Method::Auto).unwrap();
-        let r = plan.execute(&FprasConfig::with_epsilon(eps).with_seed(11)).unwrap();
+        let r = plan
+            .execute(&FprasConfig::with_epsilon(eps).with_seed(11))
+            .unwrap();
         assert_eq!(r.joint_route, Route::Fpras);
         assert_eq!(r.evidence_route, Some(Route::Lifted));
         assert_eq!(r.split_epsilon, Some(eps / 2.0));
         let brute = brute_conditional(&q, &e, &h).unwrap();
         let rel = (r.conditional.to_f64() / brute.to_f64() - 1.0).abs();
-        assert!(rel <= eps, "rel {rel} (got {}, want {})", r.conditional.to_f64(), brute.to_f64());
+        assert!(
+            rel <= eps,
+            "rel {rel} (got {}, want {})",
+            r.conditional.to_f64(),
+            brute.to_f64()
+        );
     }
 
     #[test]
@@ -943,7 +965,13 @@ mod tests {
     }
 
     fn query_plan(q: &str, method: Method, v: &pqe_delta::VersionedDb) -> Plan {
-        plan_at(Target::Query { q: parse(q).unwrap(), method }, v)
+        plan_at(
+            Target::Query {
+                q: parse(q).unwrap(),
+                method,
+            },
+            v,
+        )
     }
 
     fn routed(plan: &Plan, cfg: &FprasConfig) -> RoutedAnswer {
@@ -966,7 +994,8 @@ mod tests {
 
         // Probability-only delta on S: R-only plan current, others refresh
         // incrementally (lifted re-solve / automaton reweight).
-        v.apply(&Delta::parse_str("~ 2/3 S(b,c)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("~ 2/3 S(b,c)\n").unwrap())
+            .unwrap();
         let h = v.snapshot();
         assert_eq!(
             unrelated.revalidate(&h, v.epochs()).unwrap(),
@@ -992,7 +1021,8 @@ mod tests {
         );
 
         // Structural delta on S: recompile path.
-        v.apply(&Delta::parse_str("+ 1/4 S(b,e)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("+ 1/4 S(b,e)\n").unwrap())
+            .unwrap();
         let h = v.snapshot();
         assert_eq!(
             unrelated.revalidate(&h, v.epochs()).unwrap(),
@@ -1023,7 +1053,8 @@ mod tests {
         let mut plan = query_plan("R(x,y), S(y,z)", Method::Fpras, &v);
         let (i0, r0) = (inc.get(), rec.get());
 
-        v.apply(&Delta::parse_str("~ 1/5 R(a,b)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("~ 1/5 R(a,b)\n").unwrap())
+            .unwrap();
         plan.revalidate(&v.snapshot(), v.epochs()).unwrap();
         assert_eq!((inc.get(), rec.get()), (i0 + 1, r0));
 
@@ -1039,13 +1070,18 @@ mod tests {
         let q = parse("R(x,y), S(y,z)").unwrap();
         let e = parse("S('b','c')").unwrap();
         let (evidence, method) = (e.clone(), Method::Auto);
-        let target = Target::Conditional { q: q.clone(), evidence, method };
+        let target = Target::Conditional {
+            q: q.clone(),
+            evidence,
+            method,
+        };
         let mut plan = plan_at(target, &v);
         let cfg = FprasConfig::with_epsilon(0.2);
 
         // Unrelated relation: current.
         let mut v2 = v.clone();
-        v2.apply(&Delta::parse_str("+ 1/2 T(q)\n").unwrap()).unwrap();
+        v2.apply(&Delta::parse_str("+ 1/2 T(q)\n").unwrap())
+            .unwrap();
         assert_eq!(
             plan.revalidate(&v2.snapshot(), v2.epochs()).unwrap(),
             Revalidation::Current
@@ -1053,7 +1089,8 @@ mod tests {
 
         // Probability change on an evidence relation: recompile, and the
         // refreshed plan matches a fresh compile (and brute force).
-        v.apply(&Delta::parse_str("~ 1/2 S(b,d)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("~ 1/2 S(b,d)\n").unwrap())
+            .unwrap();
         let h = v.snapshot();
         assert_eq!(
             plan.revalidate(&h, v.epochs()).unwrap(),

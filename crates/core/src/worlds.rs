@@ -62,7 +62,12 @@ impl Conditioned {
                     .expect("projected fact exists in the original database")
             })
             .collect();
-        let by_symbol = ur.fact_symbols.iter().copied().zip(back.iter().copied()).collect();
+        let by_symbol = ur
+            .fact_symbols
+            .iter()
+            .copied()
+            .zip(back.iter().copied())
+            .collect();
         let covered: std::collections::BTreeSet<FactId> = back.into_iter().collect();
         let free_facts = db.fact_ids().filter(|f| !covered.contains(f)).collect();
         let runs = RunTables::new(&nfta, target_size);
@@ -328,7 +333,12 @@ mod tests {
     #[test]
     fn free_facts_get_independent_coins() {
         let mut full = Database::new(Schema::new([("R1", 2), ("R2", 2), ("Z", 1)]));
-        for (rel, a, b) in [("R1", "a", "b"), ("R2", "b", "c"), ("R2", "b", "d"), ("R2", "x", "y")] {
+        for (rel, a, b) in [
+            ("R1", "a", "b"),
+            ("R2", "b", "c"),
+            ("R2", "b", "d"),
+            ("R2", "x", "y"),
+        ] {
             full.add_fact(rel, &[a, b]).unwrap();
         }
         full.add_fact("Z", &["free"]).unwrap();
@@ -401,6 +411,9 @@ mod tests {
             UniformWorldSampler::new(&q, &db, cfg.clone()),
             Err(EstimateError::Arity(_))
         ));
-        assert!(matches!(WeightedWorldSampler::new(&q, &h, cfg), Err(EstimateError::Arity(_))));
+        assert!(matches!(
+            WeightedWorldSampler::new(&q, &h, cfg),
+            Err(EstimateError::Arity(_))
+        ));
     }
 }
