@@ -83,19 +83,9 @@ impl BigInt {
         &self.mag
     }
 
-    /// Consumes `self`, returning the magnitude.
-    pub fn into_magnitude(self) -> BigUint {
-        self.mag
-    }
-
     /// Returns `true` iff `self == 0`.
     pub fn is_zero(&self) -> bool {
         self.sign == Sign::Zero
-    }
-
-    /// Returns `true` iff `self > 0`.
-    pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Positive
     }
 
     /// Returns `true` iff `self < 0`.
@@ -124,16 +114,6 @@ impl BigInt {
             Sign::Positive
         };
         BigInt::from_sign_magnitude(sign, mag)
-    }
-
-    /// Converts to `i64` if the value fits.
-    pub fn to_i64(&self) -> Option<i64> {
-        let m = self.mag.to_u128()?;
-        match self.sign {
-            Sign::Zero => Some(0),
-            Sign::Positive => (m <= i64::MAX as u128).then_some(m as i64),
-            Sign::Negative => (m <= i64::MAX as u128 + 1).then_some((m as i128).wrapping_neg() as i64),
-        }
     }
 
     /// Best-effort `f64` conversion (reporting only).
@@ -386,13 +366,5 @@ mod tests {
         assert!(int("-1") < int("0"));
         assert!(int("0") < int("1"));
         assert!(int("9") < int("10"));
-    }
-
-    #[test]
-    fn to_i64_bounds() {
-        assert_eq!(int("9223372036854775807").to_i64(), Some(i64::MAX));
-        assert_eq!(int("-9223372036854775808").to_i64(), Some(i64::MIN));
-        assert_eq!(int("9223372036854775808").to_i64(), None);
-        assert_eq!(int("-9223372036854775809").to_i64(), None);
     }
 }

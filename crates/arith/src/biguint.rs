@@ -74,12 +74,6 @@ impl BigUint {
         self.limbs.get(limb).is_some_and(|&l| (l >> off) & 1 == 1)
     }
 
-    /// `⌊log₂(self)⌋`. Panics on zero.
-    pub fn log2_floor(&self) -> u64 {
-        assert!(!self.is_zero(), "log2 of zero");
-        self.bits() - 1
-    }
-
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {
@@ -814,9 +808,8 @@ mod tests {
     }
 
     #[test]
-    fn pow_and_log2() {
+    fn pow_and_bits() {
         let p = BigUint::from(2u32).pow(200);
-        assert_eq!(p.log2_floor(), 200);
         assert_eq!(p.bits(), 201);
         assert_eq!(BigUint::from(3u32).pow(5).to_u64(), Some(243));
         assert_eq!(BigUint::from(7u32).pow(0).to_u64(), Some(1));

@@ -26,12 +26,11 @@
 //!
 //! * **augmented NFTAs** (§4.1): transitions labelled by strings with
 //!   optional (`?`) symbols — [`AugmentedNfta::translate`];
-//! * **NFTAs with multipliers** (§5.1): transitions that multiply the
-//!   number of accepted trees by an integer `n`, realized by a binary
-//!   comparator gadget of `Θ(log n)` states — [`MultiplierNfta::translate`].
-//!   The reductions weigh by symbol instead: a [`SymbolWeights`] table and
-//!   one splice of that same comparator into an NFA ([`weigh_nfa`]) or an
-//!   NFTA ([`weigh_nfta`]).
+//! * **NFTAs with multipliers** (§5.1, Definition 2): transitions that
+//!   multiply the number of accepted trees by an integer `n`, given by a
+//!   [`SymbolWeights`] table over an automaton's symbols and translated
+//!   (Remark 2) by splicing a binary comparator gadget of `Θ(log n)` states
+//!   into an NFTA ([`weigh_nfta`]) or an NFA ([`weigh_nfa`]).
 //!
 //! Exact (exponential-time) counters — subset-determinization string/tree
 //! counting and run counting — serve as test oracles.
@@ -57,9 +56,7 @@ pub use ambiguity::Ambiguity;
 pub use augmented::{AugSymbol, AugTransition, AugmentedNfta};
 pub use config::FprasConfig;
 pub use dot::{nfa_to_dot, nfta_to_dot};
-pub use multiplier::{
-    required_bits, weigh_nfa, weigh_nfta, MulTransition, MultiplierNfta, SymbolWeights,
-};
+pub use multiplier::{required_bits, weigh_nfa, weigh_nfta, SymbolWeights};
 pub use nfa::{Nfa, StateId};
 pub use nfa_fpras::count_nfa;
 pub use nfta::{IndexedTree, Nfta, NodeMemo, Transition, Tree};
@@ -77,6 +74,5 @@ const _: () = {
     assert_send_sync::<Nfa>();
     assert_send_sync::<Nfta>();
     assert_send_sync::<AugmentedNfta>();
-    assert_send_sync::<MultiplierNfta>();
     assert_send_sync::<FprasConfig>();
 };

@@ -16,8 +16,9 @@
 //! [`SymbolWeights`] table gives each symbol a multiplier and a width, and
 //! [`weigh_nfa`] / [`weigh_nfta`] splice a gadget into every transition
 //! reading a weighted symbol and drop every transition reading an
-//! unweighted one. [`MultiplierNfta`] is Definition 2 with a multiplier
-//! per transition.
+//! unweighted one. Definition 2's NFTA with multipliers is an [`Nfta`]
+//! together with its [`SymbolWeights`]; [`weigh_nfta`] is Remark 2's
+//! translation to an ordinary NFTA.
 //!
 //! **Uniform widths.** The paper uses the minimal width
 //! `u(n) = ⌊log₂(n−1)⌋ + 1`; this implementation lets the caller fix a
@@ -27,7 +28,7 @@
 //! ([`SymbolWeights::set_pair`]) so that all accepted trees or strings keep
 //! a single target size — see DESIGN.md §2.2.
 
-use crate::{Alphabet, Nfa, Nfta, StateId, SymbolId, Transition};
+use crate::{Nfa, Nfta, StateId, SymbolId, Transition};
 use pqe_arith::BigUint;
 
 /// The paper's `u(n)`: bits needed by the minimal-width gadget —
@@ -42,15 +43,6 @@ pub fn required_bits(n: &BigUint) -> u64 {
     } else {
         (n - &BigUint::one()).bits()
     }
-}
-
-/// Panics unless `n ≥ 1` fits a `width`-bit gadget (`n ≤ 2^width`).
-fn check_fits(n: &BigUint, width: u64) {
-    assert!(!n.is_zero(), "zero multiplier: omit the transition");
-    assert!(
-        required_bits(n) <= width,
-        "multiplier {n} does not fit in {width} bits"
-    );
 }
 
 /// Multiplier weights by symbol: symbol → `(n, K)`, the multiplier `n ≥ 1`
@@ -71,7 +63,11 @@ impl SymbolWeights {
     /// `n = 1` keeps its transitions as they are). Panics if `n` is zero
     /// or exceeds `2^width`.
     pub fn set(&mut self, symbol: SymbolId, n: BigUint, width: u64) {
-        check_fits(&n, width);
+        assert!(!n.is_zero(), "zero multiplier: omit the transition");
+        assert!(
+            required_bits(&n) <= width,
+            "multiplier {n} does not fit in {width} bits"
+        );
         let i = symbol.index();
         if i >= self.by_symbol.len() {
             self.by_symbol.resize(i + 1, None);
@@ -131,29 +127,22 @@ pub fn weigh_nfa(nfa: &Nfa, weights: &SymbolWeights) -> Nfa {
 }
 
 /// Weighs a tree automaton, as [`weigh_nfa`] does a string automaton: the
-/// gadget sits between a weighted transition's node and its children.
+/// gadget sits between a weighted transition's node and its children
+/// (Remark 2: polynomial time, `2K` fresh states per weighted transition).
 pub fn weigh_nfta(nfta: &Nfta, weights: &SymbolWeights) -> Nfta {
-    let (mut out, bits) = nfta_shell(nfta.alphabet(), nfta.num_states(), nfta.initial());
+    let mut alphabet = nfta.alphabet().clone();
+    let bits = [alphabet.intern("0"), alphabet.intern("1")];
+    let mut out = Nfta::new(alphabet);
+    for _ in 1..nfta.num_states() {
+        out.add_state();
+    }
+    out.set_initial(nfta.initial());
     for t in nfta.transitions() {
         if let Some((n, width)) = weights.get(t.symbol) {
             splice(&mut out, bits, t.src, t.symbol, n, width, &t.children);
         }
     }
     out
-}
-
-/// An NFTA with `num_states` states rooted at `initial` and no
-/// transitions, over `alphabet ∪ {0, 1}`; returns it with the ids of `0`
-/// and `1`.
-fn nfta_shell(alphabet: &Alphabet, num_states: usize, initial: StateId) -> (Nfta, [SymbolId; 2]) {
-    let mut alphabet = alphabet.clone();
-    let bits = [alphabet.intern("0"), alphabet.intern("1")];
-    let mut out = Nfta::new(alphabet);
-    for _ in 1..num_states {
-        out.add_state();
-    }
-    out.set_initial(initial);
-    (out, bits)
 }
 
 /// An automaton a gadget can be spliced into. `Target` is where a weighted
@@ -245,125 +234,10 @@ fn splice<A: Splice>(
     }
 }
 
-/// A multiplier transition `(src, symbol, multiplier, children)` together
-/// with its gadget bit-width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MulTransition {
-    /// Source state.
-    pub src: StateId,
-    /// Node label consumed.
-    pub symbol: SymbolId,
-    /// The multiplier `n ≥ 1`. (A multiplier of 0 means "never": callers
-    /// simply omit the transition.)
-    pub multiplier: BigUint,
-    /// Gadget width `K`; must satisfy `n ≤ 2^K` (and `K ≥ 1` unless the
-    /// caller wants the paper-minimal `u(n) = 0` case for `n = 1`).
-    pub bit_width: u64,
-    /// Child states entered after the gadget path.
-    pub children: Vec<StateId>,
-}
-
-impl MulTransition {
-    /// A transition with the paper-minimal width `u(n)`.
-    pub fn minimal(
-        src: StateId,
-        symbol: SymbolId,
-        multiplier: BigUint,
-        children: Vec<StateId>,
-    ) -> Self {
-        let bit_width = required_bits(&multiplier);
-        MulTransition {
-            src,
-            symbol,
-            multiplier,
-            bit_width,
-            children,
-        }
-    }
-}
-
-/// An NFTA with multipliers `T^c = (S, Σ, Δ, s_init)` (Definition 2).
-#[derive(Debug, Clone)]
-pub struct MultiplierNfta {
-    alphabet: Alphabet,
-    num_states: usize,
-    transitions: Vec<MulTransition>,
-    initial: StateId,
-}
-
-impl MultiplierNfta {
-    /// A one-state automaton (state 0 = initial).
-    pub fn new(alphabet: Alphabet) -> Self {
-        MultiplierNfta {
-            alphabet,
-            num_states: 1,
-            transitions: Vec::new(),
-            initial: StateId(0),
-        }
-    }
-
-    /// Adds a fresh state.
-    pub fn add_state(&mut self) -> StateId {
-        let s = StateId(self.num_states as u32);
-        self.num_states += 1;
-        s
-    }
-
-    /// Adds a multiplier transition. Panics if the multiplier is zero or
-    /// exceeds `2^bit_width`.
-    pub fn add_transition(&mut self, t: MulTransition) {
-        check_fits(&t.multiplier, t.bit_width);
-        debug_assert!(t.src.index() < self.num_states);
-        self.transitions.push(t);
-    }
-
-    /// Re-roots at `s`.
-    pub fn set_initial(&mut self, s: StateId) {
-        self.initial = s;
-    }
-
-    /// The initial state.
-    pub fn initial(&self) -> StateId {
-        self.initial
-    }
-
-    /// Number of states (before translation).
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// All transitions.
-    pub fn transitions(&self) -> &[MulTransition] {
-        &self.transitions
-    }
-
-    /// Translates to an ordinary NFTA over `Σ ∪ {0, 1}` (Remark 2:
-    /// polynomial time; `Θ(log n)` fresh states per transition).
-    ///
-    /// Every tree that took a transition with multiplier `n` and width `K`
-    /// gains a `K`-node bit path; the gadget accepts exactly the `n`
-    /// bit-strings `bin(0) … bin(n−1)` (MSB first).
-    pub fn translate(&self) -> Nfta {
-        let (mut out, bits) = nfta_shell(&self.alphabet, self.num_states, self.initial);
-        for t in &self.transitions {
-            splice(
-                &mut out,
-                bits,
-                t.src,
-                t.symbol,
-                &t.multiplier,
-                t.bit_width,
-                &t.children,
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_trees_exact;
+    use crate::{count_trees_exact, Alphabet};
 
     #[test]
     fn required_bits_matches_paper_u() {
@@ -373,21 +247,22 @@ mod tests {
         }
     }
 
-    /// One leaf-ish transition with multiplier n and width k: the language
-    /// should contain exactly n trees (of size 1 + k).
+    /// `q --a--> ()` on a one-state NFTA, weighed by `n` on a `k`-bit
+    /// gadget: the language should contain exactly `n` trees (of size
+    /// `1 + k`).
     fn single_gadget(n: u32, k: u64) -> Nfta {
         let mut alpha = Alphabet::new();
         let a = alpha.intern("a");
-        let mut m = MultiplierNfta::new(alpha);
-        let q = m.initial();
-        m.add_transition(MulTransition {
+        let mut nfta = Nfta::new(alpha);
+        let q = nfta.initial();
+        nfta.add_transition(Transition {
             src: q,
             symbol: a,
-            multiplier: BigUint::from(n),
-            bit_width: k,
             children: vec![],
         });
-        m.translate()
+        let mut weights = SymbolWeights::new();
+        weights.set(a, BigUint::from(n), k);
+        weigh_nfta(&nfta, &weights)
     }
 
     #[test]
@@ -407,7 +282,7 @@ mod tests {
     #[test]
     fn padded_width_keeps_count() {
         // Same multiplier with a wider gadget still accepts exactly n
-        // strings (now of the padded length) — the §5.2 uniform-size trick.
+        // trees (now of the padded size) — the §5.2 uniform-size trick.
         for n in [1u32, 3, 5, 8] {
             for pad in 0..3u64 {
                 let k = required_bits(&BigUint::from(n)).max(1) + pad;
@@ -423,12 +298,7 @@ mod tests {
 
     #[test]
     fn minimal_width_one_skips_gadget() {
-        let mut alpha = Alphabet::new();
-        let a = alpha.intern("a");
-        let mut m = MultiplierNfta::new(alpha);
-        let q = m.initial();
-        m.add_transition(MulTransition::minimal(q, a, BigUint::one(), vec![]));
-        let nfta = m.translate();
+        let nfta = single_gadget(1, required_bits(&BigUint::one()));
         assert_eq!(count_trees_exact(&nfta, 1).to_u64(), Some(1));
         // No gadget states: just the original state.
         assert_eq!(nfta.num_states(), 1);
@@ -447,28 +317,27 @@ mod tests {
 
     #[test]
     fn multiplier_composes_through_children() {
-        // Two chained multiplier transitions: counts multiply.
+        // Two chained weighted transitions: counts multiply.
         let mut alpha = Alphabet::new();
         let a = alpha.intern("a");
         let b = alpha.intern("b");
-        let mut m = MultiplierNfta::new(alpha);
-        let q = m.initial();
-        let r = m.add_state();
-        m.add_transition(MulTransition {
+        let mut nfta = Nfta::new(alpha);
+        let q = nfta.initial();
+        let r = nfta.add_state();
+        nfta.add_transition(Transition {
             src: q,
             symbol: a,
-            multiplier: BigUint::from(3u32),
-            bit_width: 2,
             children: vec![r],
         });
-        m.add_transition(MulTransition {
+        nfta.add_transition(Transition {
             src: r,
             symbol: b,
-            multiplier: BigUint::from(5u32),
-            bit_width: 3,
             children: vec![],
         });
-        let nfta = m.translate();
+        let mut weights = SymbolWeights::new();
+        weights.set(a, BigUint::from(3u32), 2);
+        weights.set(b, BigUint::from(5u32), 3);
+        let nfta = weigh_nfta(&nfta, &weights);
         // Sizes: a + 2 bits + b + 3 bits = 7 nodes; 3 × 5 = 15 trees.
         assert_eq!(count_trees_exact(&nfta, 7).to_u64(), Some(15));
     }
@@ -478,15 +347,7 @@ mod tests {
     fn overflowing_width_rejected() {
         let mut alpha = Alphabet::new();
         let a = alpha.intern("a");
-        let mut m = MultiplierNfta::new(alpha);
-        let q = m.initial();
-        m.add_transition(MulTransition {
-            src: q,
-            symbol: a,
-            multiplier: BigUint::from(5u32),
-            bit_width: 2,
-            children: vec![],
-        });
+        SymbolWeights::new().set(a, BigUint::from(5u32), 2);
     }
 
     #[test]
@@ -494,15 +355,7 @@ mod tests {
     fn zero_multiplier_rejected() {
         let mut alpha = Alphabet::new();
         let a = alpha.intern("a");
-        let mut m = MultiplierNfta::new(alpha);
-        let q = m.initial();
-        m.add_transition(MulTransition {
-            src: q,
-            symbol: a,
-            multiplier: BigUint::zero(),
-            bit_width: 2,
-            children: vec![],
-        });
+        SymbolWeights::new().set(a, BigUint::zero(), 2);
     }
 
     /// `s --a--> f` weighed by `n` on a `k`-bit gadget.
@@ -577,14 +430,6 @@ mod tests {
         // unweighted `c` transition is gone.
         assert_eq!(nfa.count_strings_exact(7).to_u64(), Some(21));
         assert_eq!(nfa.count_strings_exact(1).to_u64(), Some(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn weight_overflowing_its_width_rejected() {
-        let mut alpha = Alphabet::new();
-        let a = alpha.intern("a");
-        SymbolWeights::new().set(a, BigUint::from(9u32), 3);
     }
 
     #[test]

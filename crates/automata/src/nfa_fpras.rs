@@ -16,7 +16,7 @@
 use crate::ambiguity::mark_ancestors;
 use crate::nfta_run_estimator::KeyIndex;
 use crate::scratch::{resample, with_scratch, PickSpan, PickTable, Scratch};
-use crate::union_mc::{adaptive_mean, TAG_NFA_GROUP, TAG_NFA_TOP};
+use crate::union_mc::{adaptive_mean, median_of_repetitions, TAG_NFA_GROUP, TAG_NFA_TOP};
 use crate::{FprasConfig, Nfa, StateId, SymbolId};
 use pqe_arith::{BigFloat, FixUint};
 use pqe_par::{FxHashMap, ShardedMap};
@@ -34,18 +34,9 @@ pub fn count_nfa(nfa: &Nfa, n: usize, cfg: &FprasConfig) -> BigFloat {
         let _tables = pqe_obs::span::span("tables");
         PathTables::new(nfa, n)
     };
-    let reps = cfg.repetitions.max(1);
-    let mut results: Vec<BigFloat> = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
-        r.map(|rep| {
-            // Per-repetition span (logical index, not chunk): the span
-            // tree stays identical at any worker count.
-            let _rep = pqe_obs::span::span("rep");
-            NfaCounter::new(nfa, &paths, cfg.clone(), cfg.seed.wrapping_add(rep as u64)).count()
-        })
-        .collect()
-    });
-    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    results[results.len() / 2]
+    median_of_repetitions(cfg, |seed| {
+        NfaCounter::new(nfa, &paths, cfg.clone(), seed).count()
+    })
 }
 
 /// Exact accepting-path counts `P(q, i)` for strings of length `n`, with

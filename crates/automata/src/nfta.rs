@@ -153,11 +153,6 @@ impl Nfta {
         &self.alphabet
     }
 
-    /// Mutable alphabet access (translations extend it).
-    pub fn alphabet_mut(&mut self) -> &mut Alphabet {
-        &mut self.alphabet
-    }
-
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.num_states

@@ -28,7 +28,7 @@
 
 use crate::forest_reg::EMPTY_FOREST;
 use crate::scratch::{resample, with_scratch, PickTable, Scratch};
-use crate::union_mc::{adaptive_mean, TAG_NFTA_GROUP};
+use crate::union_mc::{adaptive_mean, median_of_repetitions, TAG_NFTA_GROUP};
 use crate::{Ambiguity, FprasConfig, Nfta, RunTables, StateId, Tree};
 use pqe_arith::BigFloat;
 use pqe_par::ShardedMap;
@@ -67,23 +67,13 @@ pub fn count_nfta(nfta: &Nfta, n: usize, cfg: &FprasConfig) -> BigFloat {
             Ambiguity::new(nfta, cfg.naive_unions),
         )
     };
-    let reps = cfg.repetitions.max(1);
-    let mut results: Vec<BigFloat> = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
-        r.map(|rep| {
-            // One span per repetition (a logical index, never a chunk), so
-            // the span tree is identical at any worker count.
-            let _rep = pqe_obs::span::span("rep");
-            let counter = {
-                let _init = pqe_obs::span::span("init");
-                let seed = cfg.seed.wrapping_add(rep as u64);
-                NftaCounter::new(nfta, &runs, &ambiguity, cfg.clone().with_seed(seed))
-            };
-            counter.count()
-        })
-        .collect()
-    });
-    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    results[results.len() / 2]
+    median_of_repetitions(cfg, |seed| {
+        let counter = {
+            let _init = pqe_obs::span::span("init");
+            NftaCounter::new(nfta, &runs, &ambiguity, cfg.clone().with_seed(seed))
+        };
+        counter.count()
+    })
 }
 
 /// A single-run CountNFTA estimator for trees of the size its

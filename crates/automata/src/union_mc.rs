@@ -36,6 +36,8 @@
 //! pure function of its key and the run seed — which in turn is what lets
 //! the memo tables be simple first-insert-wins sharded maps.
 
+use crate::FprasConfig;
+use pqe_arith::BigFloat;
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
 
@@ -47,6 +49,27 @@ pub(crate) const SAMPLE_CHUNK: usize = 4;
 pub(crate) const TAG_NFTA_GROUP: u64 = 0x7e4a_0001;
 pub(crate) const TAG_NFA_GROUP: u64 = 0x7e4a_0002;
 pub(crate) const TAG_NFA_TOP: u64 = 0x7e4a_0003;
+
+/// The median of `cfg.repetitions` (at least one) independent estimates,
+/// fanned out over the `pqe_par` pool: repetition `rep` runs `estimate`
+/// with the seed `cfg.seed + rep`, inside a `rep` span of its own (a
+/// logical index, never a chunk), so the median and the span tree are the
+/// same at any worker count.
+pub(crate) fn median_of_repetitions<F>(cfg: &FprasConfig, estimate: F) -> BigFloat
+where
+    F: Fn(u64) -> BigFloat + Sync,
+{
+    let reps = cfg.repetitions.max(1);
+    let mut results = pqe_par::map_chunks(cfg.effective_threads(), reps, 1, |r| {
+        r.map(|rep| {
+            let _rep = pqe_obs::span::span("rep");
+            estimate(cfg.seed.wrapping_add(rep as u64))
+        })
+        .collect()
+    });
+    results.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    results[results.len() / 2]
+}
 
 /// The ordered Welford mean/variance fold with the adaptive early stop.
 ///

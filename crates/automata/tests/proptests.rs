@@ -4,9 +4,9 @@
 
 use pqe_arith::{BigFloat, BigUint};
 use pqe_automata::{
-    count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, Alphabet, Ambiguity,
-    AugSymbol, AugTransition, AugmentedNfta, FprasConfig, IndexedTree, MulTransition,
-    MultiplierNfta, Nfa, Nfta, NftaCounter, NodeMemo, RunTables, StateId, Transition,
+    count_nfa, count_nfta, count_runs, count_trees_exact, required_bits, weigh_nfta, Alphabet,
+    Ambiguity, AugSymbol, AugTransition, AugmentedNfta, FprasConfig, IndexedTree, Nfa, Nfta,
+    NftaCounter, NodeMemo, RunTables, StateId, SymbolWeights, Transition,
 };
 use pqe_rand::rngs::StdRng;
 use pqe_rand::SeedableRng;
@@ -285,16 +285,16 @@ fn multiplier_gadget_is_exact() {
             let width = required_bits(&mult).max(1) + pad;
             let mut alpha = Alphabet::new();
             let a = alpha.intern("a");
-            let mut m = MultiplierNfta::new(alpha);
-            let q = m.initial();
-            m.add_transition(MulTransition {
+            let mut t = Nfta::new(alpha);
+            let q = t.initial();
+            t.add_transition(Transition {
                 src: q,
                 symbol: a,
-                multiplier: mult,
-                bit_width: width,
                 children: vec![],
             });
-            let nfta = m.translate();
+            let mut weights = SymbolWeights::new();
+            weights.set(a, mult, width);
+            let nfta = weigh_nfta(&t, &weights);
             prop_assert_eq!(
                 count_trees_exact(&nfta, 1 + width as usize).to_u64(),
                 Some(n as u64)

@@ -4,8 +4,8 @@
 
 use pqe_arith::BigUint;
 use pqe_automata::{
-    required_bits, Alphabet, AugSymbol, AugTransition, AugmentedNfta, MulTransition,
-    MultiplierNfta,
+    required_bits, weigh_nfta, Alphabet, AugSymbol, AugTransition, AugmentedNfta, Nfta,
+    SymbolWeights, Transition,
 };
 use pqe_testkit::bench::{black_box, Runner};
 
@@ -31,28 +31,30 @@ fn bench_augmented_translation(r: &mut Runner) {
     }
 }
 
-fn multiplier_single(n: u64) -> MultiplierNfta {
+/// A one-state NFTA with one leaf transition, and weights giving its
+/// symbol the multiplier `n` on a minimal-width gadget.
+fn multiplier_single(n: u64) -> (Nfta, SymbolWeights) {
     let mut alpha = Alphabet::new();
     let a = alpha.intern("a");
-    let mut m = MultiplierNfta::new(alpha);
-    let q = m.initial();
-    let mult = BigUint::from(n);
-    let width = required_bits(&mult).max(1);
-    m.add_transition(MulTransition {
+    let mut nfta = Nfta::new(alpha);
+    let q = nfta.initial();
+    nfta.add_transition(Transition {
         src: q,
         symbol: a,
-        multiplier: mult,
-        bit_width: width,
         children: vec![],
     });
-    m
+    let mult = BigUint::from(n);
+    let width = required_bits(&mult).max(1);
+    let mut weights = SymbolWeights::new();
+    weights.set(a, mult, width);
+    (nfta, weights)
 }
 
 fn bench_multiplier_translation(r: &mut Runner) {
     for n in [10u64, 1_000, 1_000_000, 1_000_000_000] {
-        let m = multiplier_single(n);
+        let (nfta, weights) = multiplier_single(n);
         r.bench(format!("e9_multiplier_translate/{n}"), || {
-            black_box(m.translate());
+            black_box(weigh_nfta(&nfta, &weights));
         });
     }
 }
@@ -62,14 +64,14 @@ fn bench_gadget_state_counts(r: &mut Runner) {
     // must grow logarithmically (asserted here, reported via the bench
     // labels).
     for n in [10u64, 10_000, 10_000_000] {
-        let m = multiplier_single(n);
-        let t = m.translate();
+        let (nfta, weights) = multiplier_single(n);
+        let t = weigh_nfta(&nfta, &weights);
         let k = required_bits(&BigUint::from(n));
         assert_eq!(t.num_states() as u64, 1 + 2 * k);
         r.bench(
             format!("e9_gadget_states_log_n/n={n},states={}", t.num_states()),
             || {
-                black_box(m.translate().num_states());
+                black_box(weigh_nfta(&nfta, &weights).num_states());
             },
         );
     }

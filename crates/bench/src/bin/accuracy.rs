@@ -1,9 +1,12 @@
 //! Experiment E6 — empirical validation of the Theorem 1 guarantee:
 //! `(1−ε)·Pr ≤ PQEEstimate ≤ (1+ε)·Pr` with high probability.
 //!
-//! For each ε in a grid, runs many independently-seeded estimates against
-//! exact ground truth (brute force on small instances, lifted inference on
-//! a large safe instance) and reports the error distribution.
+//! For each ε in a grid, runs estimates under the consecutive seeds
+//! `0xE6_0000 + t` against exact ground truth (brute force on small
+//! instances, lifted inference on a large safe instance) and reports the
+//! error distribution. The runs are not independent: run `t` seeds its
+//! repetitions `seed + 0 … seed + 4`, so two runs one seed apart share
+//! four of their five repetitions.
 //!
 //! ```sh
 //! cargo run --release -p pqe-bench --bin accuracy

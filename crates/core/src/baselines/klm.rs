@@ -15,7 +15,7 @@
 //! *not* a combined-complexity FPRAS, and the experiment suite measures
 //! exactly that failure mode against the paper's tree-automata FPRAS.
 
-use pqe_arith::{BigFloat, BigUint, Rational};
+use pqe_arith::{BigFloat, Rational};
 use pqe_db::{worlds, ProbDatabase};
 use pqe_engine::count_homomorphisms;
 use pqe_engine::sample::WitnessSampler;
@@ -106,105 +106,6 @@ pub fn karp_luby_pqe(
     }
 }
 
-/// Karp–Luby with the Dagum–Karp–Luby–Ross stopping rule: instead of a
-/// fixed sample budget, draws until the running sum of the `[0,1]`-valued
-/// estimator variables reaches `Υ = 1 + 4(e−2)(1+ε)·ln(2/δ)/ε²`, which
-/// guarantees a `(1±ε)` estimate with probability `≥ 1−δ` — giving the
-/// *intensional* baseline the same per-run guarantee semantics as the
-/// paper's FPRAS, so the two are compared like for like.
-///
-/// The required sample count is `≈ Υ / E[1/N]`, which grows with the mean
-/// clause multiplicity — the combined-complexity blow-up of this method,
-/// now visible directly in [`KarpLubyReport::samples`].
-pub fn karp_luby_pqe_guaranteed(
-    q: &ConjunctiveQuery,
-    h: &ProbDatabase,
-    epsilon: f64,
-    delta: f64,
-    seed: u64,
-) -> KarpLubyReport {
-    assert!(epsilon > 0.0 && epsilon < 1.0, "ε must lie in (0,1)");
-    assert!(delta > 0.0 && delta < 1.0, "δ must lie in (0,1)");
-    let db = h.database();
-    let weight = |_: usize, f: pqe_db::FactId| h.prob(f).clone();
-    let sampler = WitnessSampler::new(q, db, &weight);
-    let s_mass = sampler.total_mass().clone();
-    if s_mass.is_zero() {
-        return KarpLubyReport {
-            estimate: BigFloat::zero(),
-            clause_mass: s_mass,
-            samples: 0,
-            mean_true_clauses: 0.0,
-        };
-    }
-    // Stopping threshold Υ of the DKLR stopping-rule algorithm.
-    let lambda = (std::f64::consts::E - 2.0) * (2.0 / delta).ln();
-    let upsilon = 1.0 + 4.0 * lambda * (1.0 + epsilon) / (epsilon * epsilon);
-
-    // Like `karp_luby_pqe`, trial `i` owns stream `i` (i jumps past the
-    // seed). Workers speculate a batch ahead; the stopping rule is applied
-    // while folding the batch in index order, and trials past the stop
-    // point are discarded — so the stop index, and with it the estimate,
-    // is independent of thread count and batch shape.
-    let threads = pqe_par::default_threads();
-    let draw = |mut rng: StdRng| -> (f64, f64) {
-        let clause = sampler.sample(q, &mut rng);
-        let mut world = worlds::sample_world(h, &mut rng);
-        for &f in &clause {
-            world[f.index()] = true;
-        }
-        let sub = db.subinstance(&world);
-        let n = count_homomorphisms(q, &sub).to_f64().max(1.0);
-        (1.0 / n, n)
-    };
-    let mut head = StdRng::seed_from_u64(seed);
-    let mut sum = 0.0f64;
-    let mut true_clause_sum = 0.0f64;
-    let mut samples = 0usize;
-    'outer: loop {
-        let want = if threads <= 1 { 1 } else { threads * 16 };
-        let rngs: Vec<StdRng> = (0..want)
-            .map(|_| {
-                let r = head.clone();
-                head.jump();
-                r
-            })
-            .collect();
-        let vals = pqe_par::map_chunks(threads, want, 16, |r| {
-            r.map(|k| draw(rngs[k].clone())).collect()
-        });
-        for (inv, n) in vals {
-            if sum >= upsilon {
-                break 'outer;
-            }
-            sum += inv;
-            true_clause_sum += n;
-            samples += 1;
-        }
-        if sum >= upsilon {
-            break;
-        }
-    }
-    let mu = upsilon / samples as f64; // DKLR estimator of E[1/N]
-    KarpLubyReport {
-        estimate: BigFloat::from_rational(&s_mass) * mu,
-        clause_mass: s_mass,
-        samples,
-        mean_true_clauses: true_clause_sum / samples as f64,
-    }
-}
-
-/// The exact clause mass `S` alone (useful to bound `Pr(Q)` from above
-/// cheaply; equals `Σ_w ∏ π`).
-pub fn clause_mass(q: &ConjunctiveQuery, h: &ProbDatabase) -> Rational {
-    pqe_engine::weighted_hom_count::<Rational>(q, h.database(), &|_, f| h.prob(f).clone())
-}
-
-/// Helper: the number of witnesses as a `BigUint` (re-export convenience).
-pub fn witness_count(q: &ConjunctiveQuery, h: &ProbDatabase) -> BigUint {
-    count_homomorphisms(q, h.database())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,44 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn guaranteed_variant_meets_epsilon() {
-        let mut rng = StdRng::seed_from_u64(45);
-        let db = generators::layered_graph_connected(3, 2, 0.6, &mut rng);
-        let h = generators::with_random_probs(db, 5, &mut rng);
-        let q = shapes::path_query(3);
-        let exact = brute_force_pqe(&q, &h);
-        for seed in 0..4 {
-            let r = karp_luby_pqe_guaranteed(&q, &h, 0.1, 0.05, seed);
-            let rel = r
-                .estimate
-                .relative_error_to(&BigFloat::from_rational(&exact));
-            assert!(rel <= 0.1, "seed {seed}: rel {rel}");
-            assert!(r.samples > 0);
-        }
-    }
-
-    #[test]
-    fn guaranteed_sample_count_grows_with_multiplicity() {
-        // Denser instances (more simultaneously-true clauses) need more
-        // samples to hit the DKLR threshold — the combined-complexity
-        // blow-up made visible.
-        let mut rng = StdRng::seed_from_u64(46);
-        let sparse = generators::layered_graph_connected(3, 2, 0.2, &mut rng);
-        let dense = generators::layered_graph(3, 3, 1.0, &mut rng);
-        let q = shapes::path_query(3);
-        let hs = generators::with_uniform_probs(sparse, Rational::from_ratio(9, 10));
-        let hd = generators::with_uniform_probs(dense, Rational::from_ratio(9, 10));
-        let rs = karp_luby_pqe_guaranteed(&q, &hs, 0.2, 0.1, 5);
-        let rd = karp_luby_pqe_guaranteed(&q, &hd, 0.2, 0.1, 5);
-        assert!(
-            rd.samples > rs.samples,
-            "dense {} vs sparse {}",
-            rd.samples,
-            rs.samples
-        );
-    }
-
-    #[test]
     fn unsatisfiable_returns_zero() {
         let mut rng = StdRng::seed_from_u64(42);
         let db = generators::layered_graph(3, 2, 0.0, &mut rng); // no edges
@@ -286,7 +149,7 @@ mod tests {
         let db = generators::layered_graph_connected(2, 2, 0.8, &mut rng);
         let h = generators::with_random_probs(db, 4, &mut rng);
         let q = shapes::path_query(2);
-        let mass = clause_mass(&q, &h);
+        let mass = karp_luby_pqe(&q, &h, 1, 3).clause_mass;
         let exact = brute_force_pqe(&q, &h);
         assert!(mass >= exact, "union bound violated: {mass} < {exact}");
     }

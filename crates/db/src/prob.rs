@@ -42,11 +42,6 @@ impl ProbDatabase {
         &self.db
     }
 
-    /// Consumes `self`, returning the underlying database.
-    pub fn into_database(self) -> Database {
-        self.db
-    }
-
     /// `π(f)` for fact `f`.
     pub fn prob(&self, f: FactId) -> &Rational {
         &self.probs[f.index()]
@@ -66,16 +61,6 @@ impl ProbDatabase {
     /// Whether the instance has no facts.
     pub fn is_empty(&self) -> bool {
         self.db.is_empty()
-    }
-
-    /// The size `|H|` as defined in the paper: `|D|` plus the aggregate bit
-    /// size of the probability encodings.
-    pub fn encoded_size(&self) -> u64 {
-        let mut bits: u64 = 0;
-        for p in &self.probs {
-            bits += p.numerator().magnitude().bits().max(1) + p.denominator().bits();
-        }
-        self.db.len() as u64 + bits
     }
 
     /// The probability `Pr_H(D')` of the subinstance selected by `included`.
@@ -162,13 +147,6 @@ mod tests {
         db.add_fact("R", &["a", "b"]).unwrap();
         let res = ProbDatabase::with_probs(db, vec![Rational::from_ratio(3, 2)]);
         assert!(matches!(res, Err(DbError::InvalidProbability(_))));
-    }
-
-    #[test]
-    fn encoded_size_counts_bits() {
-        let h = pdb();
-        // 2 facts; 1/3 → 1 + 2 bits, 2/5 → 2 + 3 bits.
-        assert_eq!(h.encoded_size(), 2 + 3 + 5);
     }
 
     #[test]

@@ -156,23 +156,6 @@ impl Delta {
         self.ops.push(op);
     }
 
-    /// Appends an insert.
-    pub fn insert_fact(&mut self, rel: &str, args: &[&str], prob: Rational) {
-        self.push(DeltaOp::Insert {
-            rel: rel.to_owned(),
-            args: args.iter().map(|a| (*a).to_owned()).collect(),
-            prob,
-        });
-    }
-
-    /// Appends a delete.
-    pub fn delete_fact(&mut self, rel: &str, args: &[&str]) {
-        self.push(DeltaOp::Delete {
-            rel: rel.to_owned(),
-            args: args.iter().map(|a| (*a).to_owned()).collect(),
-        });
-    }
-
     /// Appends a probability overwrite.
     pub fn set_prob(&mut self, rel: &str, args: &[&str], prob: Rational) {
         self.push(DeltaOp::SetProb {

@@ -50,11 +50,6 @@ impl Binding {
             self.slots[v.index()] = None;
         }
     }
-
-    /// Number of currently bound variables.
-    pub fn bound_count(&self) -> usize {
-        self.trail.len()
-    }
 }
 
 #[cfg(test)]
@@ -78,12 +73,12 @@ mod tests {
         let m = b.mark();
         b.bind(Var(1), Const(2));
         b.bind(Var(2), Const(3));
-        assert_eq!(b.bound_count(), 3);
+        assert_eq!(b.mark(), 3);
         b.rollback(m);
         assert_eq!(b.get(Var(0)), Some(Const(1)));
         assert_eq!(b.get(Var(1)), None);
         assert_eq!(b.get(Var(2)), None);
-        assert_eq!(b.bound_count(), 1);
+        assert_eq!(b.mark(), 1);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 mod bags;
 mod binding;
-pub mod containment;
 mod join;
 pub mod sample;
 mod semiring;

@@ -1,9 +1,9 @@
 //! Deterministic probabilistic-graph workload generators.
 //!
-//! Both shapes are DAGs by construction, so generated instances always
-//! take the compiled FPRAS route; seeded via `pqe-rand`, so a fixed seed
-//! reproduces the instance bit-for-bit (the bench and the oracle tests
-//! rely on that).
+//! Both grids (random and uniform probabilities) are DAGs by
+//! construction, so generated instances always take the compiled FPRAS
+//! route; seeded via `pqe-rand`, so a fixed seed reproduces the instance
+//! bit-for-bit (the bench and the oracle tests rely on that).
 
 use crate::model::ProbGraph;
 use pqe_arith::Rational;
@@ -78,42 +78,6 @@ pub fn road_grid_uniform(rows: usize, cols: usize) -> ProbGraph {
     g
 }
 
-/// A preferential-attachment social graph: vertices `u0 … u{n−1}` arrive
-/// in order; each newcomer draws `attach` `follows` edges to earlier
-/// vertices chosen proportionally to degree + 1 (duplicates collapse to
-/// parallel edges — independent events). Edges point from later to
-/// earlier vertices, hence acyclic.
-pub fn preferential_attachment<R: Rng + ?Sized>(
-    n: usize,
-    attach: usize,
-    max_den: u64,
-    rng: &mut R,
-) -> ProbGraph {
-    let mut g = ProbGraph::new();
-    let name = |i: usize| format!("u{i}");
-    if n == 0 {
-        return g;
-    }
-    g.add_vertex(&name(0));
-    let mut degree = vec![1u64; 1]; // degree + 1 weights
-    for i in 1..n {
-        g.add_vertex(&name(i));
-        let total: u64 = degree.iter().sum();
-        for _ in 0..attach.min(i) {
-            let mut pick = rng.random_range(0..total);
-            let mut j = 0;
-            while pick >= degree[j] {
-                pick -= degree[j];
-                j += 1;
-            }
-            g.add_edge(&name(i), "follows", &name(j), random_prob(max_den, rng));
-            degree[j] += 1;
-        }
-        degree.push(1 + attach.min(i) as u64);
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,21 +103,5 @@ mod tests {
         let g = road_grid_uniform(4, 4);
         assert_eq!(g.num_edges(), 24);
         assert!(g.edges().iter().all(|e| e.prob.to_string() == "1/2"));
-    }
-
-    #[test]
-    fn preferential_attachment_is_an_acyclic_multigraph() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = preferential_attachment(20, 2, 8, &mut rng);
-        assert_eq!(g.num_vertices(), 20);
-        // First vertex attaches 1 edge (only one candidate), rest 2.
-        assert_eq!(g.num_edges(), 1 + 18 * 2);
-        assert!(g.is_acyclic());
-        // Every edge points backward in arrival order.
-        for e in g.edges() {
-            let src: usize = g.vertex_name(e.src)[1..].parse().unwrap();
-            let dst: usize = g.vertex_name(e.dst)[1..].parse().unwrap();
-            assert!(src > dst, "{src} -> {dst}");
-        }
     }
 }

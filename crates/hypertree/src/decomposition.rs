@@ -1,7 +1,7 @@
 //! The hypertree data structure `⟨T, χ, ξ⟩`.
 
 use pqe_query::{ConjunctiveQuery, Var};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Index of a vertex in a [`Hypertree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -183,18 +183,6 @@ impl Hypertree {
     /// decomposition).
     pub fn is_complete(&self, q: &ConjunctiveQuery) -> bool {
         self.min_covering_vertices(q).iter().all(Option::is_some)
-    }
-
-    /// For each atom, every vertex whose `ξ` mentions it. Used by
-    /// validation.
-    pub fn xi_occurrences(&self) -> HashMap<usize, Vec<NodeId>> {
-        let mut m: HashMap<usize, Vec<NodeId>> = HashMap::new();
-        for id in self.bfs_order() {
-            for &a in &self.node(id).xi {
-                m.entry(a).or_default().push(id);
-            }
-        }
-        m
     }
 
     /// Renders the tree for debugging, one vertex per line.

@@ -40,11 +40,6 @@ pub fn process_start() -> Instant {
     *PROCESS_START.get_or_init(Instant::now)
 }
 
-/// Whole seconds elapsed since [`process_start`].
-pub fn uptime_seconds() -> u64 {
-    process_start().elapsed().as_secs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +49,5 @@ mod tests {
         let a = process_start();
         let b = process_start();
         assert_eq!(a, b);
-        // uptime is monotone, non-panicking
-        let _ = uptime_seconds();
     }
 }

@@ -23,14 +23,6 @@ const JUMP: [u64; 4] = [
     0x39ab_dc45_29b1_661c,
 ];
 
-/// Long-jump polynomial: advances the state by `2^192` steps.
-const LONG_JUMP: [u64; 4] = [
-    0x76e1_5d3e_fefd_cbbf,
-    0xc500_4e44_1c52_2fb3,
-    0x7771_0069_854e_e241,
-    0x3910_9bb0_2acb_e635,
-];
-
 impl Xoshiro256PlusPlus {
     /// Builds a generator directly from four state words. The all-zero
     /// state is the one fixed point of the transition and is remapped
@@ -76,11 +68,6 @@ impl Xoshiro256PlusPlus {
     /// work. Useful for carving the period into non-overlapping blocks.
     pub fn jump(&mut self) {
         self.polynomial_jump(&JUMP);
-    }
-
-    /// Advances this generator by `2^192` steps.
-    pub fn long_jump(&mut self) {
-        self.polynomial_jump(&LONG_JUMP);
     }
 
     /// Splits off an independent stream: the returned generator continues

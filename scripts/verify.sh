@@ -17,10 +17,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 # Format gate, one crate at a time as each is brought under rustfmt:
-# pqe-automata and pqe-graph are formatted, the rest of the workspace is
-# not yet.
+# pqe-automata, pqe-graph, pqe-engine and pqe-core are formatted, the rest
+# of the workspace is not yet.
 cargo fmt -p pqe-automata -- --check
 cargo fmt -p pqe-graph -- --check
+cargo fmt -p pqe-engine -- --check
+cargo fmt -p pqe-core -- --check
 
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the

@@ -58,7 +58,7 @@ SERVE CONCURRENCY:
                    private compiled-plan cache (default 4)
   --queue-depth N  bounded work-queue capacity; heavy requests arriving at
                    a full queue get a structured `overloaded` error
-                   (default 64; --max-inflight is a legacy alias)
+                   (default 64)
 
 THREADS:
   --threads N sets the FPRAS worker count for the command (and the server
@@ -621,7 +621,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "addr",
         "workers",
         "queue-depth",
-        "max-inflight", // legacy alias for --queue-depth
         "deadline-ms",
         "cache-capacity",
         "threads",
@@ -638,17 +637,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         }
     };
     let defaults = ServeConfig::default();
-    // --max-inflight predates the sharded-worker rework; it bounded the
-    // number of concurrently computing requests, which is now the role of
-    // the work queue, so it survives as an alias for --queue-depth.
-    let queue_depth = match args.opt("queue-depth") {
-        Some(_) => parse_opt("queue-depth", defaults.queue_depth)?,
-        None => parse_opt("max-inflight", defaults.queue_depth)?,
-    };
     let cfg = ServeConfig {
         addr: args.opt("addr").unwrap_or("127.0.0.1:7431").to_owned(),
         workers: parse_opt("workers", defaults.workers)?.max(1),
-        queue_depth: queue_depth.max(1),
+        queue_depth: parse_opt("queue-depth", defaults.queue_depth)?.max(1),
         deadline_ms: parse_opt("deadline-ms", defaults.deadline_ms as usize)? as u64,
         cache_capacity: parse_opt("cache-capacity", defaults.cache_capacity)?.max(1),
         threads: args.threads()?,

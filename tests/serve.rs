@@ -262,9 +262,8 @@ fn concurrent_identical_requests_coalesce_to_one_evaluation() {
 #[test]
 fn saturated_queue_returns_structured_overload() {
     let db = write_db(PATH3_DB);
-    // --max-inflight is the legacy alias for --queue-depth: one worker,
-    // one queue slot.
-    let server = ServerProc::start(&db, &["--workers", "1", "--max-inflight", "1"]);
+    // One worker, one queue slot.
+    let server = ServerProc::start(&db, &["--workers", "1", "--queue-depth", "1"]);
 
     // First connection occupies the only worker via the delay knob
     // (distinct seeds so the three requests never coalesce).
@@ -497,13 +496,24 @@ fn unknown_option_suggests_the_intended_flag() {
 #[test]
 fn serve_rejects_unknown_option_with_hint() {
     let out = pqe()
-        .args(["serve", "--db", "/dev/null", "--max-inflght", "2"])
+        .args(["serve", "--db", "/dev/null", "--queue-dept", "2"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("did you mean --max-inflight"),
+        stderr.contains("did you mean --queue-depth"),
+        "stderr: {stderr}"
+    );
+    // The old --queue-depth alias is gone.
+    let out = pqe()
+        .args(["serve", "--db", "/dev/null", "--max-inflight", "2"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --max-inflight"),
         "stderr: {stderr}"
     );
     // The new knobs hint too.
