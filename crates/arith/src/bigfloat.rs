@@ -183,7 +183,10 @@ fn normalize(m: f64) -> (f64, i64) {
     }
     // Resetting the exponent field to the bias leaves 1.f: the exact
     // quotient m / 2^e, bit for bit.
-    (f64::from_bits((bits & FRACTION_BITS) | (1023 << 52)), raw_exp - 1023)
+    (
+        f64::from_bits((bits & FRACTION_BITS) | (1023 << 52)),
+        raw_exp - 1023,
+    )
 }
 
 impl Add for BigFloat {
@@ -399,7 +402,10 @@ mod tests {
             return BigFloat::zero();
         }
         let (m, e) = normalize_powi(mantissa);
-        BigFloat { mantissa: m, exp: exp + e }
+        BigFloat {
+            mantissa: m,
+            exp: exp + e,
+        }
     }
 
     fn add_powi(a: BigFloat, b: BigFloat) -> BigFloat {
@@ -447,7 +453,7 @@ mod tests {
     #[test]
     fn normalize_is_bit_equal_to_the_powi_form() {
         let mut inputs = vec![
-            f64::from_bits(1), // smallest subnormal
+            f64::from_bits(1),             // smallest subnormal
             f64::from_bits(FRACTION_BITS), // largest subnormal
             f64::MIN_POSITIVE,
             1.0,

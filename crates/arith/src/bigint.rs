@@ -96,7 +96,11 @@ impl BigInt {
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
         BigInt::from_sign_magnitude(
-            if self.is_zero() { Sign::Zero } else { Sign::Positive },
+            if self.is_zero() {
+                Sign::Zero
+            } else {
+                Sign::Positive
+            },
             self.mag.clone(),
         )
     }
@@ -129,7 +133,11 @@ impl BigInt {
 
 impl From<BigUint> for BigInt {
     fn from(mag: BigUint) -> Self {
-        let sign = if mag.is_zero() { Sign::Zero } else { Sign::Positive };
+        let sign = if mag.is_zero() {
+            Sign::Zero
+        } else {
+            Sign::Positive
+        };
         BigInt::from_sign_magnitude(sign, mag)
     }
 }
@@ -138,7 +146,9 @@ impl From<i64> for BigInt {
     fn from(v: i64) -> Self {
         match v.cmp(&0) {
             Ordering::Equal => BigInt::zero(),
-            Ordering::Greater => BigInt::from_sign_magnitude(Sign::Positive, BigUint::from(v as u64)),
+            Ordering::Greater => {
+                BigInt::from_sign_magnitude(Sign::Positive, BigUint::from(v as u64))
+            }
             Ordering::Less => {
                 BigInt::from_sign_magnitude(Sign::Negative, BigUint::from(v.unsigned_abs()))
             }
@@ -169,7 +179,11 @@ impl FromStr for BigInt {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if let Some(rest) = s.strip_prefix('-') {
             let mag = BigUint::from_decimal(rest)?;
-            let sign = if mag.is_zero() { Sign::Zero } else { Sign::Negative };
+            let sign = if mag.is_zero() {
+                Sign::Zero
+            } else {
+                Sign::Negative
+            };
             Ok(BigInt::from_sign_magnitude(sign, mag))
         } else {
             Ok(BigInt::from(BigUint::from_decimal(
@@ -230,9 +244,7 @@ impl Add for &BigInt {
             (a, b) if a == b => BigInt::from_sign_magnitude(a, &self.mag + &rhs.mag),
             _ => match self.mag.cmp(&rhs.mag) {
                 Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_sign_magnitude(self.sign, &self.mag - &rhs.mag)
-                }
+                Ordering::Greater => BigInt::from_sign_magnitude(self.sign, &self.mag - &rhs.mag),
                 Ordering::Less => BigInt::from_sign_magnitude(rhs.sign, &rhs.mag - &self.mag),
             },
         }

@@ -269,7 +269,10 @@ mod tests {
         let b = FixUint::one();
         let sum = &a + &b;
         assert!(matches!(sum.0, Repr::Big(_)));
-        assert_eq!(sum.to_biguint(), &BigUint::from(u128::MAX) + &BigUint::one());
+        assert_eq!(
+            sum.to_biguint(),
+            &BigUint::from(u128::MAX) + &BigUint::one()
+        );
         let sq = &a * &a;
         let expect = &BigUint::from(u128::MAX) * &BigUint::from(u128::MAX);
         assert_eq!(sq.to_biguint(), expect);
@@ -309,7 +312,11 @@ mod tests {
         for v in interesting {
             let fix = FixUint::from_u128(v);
             let big = BigUint::from(v);
-            assert_eq!(fix.to_f64().to_bits(), big.to_f64().to_bits(), "to_f64({v})");
+            assert_eq!(
+                fix.to_f64().to_bits(),
+                big.to_f64().to_bits(),
+                "to_f64({v})"
+            );
             assert_eq!(
                 fix.to_bigfloat(),
                 BigFloat::from_biguint(&big),

@@ -253,8 +253,8 @@ impl FromStr for Rational {
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
-        let num = &self.num * &BigInt::from(rhs.den.clone())
-            + &rhs.num * &BigInt::from(self.den.clone());
+        let num =
+            &self.num * &BigInt::from(rhs.den.clone()) + &rhs.num * &BigInt::from(self.den.clone());
         Rational::new(num, &self.den * &rhs.den)
     }
 }

@@ -17,14 +17,14 @@ fn boundary_value() -> impl Gen<Value = u128> {
     (0u8..=9, 0u32..2048, any::<u64>()).prop_map(|(anchor, wobble, low)| {
         let base: u128 = match anchor {
             0 => 0,
-            1 => 1 << 31,            // single u32 limb edge
-            2 => 1 << 52,            // f64 mantissa edge
-            3 => 1 << 63,            // BigFloat::from_biguint branch edge
-            4 => 1 << 64,            // u64 / two-limb edge
-            5 => 1 << 96,            // three-limb edge
+            1 => 1 << 31, // single u32 limb edge
+            2 => 1 << 52, // f64 mantissa edge
+            3 => 1 << 63, // BigFloat::from_biguint branch edge
+            4 => 1 << 64, // u64 / two-limb edge
+            5 => 1 << 96, // three-limb edge
             6 => u64::MAX as u128,
             7 => 1 << 120,
-            8 => u128::MAX,          // u128 overflow edge
+            8 => u128::MAX,           // u128 overflow edge
             _ => (low as u128) << 33, // spread across mid-range
         };
         base.wrapping_add(wobble as u128)
@@ -128,7 +128,11 @@ fn exact_crossover_values() {
         for v in [edge.wrapping_sub(1), edge, edge.wrapping_add(1)] {
             let fix = FixUint::from_u128(v);
             let big = reference(v);
-            assert_eq!(fix.to_f64().to_bits(), big.to_f64().to_bits(), "to_f64 at {v}");
+            assert_eq!(
+                fix.to_f64().to_bits(),
+                big.to_f64().to_bits(),
+                "to_f64 at {v}"
+            );
             assert!(
                 fix.to_bigfloat() == BigFloat::from_biguint(&big),
                 "to_bigfloat at {v}"
@@ -137,13 +141,22 @@ fn exact_crossover_values() {
     }
     // Addition exactly at the u128 overflow crossover.
     let just_over = &FixUint::from_u128(u128::MAX) + &FixUint::one();
-    assert_eq!(just_over.to_biguint(), &BigUint::from(u128::MAX) + &BigUint::one());
+    assert_eq!(
+        just_over.to_biguint(),
+        &BigUint::from(u128::MAX) + &BigUint::one()
+    );
     // Multiplication exactly at the crossover: (2^64)·(2^64) overflows,
     // (2^64)·(2^64 − 1) does not.
     let lo = &FixUint::from_u128(1 << 64) * &FixUint::from_u128((1u128 << 64) - 1);
-    assert_eq!(lo.to_biguint(), &BigUint::from(1u128 << 64) * &BigUint::from((1u128 << 64) - 1));
+    assert_eq!(
+        lo.to_biguint(),
+        &BigUint::from(1u128 << 64) * &BigUint::from((1u128 << 64) - 1)
+    );
     let hi = &FixUint::from_u128(1 << 64) * &FixUint::from_u128(1 << 64);
-    assert_eq!(hi.to_biguint(), &BigUint::from(1u128 << 64) * &BigUint::from(1u128 << 64));
+    assert_eq!(
+        hi.to_biguint(),
+        &BigUint::from(1u128 << 64) * &BigUint::from(1u128 << 64)
+    );
 }
 
 #[test]

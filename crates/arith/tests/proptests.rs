@@ -103,30 +103,45 @@ fn euclid(a: &BigUint, b: &BigUint) -> BigUint {
 
 #[test]
 fn add_matches_u128() {
-    check("add_matches_u128", &cfg(), &(any::<u64>(), any::<u64>()), |&(a, b)| {
-        let sum = &BigUint::from(a) + &BigUint::from(b);
-        prop_assert_eq!(sum.to_u128(), Some(a as u128 + b as u128));
-        Ok(())
-    });
+    check(
+        "add_matches_u128",
+        &cfg(),
+        &(any::<u64>(), any::<u64>()),
+        |&(a, b)| {
+            let sum = &BigUint::from(a) + &BigUint::from(b);
+            prop_assert_eq!(sum.to_u128(), Some(a as u128 + b as u128));
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn mul_matches_u128() {
-    check("mul_matches_u128", &cfg(), &(any::<u64>(), any::<u64>()), |&(a, b)| {
-        let prod = &BigUint::from(a) * &BigUint::from(b);
-        prop_assert_eq!(prod.to_u128(), Some(a as u128 * b as u128));
-        Ok(())
-    });
+    check(
+        "mul_matches_u128",
+        &cfg(),
+        &(any::<u64>(), any::<u64>()),
+        |&(a, b)| {
+            let prod = &BigUint::from(a) * &BigUint::from(b);
+            prop_assert_eq!(prod.to_u128(), Some(a as u128 * b as u128));
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn divrem_matches_u128() {
-    check("divrem_matches_u128", &cfg(), &(any::<u128>(), 1u128..), |&(a, b)| {
-        let (q, r) = BigUint::from(a).divrem(&BigUint::from(b));
-        prop_assert_eq!(q.to_u128(), Some(a / b));
-        prop_assert_eq!(r.to_u128(), Some(a % b));
-        Ok(())
-    });
+    check(
+        "divrem_matches_u128",
+        &cfg(),
+        &(any::<u128>(), 1u128..),
+        |&(a, b)| {
+            let (q, r) = BigUint::from(a).divrem(&BigUint::from(b));
+            prop_assert_eq!(q.to_u128(), Some(a / b));
+            prop_assert_eq!(r.to_u128(), Some(a % b));
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -134,12 +149,17 @@ fn mul_single_limb_fast_path_matches_general() {
     // `a * m` with a one-limb `m` takes the single-carry-pass fast path;
     // `a * (m << 32) >> 32` forces the two-limb schoolbook loop for the
     // same product. The two must agree limb-for-limb.
-    check("mul_fast_path", &cfg(), &(biguint_gen(), any::<u32>()), |(a, m)| {
-        let fast = a * &BigUint::from(*m);
-        let general = &(a * &(&BigUint::from(*m) << 32)) >> 32;
-        prop_assert_eq!(fast, general);
-        Ok(())
-    });
+    check(
+        "mul_fast_path",
+        &cfg(),
+        &(biguint_gen(), any::<u32>()),
+        |(a, m)| {
+            let fast = a * &BigUint::from(*m);
+            let general = &(a * &(&BigUint::from(*m) << 32)) >> 32;
+            prop_assert_eq!(fast, general);
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -180,47 +200,67 @@ fn mul_distributes_over_add() {
 
 #[test]
 fn divrem_reconstructs() {
-    check("divrem_reconstructs", &cfg(), &(biguint_gen(), biguint_gen()), |(a, b)| {
-        prop_assume!(!b.is_zero());
-        let (q, r) = a.divrem(b);
-        prop_assert!(r < *b);
-        prop_assert_eq!(&(&q * b) + &r, *a);
-        Ok(())
-    });
+    check(
+        "divrem_reconstructs",
+        &cfg(),
+        &(biguint_gen(), biguint_gen()),
+        |(a, b)| {
+            prop_assume!(!b.is_zero());
+            let (q, r) = a.divrem(b);
+            prop_assert!(r < *b);
+            prop_assert_eq!(&(&q * b) + &r, *a);
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn sub_inverts_add() {
-    check("sub_inverts_add", &cfg(), &(biguint_gen(), biguint_gen()), |(a, b)| {
-        prop_assert_eq!(&(a + b) - b, *a);
-        Ok(())
-    });
+    check(
+        "sub_inverts_add",
+        &cfg(),
+        &(biguint_gen(), biguint_gen()),
+        |(a, b)| {
+            prop_assert_eq!(&(a + b) - b, *a);
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn shifts_are_pow2_muldiv() {
-    check("shifts_are_pow2_muldiv", &cfg(), &(biguint_gen(), 0u64..200), |(a, s)| {
-        let s = *s;
-        let two_s = BigUint::from(2u32).pow(s as u32);
-        prop_assert_eq!(a << s, a * &two_s);
-        prop_assert_eq!(a >> s, a / &two_s);
-        Ok(())
-    });
+    check(
+        "shifts_are_pow2_muldiv",
+        &cfg(),
+        &(biguint_gen(), 0u64..200),
+        |(a, s)| {
+            let s = *s;
+            let two_s = BigUint::from(2u32).pow(s as u32);
+            prop_assert_eq!(a << s, a * &two_s);
+            prop_assert_eq!(a >> s, a / &two_s);
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn gcd_divides_both_and_is_maximal() {
-    check("gcd_divides", &cfg(), &(biguint_gen(), biguint_gen()), |(a, b)| {
-        prop_assume!(!a.is_zero() && !b.is_zero());
-        let g = a.gcd(b);
-        prop_assert!((a % &g).is_zero());
-        prop_assert!((b % &g).is_zero());
-        // Co-factors must be coprime.
-        let ca = a / &g;
-        let cb = b / &g;
-        prop_assert!(ca.gcd(&cb).is_one());
-        Ok(())
-    });
+    check(
+        "gcd_divides",
+        &cfg(),
+        &(biguint_gen(), biguint_gen()),
+        |(a, b)| {
+            prop_assume!(!a.is_zero() && !b.is_zero());
+            let g = a.gcd(b);
+            prop_assert!((a % &g).is_zero());
+            prop_assert!((b % &g).is_zero());
+            // Co-factors must be coprime.
+            let ca = a / &g;
+            let cb = b / &g;
+            prop_assert!(ca.gcd(&cb).is_one());
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -228,18 +268,28 @@ fn gcd_matches_plain_euclid() {
     // A shared factor makes the gcd nontrivial; operand pairs cover 1,
     // powers of two, equal operands, limb-length gaps of two or more (the
     // `%` steps), and 1000+-bit values (the subtract-and-shift rounds).
-    let gens = (gcd_operand_gen(), gcd_operand_gen(), gcd_operand_gen(), 0u8..4);
-    check("gcd_matches_plain_euclid", &cfg(), &gens, |(a, b, g, mode)| {
-        let (a, b) = match mode {
-            0 => (a.clone(), b.clone()),
-            1 => (a * g, b * g),
-            2 => (a * g, a * g),
-            _ => (a.clone(), BigUint::one()),
-        };
-        prop_assert_eq!(a.gcd(&b), euclid(&a, &b));
-        prop_assert_eq!(b.gcd(&a), euclid(&a, &b));
-        Ok(())
-    });
+    let gens = (
+        gcd_operand_gen(),
+        gcd_operand_gen(),
+        gcd_operand_gen(),
+        0u8..4,
+    );
+    check(
+        "gcd_matches_plain_euclid",
+        &cfg(),
+        &gens,
+        |(a, b, g, mode)| {
+            let (a, b) = match mode {
+                0 => (a.clone(), b.clone()),
+                1 => (a * g, b * g),
+                2 => (a * g, a * g),
+                _ => (a.clone(), BigUint::one()),
+            };
+            prop_assert_eq!(a.gcd(&b), euclid(&a, &b));
+            prop_assert_eq!(b.gcd(&a), euclid(&a, &b));
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -266,39 +316,58 @@ fn gcd_edge_cases_match_plain_euclid() {
 #[test]
 fn rational_mul_matches_full_normalization() {
     let gens = (rational_gen(), rational_gen());
-    check("rational_mul_matches_full_normalization", &cfg(), &gens, |(x, y)| {
-        let full = Rational::new(
-            x.numerator() * y.numerator(),
-            x.denominator() * y.denominator(),
-        );
-        let product = x * y;
-        prop_assert_eq!(product.numerator(), full.numerator());
-        prop_assert_eq!(product.denominator(), full.denominator());
-        Ok(())
-    });
+    check(
+        "rational_mul_matches_full_normalization",
+        &cfg(),
+        &gens,
+        |(x, y)| {
+            let full = Rational::new(
+                x.numerator() * y.numerator(),
+                x.denominator() * y.denominator(),
+            );
+            let product = x * y;
+            prop_assert_eq!(product.numerator(), full.numerator());
+            prop_assert_eq!(product.denominator(), full.denominator());
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn rational_complement_matches_one_minus() {
-    check("rational_complement_matches_one_minus", &cfg(), &rational_gen(), |x| {
-        let reference = &Rational::one() - x;
-        let complement = x.complement();
-        prop_assert_eq!(complement.numerator(), reference.numerator());
-        prop_assert_eq!(complement.denominator(), reference.denominator());
-        Ok(())
-    });
+    check(
+        "rational_complement_matches_one_minus",
+        &cfg(),
+        &rational_gen(),
+        |x| {
+            let reference = &Rational::one() - x;
+            let complement = x.complement();
+            prop_assert_eq!(complement.numerator(), reference.numerator());
+            prop_assert_eq!(complement.denominator(), reference.denominator());
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn rational_recip_matches_full_normalization() {
-    check("rational_recip_matches_full_normalization", &cfg(), &rational_gen(), |x| {
-        prop_assume!(!x.is_zero());
-        let den = BigInt::from(x.denominator().clone());
-        let num = if x.numerator().is_negative() { -den } else { den };
-        let full = Rational::new(num, x.numerator().magnitude().clone());
-        prop_assert_eq!(x.recip(), full);
-        Ok(())
-    });
+    check(
+        "rational_recip_matches_full_normalization",
+        &cfg(),
+        &rational_gen(),
+        |x| {
+            prop_assume!(!x.is_zero());
+            let den = BigInt::from(x.denominator().clone());
+            let num = if x.numerator().is_negative() {
+                -den
+            } else {
+                den
+            };
+            let full = Rational::new(num, x.numerator().magnitude().clone());
+            prop_assert_eq!(x.recip(), full);
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -329,11 +398,16 @@ fn display_matches_chunked_division() {
         }
         s
     }
-    check("display_matches_chunked_division", &cfg(), &gcd_operand_gen(), |a| {
-        prop_assert_eq!(a.to_string(), reference(a));
-        prop_assert_eq!(format!("{a:>1200}"), format!("{:>1200}", reference(a)));
-        Ok(())
-    });
+    check(
+        "display_matches_chunked_division",
+        &cfg(),
+        &gcd_operand_gen(),
+        |a| {
+            prop_assert_eq!(a.to_string(), reference(a));
+            prop_assert_eq!(format!("{a:>1200}"), format!("{:>1200}", reference(a)));
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -349,17 +423,22 @@ fn bits_bounds_value() {
 
 #[test]
 fn bigint_matches_i128() {
-    check("bigint_matches_i128", &cfg(), &(any::<i64>(), any::<i64>()), |&(a, b)| {
-        let (x, y) = (BigInt::from(a), BigInt::from(b));
-        prop_assert_eq!((&x + &y).to_string(), (a as i128 + b as i128).to_string());
-        prop_assert_eq!((&x - &y).to_string(), (a as i128 - b as i128).to_string());
-        prop_assert_eq!((&x * &y).to_string(), (a as i128 * b as i128).to_string());
-        if b != 0 {
-            prop_assert_eq!((&x / &y).to_string(), (a as i128 / b as i128).to_string());
-            prop_assert_eq!((&x % &y).to_string(), (a as i128 % b as i128).to_string());
-        }
-        Ok(())
-    });
+    check(
+        "bigint_matches_i128",
+        &cfg(),
+        &(any::<i64>(), any::<i64>()),
+        |&(a, b)| {
+            let (x, y) = (BigInt::from(a), BigInt::from(b));
+            prop_assert_eq!((&x + &y).to_string(), (a as i128 + b as i128).to_string());
+            prop_assert_eq!((&x - &y).to_string(), (a as i128 - b as i128).to_string());
+            prop_assert_eq!((&x * &y).to_string(), (a as i128 * b as i128).to_string());
+            if b != 0 {
+                prop_assert_eq!((&x / &y).to_string(), (a as i128 / b as i128).to_string());
+                prop_assert_eq!((&x % &y).to_string(), (a as i128 % b as i128).to_string());
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -388,24 +467,34 @@ fn rational_field_laws() {
 
 #[test]
 fn rational_normalized_invariants() {
-    check("rational_normalized_invariants", &cfg(), &rational_gen(), |a| {
-        prop_assert!(!a.denominator().is_zero());
-        if a.is_zero() {
-            prop_assert!(a.denominator().is_one());
-        } else {
-            prop_assert!(a.numerator().magnitude().gcd(a.denominator()).is_one());
-        }
-        Ok(())
-    });
+    check(
+        "rational_normalized_invariants",
+        &cfg(),
+        &rational_gen(),
+        |a| {
+            prop_assert!(!a.denominator().is_zero());
+            if a.is_zero() {
+                prop_assert!(a.denominator().is_one());
+            } else {
+                prop_assert!(a.numerator().magnitude().gcd(a.denominator()).is_one());
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn rational_display_roundtrips() {
-    check("rational_display_roundtrips", &cfg(), &rational_gen(), |a| {
-        let s = a.to_string();
-        prop_assert_eq!(s.parse::<Rational>().unwrap(), *a);
-        Ok(())
-    });
+    check(
+        "rational_display_roundtrips",
+        &cfg(),
+        &rational_gen(),
+        |a| {
+            let s = a.to_string();
+            prop_assert_eq!(s.parse::<Rational>().unwrap(), *a);
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -427,11 +516,16 @@ fn to_f64_commutes_with_pow2_scaling() {
     // power-of-two scaling — so the conversion of the shifted value must
     // equal the scaled conversion, arbitrarily far past 128 bits.
     let gens = (1u64.., 0u64..700);
-    check("to_f64_commutes_with_pow2_scaling", &cfg(), &gens, |&(a, k)| {
-        let v = &BigUint::from(a) << k;
-        prop_assert_eq!(v.to_f64(), (a as f64) * 2f64.powi(k as i32));
-        Ok(())
-    });
+    check(
+        "to_f64_commutes_with_pow2_scaling",
+        &cfg(),
+        &gens,
+        |&(a, k)| {
+            let v = &BigUint::from(a) << k;
+            prop_assert_eq!(v.to_f64(), (a as f64) * 2f64.powi(k as i32));
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -446,12 +540,17 @@ fn to_f64_rounds_to_nearest_even_at_the_64_bit_boundary() {
 
 #[test]
 fn complement_involution() {
-    check("complement_involution", &cfg(), &(0u64..1000, 1u64..1000), |&(n, d)| {
-        prop_assume!(n <= d);
-        let p = Rational::from_ratio(n as i64, d);
-        prop_assert!(p.is_probability());
-        prop_assert!(p.complement().is_probability());
-        prop_assert_eq!(p.complement().complement(), p);
-        Ok(())
-    });
+    check(
+        "complement_involution",
+        &cfg(),
+        &(0u64..1000, 1u64..1000),
+        |&(n, d)| {
+            prop_assume!(n <= d);
+            let p = Rational::from_ratio(n as i64, d);
+            prop_assert!(p.is_probability());
+            prop_assert!(p.complement().is_probability());
+            prop_assert_eq!(p.complement().complement(), p);
+            Ok(())
+        },
+    );
 }
