@@ -68,7 +68,11 @@ impl ProbDatabase {
         assert_eq!(included.len(), self.len());
         let mut acc = Rational::one();
         for (i, p) in self.probs.iter().enumerate() {
-            let factor = if included[i] { p.clone() } else { p.complement() };
+            let factor = if included[i] {
+                p.clone()
+            } else {
+                p.complement()
+            };
             acc = &acc * &factor;
         }
         acc
@@ -100,7 +104,10 @@ impl ProbDatabase {
     /// probabilities of the additional subinstances marginalize to 1").
     pub fn project(&self, keep: impl Fn(crate::RelId) -> bool) -> ProbDatabase {
         let (db, back) = self.db.project(keep);
-        let probs = back.iter().map(|&old| self.probs[old.index()].clone()).collect();
+        let probs = back
+            .iter()
+            .map(|&old| self.probs[old.index()].clone())
+            .collect();
         ProbDatabase { db, probs }
     }
 }

@@ -96,9 +96,7 @@ mod tests {
         let h = ProbDatabase::uniform(db, Rational::from_ratio(1, 4));
         let mut rng = StdRng::seed_from_u64(42);
         let n = 20_000;
-        let hits: usize = (0..n)
-            .filter(|_| sample_world(&h, &mut rng)[0])
-            .count();
+        let hits: usize = (0..n).filter(|_| sample_world(&h, &mut rng)[0]).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.25).abs() < 0.02, "freq {freq}");
     }
