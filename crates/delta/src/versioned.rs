@@ -21,7 +21,11 @@ pub struct ApplyError {
 
 impl fmt::Display for ApplyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "op {}: {}\n  {} | {}", self.op, self.message, self.op, self.text)
+        write!(
+            f,
+            "op {}: {}\n  {} | {}",
+            self.op, self.message, self.op, self.text
+        )
     }
 }
 
@@ -247,8 +251,7 @@ impl VersionedDb {
         }
 
         // Net effects.
-        let inserts: Vec<(String, Vec<String>, Rational)> =
-            pending.into_iter().flatten().collect();
+        let inserts: Vec<(String, Vec<String>, Rational)> = pending.into_iter().flatten().collect();
         let mut structural: BTreeSet<String> = removed
             .iter()
             .map(|id| db.schema().name(db.fact(*id).rel).to_owned())
@@ -294,7 +297,9 @@ impl VersionedDb {
                     .add_relation(rel, args.len())
                     .expect("arity validated against batch");
                 let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                new_db.add_fact(rel, &refs).expect("insert validated against batch");
+                new_db
+                    .add_fact(rel, &refs)
+                    .expect("insert validated against batch");
                 probs.push(prob.clone());
             }
             ProbDatabase::with_probs(new_db, probs).expect("probabilities validated")
@@ -324,9 +329,7 @@ mod tests {
     use pqe_db::io::load_str;
 
     fn base() -> VersionedDb {
-        VersionedDb::new(
-            load_str("1/2 R(a,b)\n1/3 R(b,c)\n1/5 S(b,d)\nT(x)\n").unwrap(),
-        )
+        VersionedDb::new(load_str("1/2 R(a,b)\n1/3 R(b,c)\n1/5 S(b,d)\nT(x)\n").unwrap())
     }
 
     fn saved(v: &VersionedDb) -> String {
@@ -416,7 +419,8 @@ mod tests {
         let mut v = base();
         let stamp_r = v.epochs().stamp(["R"]);
         let stamp_t = v.epochs().stamp(["T"]);
-        v.apply(&Delta::parse_str("~ 1/8 R(a,b)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("~ 1/8 R(a,b)\n").unwrap())
+            .unwrap();
         assert_eq!(v.epochs().freshness(&stamp_r), Freshness::ProbsChanged);
         assert_eq!(v.epochs().freshness(&stamp_t), Freshness::Current);
         v.apply(&Delta::parse_str("- R(a,b)\n").unwrap()).unwrap();
@@ -428,7 +432,8 @@ mod tests {
     fn snapshots_survive_later_applies() {
         let mut v = base();
         let snap = v.snapshot();
-        v.apply(&Delta::parse_str("~ 1/8 R(a,b)\n- T(x)\n").unwrap()).unwrap();
+        v.apply(&Delta::parse_str("~ 1/8 R(a,b)\n- T(x)\n").unwrap())
+            .unwrap();
         assert_eq!(snap.len(), 4);
         assert_eq!(snap.prob(pqe_db::FactId(0)).to_string(), "1/2");
         assert_eq!(v.current().len(), 3);
