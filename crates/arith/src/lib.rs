@@ -17,6 +17,9 @@
 //! intermediates, favouring simplicity and auditability over raw speed; the
 //! FPRAS pipeline spends its time in sampling and joins, not in arithmetic.
 //!
+//! Probabilities enter the workspace as text, so the line format that
+//! databases, graphs and delta batches share lives here too, in [`text`].
+//!
 //! ```
 //! use pqe_arith::{BigUint, Rational};
 //!
@@ -33,6 +36,7 @@ mod bigint;
 mod biguint;
 mod fixuint;
 mod rational;
+pub mod text;
 
 pub use bigfloat::BigFloat;
 pub use bigint::{BigInt, Sign};

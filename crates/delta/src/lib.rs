@@ -20,7 +20,8 @@
 //! * an insert or delete ([`Freshness::StructureChanged`]) falls back to a
 //!   full recompile, counted separately by the callers.
 //!
-//! The text format mirrors `pqe_db::io` (line-numbered errors):
+//! The text format ([`Delta::parse_str`]) is the shared line format of
+//! [`pqe_arith::text`] with a sigil before each fact:
 //!
 //! ```text
 //! ~ 0.95 Link(gate, relay1)    # set probability
@@ -46,6 +47,6 @@ mod delta;
 mod epoch;
 mod versioned;
 
-pub use delta::{Delta, DeltaOp, DeltaParseError};
+pub use delta::{Delta, DeltaOp};
 pub use epoch::{EpochStamp, Epochs, Freshness, RelEpoch};
 pub use versioned::{ApplyError, ApplyReport, VersionedDb};

@@ -1,10 +1,10 @@
-//! A plain-text interchange format for probabilistic graphs.
-//!
-//! One edge per line: an optional probability (rational `w/d`, decimal, or
-//! integer) followed by `src -label-> dst`. Comments (`#`) and blank lines
-//! are ignored; edges without an explicit probability default to `1`
-//! (certain), matching the `pqe_db::io` convention. `node NAME` lines
-//! declare isolated vertices.
+//! A plain-text interchange format for probabilistic graphs: one edge
+//! `src -label-> dst` per line, after an optional probability, and
+//! `node NAME` lines declaring isolated vertices. A line with an arrow is
+//! always an edge, so a vertex may be named `node`. Comments, the
+//! probability token, identifiers (every vertex and label name is one)
+//! and the shape of a [`LoadError`] are the shared line format of
+//! [`pqe_arith::text`].
 //!
 //! ```text
 //! # a two-hop road network
@@ -13,103 +13,32 @@
 //!       a -ferry-> c      # deterministic edge
 //! node island
 //! ```
-//!
-//! Vertex, label, and node names are identifiers (`[A-Za-z0-9_]+`).
-//! Failures carry the 1-based line number and the offending line, shown in
-//! the same format as database load errors.
 
 use crate::model::ProbGraph;
-use pqe_arith::Rational;
-
-/// A parse failure with its 1-based line number and the offending line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphLoadError {
-    /// 1-based line number.
-    pub line: usize,
-    /// The offending source line, verbatim (trailing whitespace trimmed).
-    pub text: String,
-    /// Description of the failure.
-    pub message: String,
-}
-
-impl std::fmt::Display for GraphLoadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.text.is_empty() {
-            write!(f, "line {}: {}", self.line, self.message)
-        } else {
-            write!(
-                f,
-                "line {}: {}\n  {} | {}",
-                self.line, self.message, self.line, self.text
-            )
-        }
-    }
-}
-
-impl std::error::Error for GraphLoadError {}
-
-fn err(line: usize, text: &str, message: impl Into<String>) -> GraphLoadError {
-    GraphLoadError {
-        line,
-        text: text.trim_end().to_owned(),
-        message: message.into(),
-    }
-}
-
-fn is_identifier(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-}
+use pqe_arith::text::{is_identifier, leading_probability, records, LoadError, Weighted};
 
 /// Parses the text format into a probabilistic graph.
-pub fn load_str(src: &str) -> Result<ProbGraph, GraphLoadError> {
+pub fn load_str(src: &str) -> Result<ProbGraph, LoadError> {
     let mut g = ProbGraph::new();
-    for (i, raw) in src.lines().enumerate() {
-        let lineno = i + 1;
-        let line = match raw.split_once('#') {
-            Some((body, _comment)) => body,
-            None => raw,
-        }
-        .trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix("node ") {
+    for rec in records(src) {
+        let node = rec
+            .body
+            .strip_prefix("node ")
+            .filter(|_| !rec.body.contains("->"));
+        if let Some(name) = node {
             let name = name.trim();
             if !is_identifier(name) {
-                return Err(err(lineno, raw, format!("bad vertex name {name:?}")));
+                return Err(rec.error(format!("bad vertex name {name:?}")));
             }
             g.add_vertex(name);
             continue;
         }
-        let (prob, edge_src) = split_probability(line).map_err(|m| err(lineno, raw, m))?;
-        if !prob.is_probability() {
-            return Err(err(
-                lineno,
-                raw,
-                format!("probability {prob} outside [0, 1]"),
-            ));
-        }
-        let (s, label, t) = parse_edge(edge_src).map_err(|m| err(lineno, raw, m))?;
+        let (prob, edge_src) =
+            leading_probability(rec.body, "an edge").map_err(|m| rec.error(m))?;
+        let (s, label, t) = parse_edge(edge_src).map_err(|m| rec.error(m))?;
         g.add_edge(s, label, t, prob);
     }
     Ok(g)
-}
-
-/// Splits an optional leading probability token from the edge text (a line
-/// starting with a digit carries a probability, like the database format).
-fn split_probability(line: &str) -> Result<(Rational, &str), String> {
-    let first = line.chars().next().unwrap();
-    if !first.is_ascii_digit() {
-        return Ok((Rational::one(), line));
-    }
-    let split = line
-        .find(|c: char| c.is_whitespace())
-        .ok_or_else(|| "expected an edge after the probability".to_owned())?;
-    let (tok, rest) = line.split_at(split);
-    let prob: Rational = tok
-        .parse()
-        .map_err(|e| format!("bad probability {tok:?}: {e}"))?;
-    Ok((prob, rest.trim_start()))
 }
 
 /// Parses `src -label-> dst`.
@@ -150,11 +79,7 @@ pub fn save_string(g: &ProbGraph) -> String {
             g.label_name(e.label),
             g.vertex_name(e.dst)
         );
-        if e.prob.is_one() {
-            out.push_str(&format!("{arrow}\n"));
-        } else {
-            out.push_str(&format!("{} {arrow}\n", e.prob));
-        }
+        out.push_str(&format!("{}\n", Weighted(&e.prob, &arrow)));
     }
     for (v, lonely) in isolated.iter().enumerate() {
         if *lonely {
@@ -224,6 +149,24 @@ mod tests {
 
         let e = load_str("node bad name\n").unwrap_err();
         assert!(e.message.contains("bad vertex name"), "{}", e.message);
+    }
+
+    #[test]
+    fn save_output_loads_again() {
+        // Saved without its probability, a certain edge from vertex `1`
+        // would read `1` as the probability; an edge from a vertex named
+        // `node` would read as a vertex declaration.
+        for (src, saved) in [
+            ("1 1 -r-> 2\n", "1 1 -r-> 2\n"),
+            ("1 node -r-> b\n", "node -r-> b\n"),
+            ("node node\n", "node node\n"),
+        ] {
+            let g = load_str(src).unwrap();
+            assert_eq!(save_string(&g), saved, "{src:?}");
+            let g2 = load_str(saved).unwrap();
+            assert_eq!(save_string(&g2), saved, "{src:?}");
+            assert_eq!(g2.num_edges(), g.num_edges());
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod oracle;
 pub mod rpq;
 
 pub use compile::{compile, CompileError, CompiledRpq};
-pub use io::{load_str, save_string, GraphLoadError};
+pub use io::{load_str, save_string};
 pub use model::{Edge, EdgeId, LabelId, ProbGraph, VertexId};
 pub use oracle::{enumerate_probability, OracleError, MAX_ENUM_EDGES};
 pub use rpq::{parse, parse_regex, Endpoint, LabelNfa, Regex, Rpq, RpqParseError, MAX_REGEX_DEPTH};

@@ -28,6 +28,7 @@
 //! query-side factor of the product construction in [`crate::compile()`] and
 //! the world-walk oracle in [`crate::oracle`].
 
+use pqe_arith::text::is_identifier;
 use std::fmt;
 
 /// One end of a path query.
@@ -138,10 +139,6 @@ impl std::error::Error for RpqParseError {}
 
 fn bad(msg: impl Into<String>) -> RpqParseError {
     RpqParseError(msg.into())
-}
-
-fn is_identifier(s: &str) -> bool {
-    !s.is_empty() && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
 fn parse_endpoint(s: &str) -> Result<Endpoint, RpqParseError> {
