@@ -21,7 +21,6 @@ impl SplitMix64 {
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
-
 }
 
 /// Folds a sequence of words into one well-mixed 64-bit seed.
@@ -92,6 +91,9 @@ mod tests {
         let b = SplitMix64::new(2).next_u64();
         // Outputs of adjacent seeds differ in roughly half their bits.
         let differing = (a ^ b).count_ones();
-        assert!((16..=48).contains(&differing), "only {differing} bits differ");
+        assert!(
+            (16..=48).contains(&differing),
+            "only {differing} bits differ"
+        );
     }
 }
