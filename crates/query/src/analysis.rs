@@ -130,11 +130,7 @@ mod tests {
         let q = parse("R(x,y), S(y,z)").unwrap();
         let m = atom_sets(&q);
         assert_eq!(m.len(), 3);
-        let y = *m
-            .iter()
-            .find(|(v, _)| q.var_name(**v) == "y")
-            .unwrap()
-            .0;
+        let y = *m.iter().find(|(v, _)| q.var_name(**v) == "y").unwrap().0;
         assert_eq!(m[&y].len(), 2);
     }
 

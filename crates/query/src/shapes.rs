@@ -106,9 +106,18 @@ pub fn triangle_chain(n: usize) -> ConjunctiveQuery {
         let a = Var(2 * i as u32);
         let b = Var(2 * i as u32 + 1);
         let c = Var(2 * i as u32 + 2);
-        atoms.push(Atom::new(format!("A{}", i + 1), vec![Term::Var(a), Term::Var(b)]));
-        atoms.push(Atom::new(format!("B{}", i + 1), vec![Term::Var(b), Term::Var(c)]));
-        atoms.push(Atom::new(format!("C{}", i + 1), vec![Term::Var(a), Term::Var(c)]));
+        atoms.push(Atom::new(
+            format!("A{}", i + 1),
+            vec![Term::Var(a), Term::Var(b)],
+        ));
+        atoms.push(Atom::new(
+            format!("B{}", i + 1),
+            vec![Term::Var(b), Term::Var(c)],
+        ));
+        atoms.push(Atom::new(
+            format!("C{}", i + 1),
+            vec![Term::Var(a), Term::Var(c)],
+        ));
     }
     ConjunctiveQuery::new(atoms, var_names(2 * n + 1, "v"))
 }

@@ -20,7 +20,11 @@ fn random_query() -> BoxedGen<ConjunctiveQuery> {
                 .into_iter()
                 .enumerate()
                 .map(|(i, (vars, self_join))| {
-                    let rel = if self_join { "R0".to_owned() } else { format!("R{i}") };
+                    let rel = if self_join {
+                        "R0".to_owned()
+                    } else {
+                        format!("R{i}")
+                    };
                     Atom::new(rel, vars.into_iter().map(|v| Term::Var(Var(v))).collect())
                 })
                 .collect();
@@ -39,17 +43,28 @@ fn corpus_entry_decodes_to_the_pinned_regression() {
 
 #[test]
 fn parser_never_panics() {
-    check("parser_never_panics", &cfg(), &arb_string(0..=60usize), |input| {
-        let _ = parse(input); // Ok or Err, never a panic
-        Ok(())
-    });
+    check(
+        "parser_never_panics",
+        &cfg(),
+        &arb_string(0..=60usize),
+        |input| {
+            let _ = parse(input); // Ok or Err, never a panic
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn parser_handles_structured_garbage() {
-    let rel = (string_from(IDENT_FIRST, 1), string_from(IDENT_REST, 0..=6usize))
+    let rel = (
+        string_from(IDENT_FIRST, 1),
+        string_from(IDENT_REST, 0..=6usize),
+    )
         .prop_map(|(head, rest)| head + &rest);
-    let args = vec(string_from("abcdefghijklmnopqrstuvwxyz0123456789'", 0..=5usize), 0..4);
+    let args = vec(
+        string_from("abcdefghijklmnopqrstuvwxyz0123456789'", 0..=5usize),
+        0..4,
+    );
     let tail = string_from(",()'. ", 0..=6usize);
     check(
         "parser_handles_structured_garbage",
@@ -78,22 +93,27 @@ fn display_parse_roundtrip() {
 
 #[test]
 fn hierarchy_matches_definition() {
-    check("hierarchy_matches_definition", &cfg(), &random_query(), |q| {
-        // Re-check is_hierarchical against the quantified definition.
-        let sets = analysis::atom_sets(q);
-        let vars: Vec<_> = sets.keys().copied().collect();
-        let mut expected = true;
-        for (i, x) in vars.iter().enumerate() {
-            for y in &vars[i + 1..] {
-                let (a, b) = (&sets[x], &sets[y]);
-                if !(a.is_disjoint(b) || a.is_subset(b) || b.is_subset(a)) {
-                    expected = false;
+    check(
+        "hierarchy_matches_definition",
+        &cfg(),
+        &random_query(),
+        |q| {
+            // Re-check is_hierarchical against the quantified definition.
+            let sets = analysis::atom_sets(q);
+            let vars: Vec<_> = sets.keys().copied().collect();
+            let mut expected = true;
+            for (i, x) in vars.iter().enumerate() {
+                for y in &vars[i + 1..] {
+                    let (a, b) = (&sets[x], &sets[y]);
+                    if !(a.is_disjoint(b) || a.is_subset(b) || b.is_subset(a)) {
+                        expected = false;
+                    }
                 }
             }
-        }
-        prop_assert_eq!(analysis::is_hierarchical(q), expected);
-        Ok(())
-    });
+            prop_assert_eq!(analysis::is_hierarchical(q), expected);
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -121,25 +141,35 @@ fn components_partition_atoms() {
 
 #[test]
 fn root_variables_occur_everywhere() {
-    check("root_variables_occur_everywhere", &cfg(), &random_query(), |q| {
-        for v in analysis::root_variables(q) {
-            for a in q.atoms() {
-                prop_assert!(a.vars().contains(&v));
+    check(
+        "root_variables_occur_everywhere",
+        &cfg(),
+        &random_query(),
+        |q| {
+            for v in analysis::root_variables(q) {
+                for a in q.atoms() {
+                    prop_assert!(a.vars().contains(&v));
+                }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn substitution_eliminates_the_variable() {
-    check("substitution_eliminates_the_variable", &cfg(), &random_query(), |q| {
-        let vars = q.vars();
-        if let Some(&v) = vars.iter().next() {
-            let sub = q.substitute(v, "c0");
-            prop_assert!(!sub.vars().contains(&v));
-            prop_assert_eq!(sub.len(), q.len());
-        }
-        Ok(())
-    });
+    check(
+        "substitution_eliminates_the_variable",
+        &cfg(),
+        &random_query(),
+        |q| {
+            let vars = q.vars();
+            if let Some(&v) = vars.iter().next() {
+                let sub = q.substitute(v, "c0");
+                prop_assert!(!sub.vars().contains(&v));
+                prop_assert_eq!(sub.len(), q.len());
+            }
+            Ok(())
+        },
+    );
 }
