@@ -21,7 +21,9 @@
 //! * **Identifiers** — relation names, vertex names, edge labels — are
 //!   non-empty runs of `[A-Za-z0-9_]` ([`is_identifier`]).
 //! * **Errors.** A refused record is a [`LoadError`]: its line number, the
-//!   line as written (trailing whitespace trimmed) and a message, shown as
+//!   line as written (trailing whitespace trimmed; a line longer than
+//!   [`MAX_ECHO_LEN`] bytes is cut to an excerpt, see [`echo`]) and a
+//!   message, shown as
 //!
 //!   ```text
 //!   line 2: bad probability "0.x5": invalid digit 'x'
@@ -46,12 +48,16 @@ use std::fmt;
 /// Longest probability token [`leading_probability`] parses, in bytes.
 pub const MAX_PROBABILITY_LEN: usize = 64;
 
+/// Longest line a [`LoadError`] quotes whole, in bytes; see [`echo`].
+pub const MAX_ECHO_LEN: usize = 160;
+
 /// A refused record: its 1-based line number, the line and what is wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadError {
     /// 1-based line number.
     pub line: usize,
-    /// The offending line as written, trailing whitespace trimmed.
+    /// The offending line as written, trailing whitespace trimmed, or
+    /// an excerpt of it when it is long (see [`echo`]).
     pub text: String,
     /// Description of the failure.
     pub message: String,
@@ -87,10 +93,26 @@ impl Record<'_> {
     pub fn error(&self, message: impl Into<String>) -> LoadError {
         LoadError {
             line: self.line,
-            text: self.raw.trim_end().to_owned(),
+            text: echo(self.raw.trim_end()),
             message: message.into(),
         }
     }
+}
+
+/// How a [`LoadError`] quotes `line`: whole when it is at most
+/// [`MAX_ECHO_LEN`] bytes long, otherwise its longest prefix of at most
+/// that many bytes that ends on a char boundary, followed by
+/// `… (N bytes)`, `N` the line's length. A refused megabyte line thus
+/// costs a short error, not a second megabyte.
+pub fn echo(line: &str) -> String {
+    if line.len() <= MAX_ECHO_LEN {
+        return line.to_owned();
+    }
+    let cut = (0..=MAX_ECHO_LEN)
+        .rev()
+        .find(|&i| line.is_char_boundary(i))
+        .unwrap_or(0);
+    format!("{}… ({} bytes)", &line[..cut], line.len())
 }
 
 /// The records of `src`: every line that is not blank once its `#`
@@ -185,6 +207,24 @@ mod tests {
         let e = rec.error("broken");
         assert_eq!((e.line, e.text.as_str()), (2, "bad line  # why"));
         assert_eq!(e.to_string(), "line 2: broken\n  2 | bad line  # why");
+    }
+
+    #[test]
+    fn long_lines_are_quoted_as_a_bounded_excerpt() {
+        let exact = "x".repeat(MAX_ECHO_LEN);
+        assert_eq!(echo(&exact), exact);
+        let long = format!("1/{} R(a)", "9".repeat(1_000_000));
+        let e = records(&long).next().unwrap().error("too long");
+        assert_eq!(
+            e.text,
+            format!("{}… ({} bytes)", &long[..MAX_ECHO_LEN], long.len())
+        );
+        // A cut inside a multi-byte char backs off to its start.
+        let wide = format!("{}é{}", "a".repeat(MAX_ECHO_LEN - 1), "b".repeat(10));
+        assert_eq!(
+            echo(&wide),
+            format!("{}… ({} bytes)", "a".repeat(MAX_ECHO_LEN - 1), wide.len())
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   input and quotes that line; and what parses saves to text that loads
 //!   to the same saved text.
 
-use pqe::arith::text::LoadError;
+use pqe::arith::text::{LoadError, MAX_ECHO_LEN};
 use pqe::arith::Rational;
 use pqe::db::io as dbio;
 use pqe::delta::{Delta, DeltaOp};
@@ -149,7 +149,7 @@ fn fact() -> impl Gen<Value = String> {
         .prop_map(|(rel, args)| format!("{rel}({})", args.join(",")))
 }
 
-/// One line: loose pieces, or a record of one of the three formats with
+/// One line: loose pieces (some past `MAX_ECHO_LEN` bytes), or a record of one of the three formats with
 /// an optional (sometimes invalid) probability and comment.
 fn line() -> impl Gen<Value = String> {
     const PROBS: &[&str] = &["", "1 ", "1/2 ", "0.5 ", "0 ", "3/2 ", "1/0 "];
@@ -157,6 +157,10 @@ fn line() -> impl Gen<Value = String> {
     const COMMENTS: &[&str] = &["", "  # note", "#"];
     one_of(vec![
         vec(piece(), 0..=12usize).prop_map(|p| p.concat()).boxed(),
+        // Long enough that an error quotes an excerpt of it.
+        vec(piece(), 80..=160usize)
+            .prop_map(|p| p.concat().replace('\n', " "))
+            .boxed(),
         (pick(PROBS), fact(), pick(COMMENTS))
             .prop_map(|(p, f, c)| format!("{p}{f}{c}"))
             .boxed(),
@@ -180,11 +184,23 @@ fn text() -> impl Gen<Value = String> {
     vec(line(), 0..=6usize).prop_map(|lines| lines.join("\n"))
 }
 
-/// The error names a line of `src` and quotes it, trailing space trimmed.
+/// The error names a line of `src` and quotes it, trailing space trimmed:
+/// whole up to `MAX_ECHO_LEN` bytes, as a prefix of at most that many
+/// bytes plus the line's length beyond.
 fn names_its_line(src: &str, e: &LoadError) -> CaseResult {
     let line = e.line.checked_sub(1).and_then(|i| src.lines().nth(i));
     prop_assert!(line.is_some(), "error on line {} of {src:?}: {e}", e.line);
-    prop_assert_eq!(e.text.as_str(), line.unwrap().trim_end());
+    let line = line.unwrap().trim_end();
+    if line.len() <= MAX_ECHO_LEN {
+        prop_assert_eq!(e.text.as_str(), line);
+    } else {
+        let suffix = format!("… ({} bytes)", line.len());
+        let prefix = e.text.strip_suffix(&suffix);
+        prop_assert!(prefix.is_some(), "{:?} lacks {suffix:?}", e.text);
+        let prefix = prefix.unwrap();
+        prop_assert!(prefix.len() <= MAX_ECHO_LEN && line.starts_with(prefix));
+        prop_assert!((prefix.len() + 1..=MAX_ECHO_LEN).all(|i| !line.is_char_boundary(i)));
+    }
     Ok(())
 }
 
