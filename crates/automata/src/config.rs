@@ -36,8 +36,10 @@ pub struct FprasConfig {
     /// Number of independent repetitions; the median is returned
     /// (amplifies the constant success probability to "w.h.p.").
     pub repetitions: usize,
-    /// Worker threads for the parallel sample loops (repetitions and
-    /// ambiguous-union sampling). `0` means auto: the `PQE_THREADS`
+    /// Worker threads for the repetitions; a worker out of repetitions
+    /// helps with the ambiguous-union sample loops of the repetitions
+    /// still running (so with one repetition, one thread does all the
+    /// work). `0` means auto: the `PQE_THREADS`
     /// environment variable if set, else the machine's available
     /// parallelism. Randomness is keyed per sample index (see
     /// `union_mc`), so for a fixed seed the estimates are **bit-identical

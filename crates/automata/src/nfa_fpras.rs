@@ -9,14 +9,15 @@
 //! polynomial subset-simulation). Per-part uniform-ish samples come from
 //! rejection sampling through the same recursion.
 //!
-//! Like the NFTA counter, the repetition loop and the union sample loops
-//! fan out over the `pqe-par` pool with per-sample-index randomness, so a
-//! fixed seed gives bit-identical estimates at any thread count.
+//! Like the NFTA counter, the repetitions fan out over the `pqe-par` pool
+//! and idle workers help with the union sample loops, with
+//! per-sample-index randomness, so a fixed seed gives bit-identical
+//! estimates at any thread count.
 
 use crate::ambiguity::mark_ancestors;
 use crate::nfta_run_estimator::KeyIndex;
 use crate::scratch::{resample, with_scratch, PickSpan, PickTable, Scratch};
-use crate::union_mc::{adaptive_mean, median_of_repetitions, TAG_NFA_GROUP, TAG_NFA_TOP};
+use crate::union_mc::{adaptive_mean, median_of_repetitions, Draw, TAG_NFA_GROUP, TAG_NFA_TOP};
 use crate::{FprasConfig, Nfa, StateId, SymbolId};
 use pqe_arith::{BigFloat, FixUint};
 use pqe_par::{FxHashMap, ShardedMap};
@@ -171,8 +172,6 @@ struct NfaCounter<'a> {
     cfg: FprasConfig,
     /// This repetition's seed (the root of every union's sample streams).
     seed: u64,
-    /// Resolved worker count, captured once.
-    threads: usize,
     est: ShardedMap<(StateId, usize), BigFloat>,
     /// Memoized per-symbol-group union estimates, keyed by
     /// `(state, symbol, suffix length)`. Without this, sampling re-runs
@@ -182,13 +181,11 @@ struct NfaCounter<'a> {
 
 impl<'a> NfaCounter<'a> {
     fn new(nfa: &'a Nfa, paths: &'a PathTables, cfg: FprasConfig, seed: u64) -> Self {
-        let threads = cfg.effective_threads();
         NfaCounter {
             nfa,
             paths,
             cfg,
             seed,
-            threads,
             est: ShardedMap::new(),
             group_memo: ShardedMap::new(),
         }
@@ -331,15 +328,14 @@ impl<'a> NfaCounter<'a> {
                 // in `union_mc`).
                 let cap = self.cfg.union_samples(m);
                 let floor = self.cfg.union_sample_floor.min(cap);
-                let (taken, mean) = adaptive_mean(
-                    self.threads,
+                let folded = adaptive_mean(
                     cap,
                     floor,
                     self.cfg.local_epsilon(),
                     useed,
                     |rng: &mut StdRng| {
                         let t = table.pick(all, rng);
-                        with_scratch(|s| {
+                        Draw::weight(with_scratch(|s| {
                             s.begin_sample();
                             let (start, end) = self.sample_string_into(t, len, rng, s)?;
                             let Scratch {
@@ -365,13 +361,13 @@ impl<'a> NfaCounter<'a> {
                                 .count()
                                 .max(1);
                             Some(1.0 / n_holding as f64)
-                        })
+                        }))
                     },
                 );
-                if taken == 0 {
+                if folded.taken == 0 {
                     return BigFloat::zero();
                 }
-                total * mean
+                total * folded.mean
             }
         }
     }

@@ -21,14 +21,15 @@
 //! have a single part — those are counted exactly, so sampling effort
 //! concentrates on the genuinely ambiguous witness-choice states.
 //!
-//! Both the repetition loop and the per-union sample loops run on the
-//! `pqe-par` worker pool (`FprasConfig::threads`). Randomness is keyed per
-//! sample index via jump-split xoshiro streams (see `union_mc`), so for a
-//! fixed seed the estimate is bit-identical at any thread count.
+//! The repetitions fan out over the `pqe-par` worker pool
+//! (`FprasConfig::threads`), and a worker out of repetitions helps with
+//! the union sample loops of the ones still running (see `union_mc`).
+//! Randomness is keyed per sample index via jump-split xoshiro streams,
+//! so for a fixed seed the estimate is bit-identical at any thread count.
 
 use crate::forest_reg::EMPTY_FOREST;
 use crate::scratch::{resample, with_scratch, PickTable, Scratch};
-use crate::union_mc::{adaptive_mean, median_of_repetitions, TAG_NFTA_GROUP};
+use crate::union_mc::{adaptive_mean, median_of_repetitions, Draw, TAG_NFTA_GROUP};
 use crate::{Ambiguity, FprasConfig, Nfta, RunTables, StateId, Tree};
 use pqe_arith::BigFloat;
 use pqe_par::ShardedMap;
@@ -91,9 +92,6 @@ pub struct NftaCounter<'a> {
     /// Exact run tables of `nfta` (shared by every repetition).
     runs: &'a RunTables,
     cfg: FprasConfig,
-    /// Resolved worker count (captured once; resolution reads the
-    /// environment).
-    threads: usize,
     tree_memo: ShardedMap<(StateId, usize), BigFloat>,
     /// Forest estimates keyed by interned forest id (see `forest_reg`) —
     /// memo probes on the sampling hot path never allocate.
@@ -134,12 +132,10 @@ impl<'a> NftaCounter<'a> {
             (nfta.num_states(), cfg.naive_unions),
             "Ambiguity was built from another automaton or naive_unions setting"
         );
-        let threads = cfg.effective_threads();
         NftaCounter {
             nfta,
             runs,
             cfg,
-            threads,
             tree_memo: ShardedMap::new(),
             forest_memo: ShardedMap::new(),
             group_memo: ShardedMap::new(),
@@ -207,33 +203,35 @@ impl<'a> NftaCounter<'a> {
             m => {
                 // Adaptive Karp–Luby estimation: draw until the standard
                 // error of the mean of 1/N falls below the per-union
-                // budget, capped by `union_samples(m)` — the shared
-                // parallel loop in `union_mc`.
+                // budget, capped by `union_samples(m)` — the shared loop
+                // in `union_mc`. The counters count the folded draws
+                // only: a helper may compute draws past the stop.
                 let cap = self.cfg.union_samples(m);
                 let floor = self.cfg.union_sample_floor.min(cap);
-                let (taken, mean) = adaptive_mean(
-                    self.threads,
-                    cap,
-                    floor,
-                    self.cfg.local_epsilon(),
-                    useed,
-                    |rng| {
-                        cnt_samples().inc();
-                        let ti = parts.pick(all, rng);
-                        let tr = &self.nfta.transitions()[ti];
-                        let fid = self.runs.reg().transition_forest(ti);
-                        with_scratch(|s| {
-                            s.begin_sample();
-                            let root = s.tree.new_node(tr.symbol, tr.children.len());
-                            self.sample_forest_into(fid, n - 1, rng, s, root, 0)?;
-                            Some(1.0 / self.membership_count(part_tis, s, root) as f64)
-                        })
-                    },
-                );
-                if taken == 0 {
+                let folded = adaptive_mean(cap, floor, self.cfg.local_epsilon(), useed, |rng| {
+                    let ti = parts.pick(all, rng);
+                    let tr = &self.nfta.transitions()[ti];
+                    let fid = self.runs.reg().transition_forest(ti);
+                    with_scratch(|s| {
+                        s.begin_sample();
+                        let root = s.tree.new_node(tr.symbol, tr.children.len());
+                        let weight = self
+                            .sample_forest_into(fid, n - 1, rng, s, root, 0)
+                            .map(|()| 1.0 / self.membership_count(part_tis, s, root) as f64);
+                        Draw {
+                            weight,
+                            tries: s.tries,
+                        }
+                    })
+                });
+                cnt_samples().add(folded.samples as u64);
+                cnt_tries().add(folded.tries);
+                // One membership check per draw that found a tree.
+                cnt_member().add(folded.taken as u64);
+                if folded.taken == 0 {
                     return BigFloat::zero();
                 }
-                total * mean
+                total * folded.mean
             }
         }
     }
@@ -242,7 +240,6 @@ impl<'a> NftaCounter<'a> {
     /// (≥ 1 for sampled trees.) The scratch arena's shared acceptance memo
     /// carries over node-id-keyed results across parts.
     fn membership_count(&self, part_tis: &[usize], s: &mut Scratch, root: u32) -> usize {
-        cnt_member().inc();
         let Scratch {
             tree, accept_memo, ..
         } = s;
@@ -316,8 +313,9 @@ impl<'a> NftaCounter<'a> {
     pub fn sample_tree<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Tree> {
         with_scratch(|s| {
             s.begin_sample();
-            let node = self.sample_tree_into(self.nfta.initial(), self.runs.size(), rng, s)?;
-            Some(s.tree.to_tree(node))
+            let node = self.sample_tree_into(self.nfta.initial(), self.runs.size(), rng, s);
+            cnt_tries().add(s.tries);
+            Some(s.tree.to_tree(node?))
         })
     }
 
@@ -326,7 +324,8 @@ impl<'a> NftaCounter<'a> {
     /// runs live side by side in the arena; losing candidates are simply
     /// abandoned (reclaimed by the next `begin_sample`), and the run-count
     /// DP memo is shared across candidates — node ids are unique within an
-    /// arena generation, so entries never collide.
+    /// arena generation, so entries never collide. Each candidate run
+    /// drawn counts in `s.tries`.
     fn sample_tree_into<R: Rng + ?Sized>(
         &self,
         q: StateId,
@@ -343,14 +342,14 @@ impl<'a> NftaCounter<'a> {
         };
         // `None` iff no run exists; nothing is drawn then.
         let first = self.runs.sample_run_into(q, n, rng, &mut s.tree)?;
-        cnt_tries().inc();
+        s.tries += 1;
         if k == 1 {
             return Some(first);
         }
         let cbase = s.cand_nodes.len();
         self.push_candidate(q, first, s);
         for _ in 1..k {
-            cnt_tries().inc();
+            s.tries += 1;
             let Some(t) = self.runs.sample_run_into(q, n, rng, &mut s.tree) else {
                 s.cand_nodes.truncate(cbase);
                 s.cand_weights.truncate(cbase);
@@ -415,8 +414,10 @@ impl<'a> NftaCounter<'a> {
     /// The split pick table of forest key `(fid, m)`: first-tree sizes `j`
     /// weighted by `est(head, j) · est(tail, m − j)`. Built on the key's
     /// first draw from the same products, in the same order, as every
-    /// later draw would recompute; the build never holds a lock, so the
-    /// nested estimates it may trigger can fan out freely.
+    /// later draw would recompute. Like [`Self::forest_est`], it skips the
+    /// tail where the head is zero, so it reads only estimates that
+    /// `forest_est(fid, m)` already memoized: a draw never starts a union
+    /// estimate of its own.
     fn split_picks(&self, fid: u32, m: usize) -> &PickTable<u32> {
         let cell = &self.split_picks[self.runs.forest_id(fid, m)];
         if let Some(t) = cell.get() {
@@ -425,10 +426,13 @@ impl<'a> NftaCounter<'a> {
         let reg = self.runs.reg();
         let (head, tail) = (reg.head(fid), reg.tail(fid));
         let table = PickTable::single((1..=(m - (reg.len(fid) - 1))).map(|j| {
-            (
-                j as u32,
-                self.tree_est(head, j) * self.forest_est(tail, m - j),
-            )
+            let t = self.tree_est(head, j);
+            let w = if t.is_zero() {
+                t
+            } else {
+                t * self.forest_est(tail, m - j)
+            };
+            (j as u32, w)
         }));
         // A concurrent first draw may have stored its (equal) table first.
         let _ = cell.set(table);

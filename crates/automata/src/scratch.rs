@@ -21,11 +21,11 @@
 //!
 //! ## Why a pool, not a single thread-local cell
 //!
-//! Union estimation nests: a sample closure may call `tree_est`, which may
-//! trigger a nested union estimate whose sample loop runs *inline on the
-//! same thread* (see `pqe_par::in_worker`). A single `RefCell<Scratch>`
-//! would double-borrow; a pool simply hands the nested level its own
-//! arena. The pool never shrinks, so steady state is one arena per nesting
+//! Scratch users may nest on one thread: a caller holding an arena can
+//! reach code that takes one too, and loops nested in a sample run inline
+//! on the sampling thread (see `pqe_par::in_worker`). A single
+//! `RefCell<Scratch>` would double-borrow; a pool simply hands the nested
+//! level its own arena. The pool never shrinks, so steady state is one arena per nesting
 //! level per worker thread.
 //!
 //! ## Determinism
@@ -99,6 +99,9 @@ pub(crate) struct Scratch {
     pub member_cur: Vec<StateId>,
     /// Second membership frontier buffer.
     pub member_next: Vec<StateId>,
+    /// SIR candidate runs drawn since `begin_sample` (the tree sampler's
+    /// `fpras.sample_tries`, counted by whoever folds the draw).
+    pub tries: u64,
 }
 
 impl Scratch {
@@ -115,6 +118,7 @@ impl Scratch {
         self.path_states.clear();
         self.str_spans.clear();
         self.str_weights.clear();
+        self.tries = 0;
     }
 }
 
