@@ -17,8 +17,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 # Format gate, one crate at a time as each is brought under rustfmt:
-# pqe-automata, pqe-graph, pqe-engine, pqe-core, pqe-arith, pqe-db and
-# pqe-delta are formatted, the rest of the workspace is not yet.
+# pqe-automata, pqe-graph, pqe-engine, pqe-core, pqe-arith, pqe-db,
+# pqe-delta, pqe-par, pqe-rand and pqe-query are formatted, the rest of
+# the workspace is not yet.
 cargo fmt -p pqe-automata -- --check
 cargo fmt -p pqe-graph -- --check
 cargo fmt -p pqe-engine -- --check
@@ -26,6 +27,9 @@ cargo fmt -p pqe-core -- --check
 cargo fmt -p pqe-arith -- --check
 cargo fmt -p pqe-db -- --check
 cargo fmt -p pqe-delta -- --check
+cargo fmt -p pqe-par -- --check
+cargo fmt -p pqe-rand -- --check
+cargo fmt -p pqe-query -- --check
 
 # The parallel-FPRAS contract: estimates are bit-identical for a fixed
 # seed at any thread count. Run the determinism suite at both ends of the
